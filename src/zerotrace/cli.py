@@ -44,9 +44,10 @@ from .instances import (
 )
 from .littlestone import ldim, ldim_witness, rho, tree_from_json, tree_to_json
 from .maximality import cover_from_instance, cover_to_json
-from .setsystem import family_to_json, pi, vcdim
+from .setsystem import family_to_json, pi, restrict, vcdim
 from .zerosets import (
     Sample,
+    distinct_image_points,
     enumerate_family_flats,
     family_bundle,
     linearly_independent,
@@ -75,6 +76,22 @@ class RunConfig:
     checks: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("n_max", "depth_cap", "budget", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("instance", "out"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise InvalidInputError(f"{name} must be a string, got {value!r}")
+        if self.checks is not None:
+            if not isinstance(self.checks, tuple) or not all(
+                isinstance(c, str) for c in self.checks
+            ):
+                raise InvalidInputError(f"checks must be a list of names, got {self.checks!r}")
+            for name in self.checks:
+                if name not in CHECKS:
+                    raise InvalidInputError(f"unknown check {name!r}")
         if self.n_max < 1:
             raise InvalidInputError("n-max must be >= 1")
         if self.depth_cap < 1 or self.budget < 1:
@@ -188,13 +205,12 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 
 def _shatter_rows(inst, cfg: RunConfig):
     d = inst.d
-    designed = None
-    if inst.profile_points is not None:
+    designed = inst.profile_points is not None
+    if designed:
         # The instance names its own extremal sample; pi and rho are
         # then profiled on that one family across every n.
         sampling = "designed-grid"
         points = list(inst.profile_points(cfg.n_max))
-        designed = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
     else:
         want = cfg.n_max + (d - 1 if d >= 2 else 0)
         sampling = "independent-prefix"
@@ -203,24 +219,15 @@ def _shatter_rows(inst, cfg: RunConfig):
             points = list(seq.points)
         except (BudgetExhaustedError, StreamExhaustedError):
             sampling = "stream-prefix"
-            points = []
-            images = set()
-            for p in inst.stream():
-                img = inst.image(p).entries
-                if img in images:
-                    continue
-                images.add(img)
-                points.append(p)
-                if len(points) == cfg.n_max:
-                    break
+            points = distinct_image_points(inst, cfg.n_max, budget=cfg.budget)
+        points = points[: cfg.n_max]
+    # One walk on the longest sample: the traces on a prefix are the
+    # restrictions of the traces on the whole sample.
+    full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
     rows = []
     top = min(cfg.n_max, len(points))
     for n in range(1, top + 1):
-        if designed is None:
-            sample = Sample.take(inst, points[:n])
-            fam = enumerate_family_flats(sample).to_set_family()
-        else:
-            fam = designed
+        fam = full if designed else restrict(full, range(n))
         p_n = pi(fam, n)
         r_n = rho(fam, n, depth_cap=cfg.depth_cap)
         ref = binom_le(n, d - 1)
@@ -234,7 +241,7 @@ def _shatter_rows(inst, cfg: RunConfig):
                 "maximal_ldim": r_n == ref,
             }
         )
-    return rows, sampling, points if designed is not None else points[:top]
+    return rows, sampling, points
 
 
 def _rows_to_csv(rows) -> str:
@@ -406,9 +413,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         values["checks"] = tuple(c.strip() for c in checks.split(",") if c.strip())
     elif isinstance(values.get("checks"), list):
         values["checks"] = tuple(values["checks"])
-    for name in values.get("checks") or ():
-        if name not in CHECKS:
-            raise InvalidInputError(f"unknown check {name!r}")
     return RunConfig(command=args.command, **values)
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 
 from .errors import BudgetExhaustedError, InvalidInputError
-from .exactalg import Field, Vector, basis_vector, dot, in_span, nullspace_basis
+from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis
 from .littlestone import LabeledTree
 from .setsystem import GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
@@ -179,12 +180,7 @@ def independence_sequence(
     d = inst.d
     points: list = []
     images: list = []
-
-    def blocked(v: Vector) -> bool:
-        take = min(d - 1, len(images))
-        return any(
-            in_span(v, subset) for subset in combinations(images, take)
-        )
+    spans = [Span()]  # one per min(d-1, len(images))-subset of images
 
     stream = inst.stream()
     scanned = 0
@@ -193,9 +189,11 @@ def independence_sequence(
         for point in stream:
             scanned += 1
             v = inst.image(point)
-            if not blocked(v):
+            if not any(in_span(v, span) for span in spans):
                 points.append(point)
                 images.append(v)
+                take = min(d - 1, len(images))
+                spans = [Span(subset) for subset in combinations(images, take)]
                 advanced = True
                 break
             if scanned >= budget:
@@ -412,19 +410,10 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
         [z.witness for z in family_sets],
         enforce_limits=ground.size <= 20,
     )
-    target = sum(_binom(n, k) for k in range(d))
+    target = binom_le(n, d - 1)
     return GridTreeResult(tree=tree, family=family, sample=sample, well_labeled_target=target)
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def binom_le(n: int, upper: int) -> int:
     """C(n,0) + C(n,1) + ... + C(n,upper)."""
-    return sum(_binom(n, k) for k in range(upper + 1))
+    return sum(comb(n, k) for k in range(upper + 1))

@@ -1,4 +1,4 @@
-"""Exact scalar, vector and matrix arithmetic over Q and prime fields.
+"""Exact scalars, vectors and spans over Q and prime fields.
 
 Every computation in this package reduces to linear algebra over an exact
 field: rationals with arbitrary precision, or F_p for a prime p.  Floats
@@ -7,13 +7,15 @@ kept in lowest terms with positive denominator); prime-field elements are
 canonical representatives in [0, p) wrapped so that mixed-field arithmetic
 fails loudly instead of silently coercing.
 
-Gaussian elimination preserves exact fractions and always picks the first
-nonzero entry in row-major order as the pivot, so ranks, nullspace
-witnesses and span tests are deterministic functions of their input.
+Every span question (rank, membership, canonical basis, nullspace) is
+answered by one echelon form, ``Span``.  Its canonical basis and
+nullspace depend only on the subspace, never on the order of the input
+vectors, so witnesses built from them are stable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -76,11 +78,6 @@ class PrimeField:
         if isinstance(x, int) and not isinstance(x, bool):
             return self.element(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def elements(self) -> Iterable["FpElement"]:
-        """All p elements, in canonical order 0, 1, ..., p-1."""
-        for v in range(self.p):
-            yield self.element(v)
 
     @property
     def name(self) -> str:
@@ -255,7 +252,7 @@ def scalar_from_str(field: Field, text: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Vectors and matrices
+# Vectors and spans
 # ---------------------------------------------------------------------------
 
 
@@ -307,57 +304,12 @@ class Vector:
         return "(" + ", ".join(scalar_to_str(a) for a in self.entries) + ")"
 
 
-def zero_vector(field: Field, width: int) -> Vector:
-    return Vector(field, (field.zero,) * width)
-
-
 def basis_vector(field: Field, width: int, index: int) -> Vector:
     if not 0 <= index < width:
         raise DimensionMismatchError(f"basis index {index} out of range for width {width}")
     entries = [field.zero] * width
     entries[index] = field.one
     return Vector(field, tuple(entries))
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable row-major matrix; rows share one field and width."""
-
-    field: Field
-    rows: tuple
-
-    @staticmethod
-    def from_rows(rows: Sequence[Vector]) -> "Matrix":
-        rows = tuple(rows)
-        if not rows:
-            raise DimensionMismatchError("matrix needs at least one row; use rank([]) helpers instead")
-        field = rows[0].field
-        width = len(rows[0])
-        for r in rows[1:]:
-            if r.field != field:
-                raise FieldMismatchError("rows over different fields")
-            if len(r) != width:
-                raise DimensionMismatchError("ragged rows")
-        return Matrix(field, rows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def transpose(m: Matrix) -> Matrix:
-    cols = [
-        Vector(m.field, tuple(row[j] for row in m.rows)) for j in range(m.ncols)
-    ]
-    return Matrix.from_rows(cols)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return Vector(m.field, tuple(dot(row, v) for row in m.rows))
 
 
 def dot(a: Vector, b: Vector) -> Scalar:
@@ -367,74 +319,6 @@ def dot(a: Vector, b: Vector) -> Scalar:
     for x, y in zip(a.entries, b.entries):
         total = total + x * y
     return total
-
-
-def _echelon(rows: list, width: int, field: Field):
-    """Forward elimination, in place; returns (pivot_cols, rows).
-
-    Pivot choice: first nonzero entry in row-major order, i.e. scan
-    columns left to right and rows top to bottom.  Entries stay in
-    canonical form automatically (Fraction normalizes, F_p reduces).
-    """
-    zero = field.zero
-    pivot_cols = []
-    pivot_row = 0
-    for col in range(width):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != zero:
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col] != zero:
-                factor = rows[r][col] / pivot
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivot_cols, rows
-
-
-def _as_row_lists(vectors: Sequence[Vector]):
-    if not vectors:
-        return None, 0, []
-    field = vectors[0].field
-    width = len(vectors[0])
-    for v in vectors:
-        if v.field != field:
-            raise FieldMismatchError("vectors over different fields")
-        if len(v) != width:
-            raise DimensionMismatchError("vectors of different widths")
-    return field, width, [list(v.entries) for v in vectors]
-
-
-def rank(m: Union[Matrix, Sequence[Vector]]) -> int:
-    """Row rank via fraction-preserving elimination.  rank([]) == 0."""
-    vectors = m.rows if isinstance(m, Matrix) else tuple(m)
-    field, width, rows = _as_row_lists(vectors)
-    if field is None:
-        return 0
-    pivot_cols, _ = _echelon(rows, width, field)
-    return len(pivot_cols)
-
-
-def independent(vectors: Sequence[Vector]) -> bool:
-    """True iff the vectors are linearly independent (vacuously for [])."""
-    vectors = tuple(vectors)
-    return rank(vectors) == len(vectors)
-
-
-def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
-    """Membership of v in span(basis), decided by rank comparison."""
-    basis = tuple(basis)
-    if not basis:
-        return v.is_zero()
-    return rank(basis) == rank(basis + (v,))
 
 
 def projective_normalize(v: Vector) -> Vector:
@@ -450,36 +334,104 @@ def projective_normalize(v: Vector) -> Vector:
     raise InvalidInputError("cannot normalize the zero vector")
 
 
+class Span:
+    """A subspace of F^width, held as echelon rows of the vectors added.
+
+    Each stored row has 1 at its pivot column and 0 left of it, pivots
+    are distinct, and rows are kept in pivot order.  Reducing a vector
+    against the rows in that order clears it at every pivot, so it lies
+    in the span iff nothing is left.  The pivot columns are those of the
+    reduced row-echelon form, which depends only on the subspace, so
+    everything derived here is independent of the order vectors arrive
+    in.  Field and width are fixed by the first vector added.
+    """
+
+    __slots__ = ("field", "width", "pivots", "_rows")
+
+    def __init__(self, vectors: Iterable[Vector] = ()):
+        self.field = None
+        self.width = None
+        self.pivots: list = []
+        self._rows: list = []
+        for v in vectors:
+            self.add(v)
+
+    def _reduce(self, entries: list, start: int = 0) -> list:
+        """entries minus its components along the rows from start on."""
+        for p, row in zip(self.pivots[start:], self._rows[start:]):
+            c = entries[p]
+            if c:
+                entries = [a - c * b if b else a for a, b in zip(entries, row)]
+        return entries
+
+    def _residual(self, v: Vector) -> list:
+        if self.field is not None:
+            if v.field != self.field:
+                raise FieldMismatchError("vectors over different fields")
+            if len(v) != self.width:
+                raise DimensionMismatchError("vectors of different widths")
+        return self._reduce(list(v.entries))
+
+    def add(self, v: Vector) -> bool:
+        """Extend the span by v; True iff v was not in it already."""
+        residual = self._residual(v)
+        if self.field is None:
+            self.field, self.width = v.field, len(v)
+        pivot = next((j for j, a in enumerate(residual) if a), None)
+        if pivot is None:
+            return False
+        lead = residual[pivot]
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self._rows.insert(at, [a / lead for a in residual])
+        return True
+
+    def __contains__(self, v: Vector) -> bool:
+        return not any(self._residual(v))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def canonical(self) -> tuple:
+        """Reduced row-echelon basis, in pivot order."""
+        return tuple(
+            Vector(self.field, tuple(self._reduce(row, i + 1)))
+            for i, row in enumerate(self._rows)
+        )
+
+
+def rank(vectors: Sequence[Vector]) -> int:
+    """Dimension of the span.  rank([]) == 0."""
+    return len(Span(vectors))
+
+
+def independent(vectors: Sequence[Vector]) -> bool:
+    """True iff the vectors are linearly independent (vacuously for [])."""
+    vectors = tuple(vectors)
+    return rank(vectors) == len(vectors)
+
+
+def in_span(v: Vector, basis: Union[Span, Sequence[Vector]]) -> bool:
+    """Membership of v in span(basis); pass a Span to test many vectors."""
+    return v in (basis if isinstance(basis, Span) else Span(basis))
+
+
 def row_space_canonical(vectors: Sequence[Vector]) -> tuple:
     """Canonical basis of the span: reduced echelon rows, zero rows dropped.
 
     Two vector lists span the same subspace iff their canonical forms
     are equal, so the result doubles as a hashable span identity.
     """
-    field, width, rows = _as_row_lists(tuple(vectors))
-    if field is None:
-        return ()
-    zero = field.zero
-    pivot_cols, rows = _echelon(rows, width, field)
-    reduced = [rows[i] for i in range(len(pivot_cols))]
-    for i in range(len(pivot_cols) - 1, -1, -1):
-        col = pivot_cols[i]
-        pivot = reduced[i][col]
-        reduced[i] = [a / pivot for a in reduced[i]]
-        for r in range(i):
-            factor = reduced[r][col]
-            if factor != zero:
-                reduced[r] = [a - factor * b for a, b in zip(reduced[r], reduced[i])]
-    return tuple(Vector(field, tuple(row)) for row in reduced)
+    return Span(vectors).canonical()
 
 
 def nullspace_basis(field: Field, width: int, vectors: Sequence[Vector]) -> list:
     """Deterministic basis of {a : v . a == 0 for every row v}.
 
-    One basis vector per free column of the echelon form, in column
-    order: it carries 1 at its own free column, 0 at the other free
-    columns, and back-substituted pivot coordinates.  With no rows the
-    result is the standard basis of F^width.
+    One basis vector per free column of the reduced echelon form, in
+    column order: it carries 1 at its own free column, 0 at the other
+    free columns, and minus the reduced rows' entries in that column at
+    the pivots.  With no rows the result is the standard basis of F^width.
     """
     if width < 1:
         raise DimensionMismatchError("kernel basis needs width >= 1")
@@ -489,55 +441,15 @@ def nullspace_basis(field: Field, width: int, vectors: Sequence[Vector]) -> list
             raise FieldMismatchError("row field differs from the requested field")
         if len(v) != width:
             raise DimensionMismatchError("row width differs from the requested width")
-    zero = field.zero
-    rows = [list(v.entries) for v in vectors]
-    pivot_cols, rows = _echelon(rows, width, field)
-    pivot_set = set(pivot_cols)
+    span = Span(vectors)
+    rows = span.canonical()
     basis = []
     for free_col in range(width):
-        if free_col in pivot_set:
+        if free_col in span.pivots:
             continue
-        solution = [zero] * width
+        solution = [field.zero] * width
         solution[free_col] = field.one
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            col = pivot_cols[i]
-            row = rows[i]
-            acc = zero
-            for j in range(col + 1, width):
-                if solution[j] != zero and row[j] != zero:
-                    acc = acc + row[j] * solution[j]
-            solution[col] = -acc / row[col]
+        for col, row in zip(span.pivots, rows):
+            solution[col] = -row[free_col]
         basis.append(Vector(field, tuple(solution)))
     return basis
-
-
-def nullspace_witness(m: Union[Matrix, Sequence[Vector]]):
-    """One nonzero kernel vector of the row system, or None if the
-    matrix has full column rank.
-
-    The witness fixes the lexicographically-first free column at 1 and
-    back-substitutes, then is projectively normalized.  With the fixed
-    pivot order this makes the witness a deterministic function of the
-    input rows.
-    """
-    vectors = m.rows if isinstance(m, Matrix) else tuple(m)
-    field, width, rows = _as_row_lists(vectors)
-    if field is None:
-        raise InvalidInputError("nullspace of an empty system is ambiguous; supply the width via a zero row")
-    zero = field.zero
-    pivot_cols, rows = _echelon(rows, width, field)
-    if len(pivot_cols) == width:
-        return None
-    free_col = next(c for c in range(width) if c not in pivot_cols)
-    solution = [zero] * width
-    solution[free_col] = field.one
-    # Back-substitute pivot variables, bottom row of the echelon first.
-    for i in range(len(pivot_cols) - 1, -1, -1):
-        col = pivot_cols[i]
-        row = rows[i]
-        acc = zero
-        for j in range(col + 1, width):
-            if solution[j] != zero and row[j] != zero:
-                acc = acc + row[j] * solution[j]
-        solution[col] = -acc / row[col]
-    return projective_normalize(Vector(field, tuple(solution)))

@@ -21,7 +21,6 @@ cover claim can travel as JSON and be re-verified on fresh points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 from .constructions import binom_le, independence_sequence, max_vc_trace
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .exactalg import (
     Field,
+    Span,
     Vector,
     field_from_json,
     field_to_json,
@@ -49,6 +49,7 @@ from .zerosets import (
     Instance,
     Sample,
     ZeroSetFamily,
+    distinct_image_points,
     enumerate_family_flats,
 )
 
@@ -136,12 +137,8 @@ def span_injective(fam: SpanFamily) -> SpanInjectivityReport:
 
 
 def _greedy_spanning_subset(vectors: Sequence[Vector]) -> tuple:
-    chosen: list = []
-    for v in vectors:
-        if v.is_zero() or in_span(v, chosen):
-            continue
-        chosen.append(v)
-    return tuple(chosen)
+    span = Span()
+    return tuple(v for v in vectors if span.add(v))
 
 
 def minimal_spanning_reduction(fam: SpanFamily) -> SpanFamily:
@@ -362,23 +359,6 @@ class NonMaximalityReport:
     family: Optional[ZeroSetFamily] = None
 
 
-def _sample_distinct_images(instance: Instance, n: int, *, budget: int) -> Sample:
-    points: list = []
-    seen_images: set = set()
-    for point in islice(instance.stream(), budget):
-        image = instance.image(point)
-        if image.entries in seen_images:
-            continue
-        seen_images.add(image.entries)
-        points.append(point)
-        if len(points) == n:
-            return Sample.take(instance, points)
-    raise StreamExhaustedError(
-        f"found only {len(points)} of {n} points with distinct images "
-        f"within budget {budget}"
-    )
-
-
 def non_maximality_certificate(
     instance: Instance,
     certificate: Optional[CoverCertificate] = None,
@@ -400,7 +380,13 @@ def non_maximality_certificate(
     d = instance.d
     k = len(cert)
     n = k * (d - 1) + 1
-    sample = _sample_distinct_images(instance, n, budget=budget)
+    points = distinct_image_points(instance, n, budget=budget)
+    if len(points) < n:
+        raise StreamExhaustedError(
+            f"stream of {instance.name} ended after {len(points)} points "
+            f"with distinct images, needed {n}"
+        )
+    sample = Sample.take(instance, points)
 
     for point, image in zip(sample.points, sample.images):
         if not cert.covers(image):
@@ -427,12 +413,8 @@ def non_maximality_certificate(
     members = [
         i for i in range(n) if cert.assign(images[i]) == report.crowded_subspace
     ]
-    core: list = []
-    for i in members:
-        if not images[i].is_zero() and not in_span(
-            images[i], [images[j] for j in core]
-        ):
-            core.append(i)
+    core_span = Span()
+    core = [i for i in members if core_span.add(images[i])]
     in_core = set(core)
     forced = next(i for i in members if i not in in_core)
     padding = [i for i in range(n) if i != forced and i not in in_core]

@@ -45,10 +45,6 @@ class GroundSet:
         if self.labels and len(set(self.labels)) != self.size:
             raise InvalidInputError("display labels must be distinct")
 
-    @staticmethod
-    def of_size(size: int) -> "GroundSet":
-        return GroundSet(size)
-
     def label(self, i: int) -> str:
         if self.labels:
             return self.labels[i]

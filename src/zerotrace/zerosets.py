@@ -16,10 +16,16 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError, StreamExhaustedError
+from .errors import (
+    BudgetExhaustedError,
+    InvalidInputError,
+    ResourceLimitError,
+    StreamExhaustedError,
+)
 from .exactalg import (
     Field,
     PrimeField,
+    Span,
     Vector,
     dot,
     in_span,
@@ -213,6 +219,7 @@ def linearly_independent(
     inst = instance
     if budget < inst.d:
         raise InvalidInputError(f"budget {budget} cannot reach d={inst.d} points")
+    span = Span()
     basis: list = []
     basis_points: list = []
     streamed: list = []
@@ -221,7 +228,7 @@ def linearly_independent(
     for point in islice(stream, budget):
         v = inst.image(point)
         streamed.append(v)
-        if not in_span(v, basis):
+        if span.add(v):
             basis.append(v)
             basis_points.append(point)
             if len(basis) == inst.d:
@@ -254,6 +261,30 @@ def linearly_independent(
         rank=len(basis),
         stream_exhausted=exhausted,
     )
+
+
+def distinct_image_points(instance: Instance, n: int, *, budget: int) -> list:
+    """The first n stream points with pairwise distinct images.
+
+    Fewer come back only when the stream ends first.  Scanning budget
+    stream points without finding n raises BudgetExhaustedError.
+    """
+    points: list = []
+    seen: set = set()
+    stream = instance.stream()
+    for point in islice(stream, budget):
+        image = instance.image(point).entries
+        if image not in seen:
+            seen.add(image)
+            points.append(point)
+            if len(points) == n:
+                return points
+    if next(stream, None) is not None:  # budget spent before the stream ended
+        raise BudgetExhaustedError(
+            f"found only {len(points)} of {n} points with distinct images "
+            f"within budget {budget}"
+        )
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +326,10 @@ def enumerate_family_bruteforce(sample: Sample) -> ZeroSetFamily:
 
 def _closure(images: Sequence[Vector], basis: list) -> int:
     """Mask of sample points whose images lie in span(basis)."""
+    span = Span(basis)
     mask = 0
     for i, v in enumerate(images):
-        if in_span(v, basis):
+        if in_span(v, span):
             mask |= 1 << i
     return mask
 

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, formats, config merge, exports."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerotrace
 from zerotrace.cli import main
 from zerotrace.instances import instance_from_spec
 from zerotrace.zerosets import Sample, verify_bundle
@@ -148,6 +154,35 @@ def test_config_file_merge_and_flag_override(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 5  # flag wins over config
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_max", "5"),
+        ("n_max", True),
+        ("n_max", 2.5),
+        ("depth_cap", "16"),
+        ("depth_cap", False),
+        ("budget", None),
+        ("budget", [100]),
+        ("seed", "7"),
+        ("seed", True),
+        ("format", 5),
+        ("format", ["json"]),
+        ("checks", 5),
+        ("checks", "dimensions_match"),
+        ("checks", [1, 2]),
+        ("instance", 3),
+        ("out", {"dir": "x"}),
+    ],
+)
+def test_config_rejects_wrongly_typed_values(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"instance": "moment_curve:3", key: value}))
+    code, _, err = run(capsys, "shatter-fn", "--config", str(cfg))
+    assert code == 3
+    assert err.startswith("invalid input:")
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"instanec": "typo"}))
@@ -237,3 +272,63 @@ def test_analyze_instance_spec_file(tmp_path, capsys):
     assert report["sample"]["kind"] == "spec"
     assert report["sample"]["points"] == [0, 1, 2]
     assert report["vcdim"] == 1
+
+
+def _write_spec(tmp_path, field):
+    path = tmp_path / "constant.json"
+    spec = {"field": field, "d": 2, "family": {"polynomials": ["1", "2"], "variables": ["x"]}}
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_shatter_fn_stops_at_budget_when_images_repeat(tmp_path):
+    # every image is (1, 2): the stream never yields a second distinct image
+    path = _write_spec(tmp_path, "rational")
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "shatter-fn", "--instance", str(path),
+         "--n-max", "3", "--budget", "200"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "resource limit" in done.stderr
+
+
+def test_shatter_fn_short_stream_gives_short_table(tmp_path, capsys):
+    path = _write_spec(tmp_path, {"prime": 3})
+    code, out, _ = run(
+        capsys, "shatter-fn", "--instance", str(path), "--n-max", "3", "--budget", "200"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["sampling"] == "stream-prefix"
+    assert report["points"] == [0]
+    assert [row["n"] for row in report["rows"]] == [1]
+
+
+#: sha256 of the canonical report without timings.  Any change to a
+#: witness, mask or count changes the digest, so update one only for an
+#: intended change of output.
+GOLDEN_DIGESTS = {
+    ("analyze", "--instance", "moment_curve:3"):
+        "4dd166eb9fef9769f5d121c7e03bdc78c1f20bb436b024e7695c6f0e01406f0f",
+    ("analyze", "--instance", "moment_curve:3,p=5"):
+        "a16b3fa731db8e45a6c5b607142966c3ebe1fd49c7b77c4e0900a20b2bf4c79b",
+    ("analyze", "--instance", "two_lines"):
+        "ebcc3c41319219d517268d21b0e611f0c94812aab01133ff57c41f14683267de",
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6"):
+        "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
+def test_report_matches_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["timings"]
+    canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_DIGESTS[argv]

@@ -1,5 +1,6 @@
 """Exact arithmetic and linear algebra unit tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from zerotrace.errors import (
 )
 from zerotrace.exactalg import (
     QQ,
-    Matrix,
     PrimeField,
+    Span,
     Vector,
     basis_vector,
     dot,
@@ -23,13 +24,11 @@ from zerotrace.exactalg import (
     in_span,
     independent,
     nullspace_basis,
-    nullspace_witness,
     projective_normalize,
     rank,
     row_space_canonical,
     scalar_from_str,
     scalar_to_str,
-    zero_vector,
 )
 
 F3 = PrimeField(3)
@@ -90,7 +89,6 @@ def test_vector_arithmetic():
     assert (v + w).entries == Vector.make(QQ, (5, 7, 9)).entries
     assert (w - v).entries == Vector.make(QQ, (3, 3, 3)).entries
     assert v.scale(QQ.from_int(2)).entries == Vector.make(QQ, (2, 4, 6)).entries
-    assert zero_vector(QQ, 3).is_zero()
     assert basis_vector(QQ, 3, 1).entries == Vector.make(QQ, (0, 1, 0)).entries
 
 
@@ -123,11 +121,6 @@ def test_vandermonde_rank():
     rows.append(Vector.make(QQ, (1, 2, 4)))  # repeated node
     assert rank(rows) == 3
     assert not independent(rows)
-
-
-def test_rank_matrix_and_rows_agree():
-    rows = [Vector.make(F5, (1, 2, 3)), Vector.make(F5, (2, 4, 2))]
-    assert rank(Matrix.from_rows(rows)) == rank(rows) == 2
 
 
 @st.composite
@@ -174,7 +167,7 @@ def test_projective_normalize():
     assert n.entries == Vector.make(QQ, (0, 1, -2)).entries
     assert projective_normalize(v.scale(QQ.element(7, 2))).entries == n.entries
     with pytest.raises(InvalidInputError):
-        projective_normalize(zero_vector(QQ, 2))
+        projective_normalize(Vector.make(QQ, (0, 0)))
 
 
 @given(f5_vectors(width=4))
@@ -192,11 +185,115 @@ def test_nullspace_basis_no_rows_is_standard_basis():
     assert [k.entries for k in kernel] == [basis_vector(QQ, 3, i).entries for i in range(3)]
 
 
-def test_nullspace_witness():
-    rows = [Vector.make(QQ, (1, 1, 0)), Vector.make(QQ, (0, 1, 1))]
-    w = nullspace_witness(rows)
-    assert w is not None and not w.is_zero()
-    assert all(dot(r, w) == QQ.zero for r in rows)
-    assert w.entries == projective_normalize(w).entries
-    full = [basis_vector(QQ, 2, 0), basis_vector(QQ, 2, 1)]
-    assert nullspace_witness(full) is None
+# -- reference implementations ---------------------------------------------
+# Independent of Span: textbook forward elimination with the first
+# nonzero entry in row-major order as pivot, membership by rank
+# comparison, and the kernel by back-substitution.
+
+
+def _ref_echelon(rows, width, field):
+    zero = field.zero
+    pivot_cols = []
+    pivot_row = 0
+    for col in range(width):
+        found = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != zero), None)
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        pivot = rows[pivot_row][col]
+        for r in range(pivot_row + 1, len(rows)):
+            if rows[r][col] != zero:
+                factor = rows[r][col] / pivot
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return pivot_cols, rows
+
+
+def _ref_rank(vectors):
+    if not vectors:
+        return 0
+    field = vectors[0].field
+    return len(_ref_echelon([list(v.entries) for v in vectors], len(vectors[0]), field)[0])
+
+
+def _ref_in_span(v, basis):
+    if not basis:
+        return v.is_zero()
+    return _ref_rank(basis) == _ref_rank(basis + [v])
+
+
+def _ref_row_space_canonical(vectors):
+    if not vectors:
+        return ()
+    field = vectors[0].field
+    zero = field.zero
+    pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], len(vectors[0]), field)
+    reduced = rows[: len(pivot_cols)]
+    for i in range(len(pivot_cols) - 1, -1, -1):
+        col = pivot_cols[i]
+        reduced[i] = [a / reduced[i][col] for a in reduced[i]]
+        for r in range(i):
+            factor = reduced[r][col]
+            if factor != zero:
+                reduced[r] = [a - factor * b for a, b in zip(reduced[r], reduced[i])]
+    return tuple(Vector(field, tuple(row)) for row in reduced)
+
+
+def _ref_nullspace_basis(field, width, vectors):
+    zero = field.zero
+    pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], width, field)
+    basis = []
+    for free_col in range(width):
+        if free_col in pivot_cols:
+            continue
+        solution = [zero] * width
+        solution[free_col] = field.one
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            col = pivot_cols[i]
+            acc = zero
+            for j in range(col + 1, width):
+                acc = acc + rows[i][j] * solution[j]
+            solution[col] = -acc / rows[i][col]
+        basis.append(Vector(field, tuple(solution)))
+    return basis
+
+
+def _random_system(rng, field, width):
+    """Small row lists mixing the edge cases: zero rows, repeats, full rank."""
+    if isinstance(field, PrimeField):
+        entry = lambda: field.element(rng.randrange(field.p))  # noqa: E731
+    else:
+        entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
+    rows = [Vector(field, tuple(entry() for _ in range(width))) for _ in range(rng.randint(0, width + 2))]
+    shape = rng.randrange(4)
+    if shape == 0 and rows:
+        rows.append(rows[rng.randrange(len(rows))])  # repeated row
+    elif shape == 1:
+        rows.insert(rng.randint(0, len(rows)), Vector(field, (field.zero,) * width))
+    elif shape == 2:
+        rows += [basis_vector(field, width, i) for i in rng.sample(range(width), width)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_span_matches_reference_elimination(field):
+    rng = random.Random(20211)
+    for _ in range(150):
+        width = rng.randint(1, 4)
+        rows = _random_system(rng, field, width)
+        probes = _random_system(rng, field, width) + rows
+        span = Span(rows)
+        assert rank(rows) == len(span) == _ref_rank(rows)
+        assert independent(rows) == (_ref_rank(rows) == len(rows))
+        assert row_space_canonical(rows) == _ref_row_space_canonical(rows)
+        assert nullspace_basis(field, width, rows) == _ref_nullspace_basis(field, width, rows)
+        for v in probes:
+            assert in_span(v, rows) == in_span(v, span) == _ref_in_span(v, rows)
+        grown = Span()
+        for i, v in enumerate(rows):
+            assert grown.add(v) == (_ref_rank(rows[: i + 1]) > _ref_rank(rows[:i]))
+        assert len(grown) == len(span)
