@@ -1,0 +1,159 @@
+"""Bitmask kernels for the combinatorial searches.
+
+Families are sequences of distinct integer bitmasks over ground points
+0..n_points-1 (bit i set means point i belongs to the set).  The
+Littlestone recursions (ldim, rho) work on subfamilies, each an int
+bitset over member indices (bit i set means member i is in it); with
+one column bitset per ground point a split is two bit operations, and
+the subfamily itself is the memo key.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Sequence
+
+
+def backend_name() -> str:
+    """Name stamped on benchmark records; the kernels are pure Python."""
+    return "pure"
+
+
+def _submasks_of_size(n_points: int, k: int):
+    for combo in combinations(range(n_points), k):
+        mask = 0
+        for i in combo:
+            mask |= 1 << i
+        yield mask
+
+
+def _columns(masks: Sequence[int], n_points: int) -> list:
+    """col[x]: bitset of the members that contain point x."""
+    cols = [0] * n_points
+    for i, mask in enumerate(masks):
+        for x in range(n_points):
+            if mask >> x & 1:
+                cols[x] |= 1 << i
+    return cols
+
+
+def count_restrictions(masks: Sequence[int], submask: int) -> int:
+    """Number of distinct intersections of family sets with submask."""
+    return len({m & submask for m in masks})
+
+
+def vcdim(masks: Sequence[int], n_points: int) -> int:
+    """Largest k such that some k-point subset is shattered.
+
+    Search runs over increasing subset size; shattered subsets are
+    downward closed, so the first size with no shattered subset ends
+    the search.  masks must be nonempty.
+    """
+    kmax = min(n_points, len(masks).bit_length() - 1)
+    best = 0
+    for k in range(1, kmax + 1):
+        target = 1 << k
+        if not any(
+            count_restrictions(masks, sub) == target
+            for sub in _submasks_of_size(n_points, k)
+        ):
+            return best
+        best = k
+    return best
+
+
+def pi(masks: Sequence[int], n_points: int, k: int) -> int:
+    """Max number of distinct traces over any k-point subset."""
+    if not masks:
+        return 0
+    cap = min(len(masks), 1 << k)
+    best = 0
+    for sub in _submasks_of_size(n_points, k):
+        best = max(best, count_restrictions(masks, sub))
+        if best == cap:
+            break
+    return best
+
+
+def ldim(masks: Sequence[int], n_points: int) -> int:
+    """Largest depth of a fully well-labeled binary tree.
+
+    Split recursion: depth >= r+1 iff some point splits the family
+    into a containing part and an avoiding part, both of depth >= r.
+    A subfamily of s members has depth at most floor(log2 s), so a node
+    stops once it reaches that.  masks must be nonempty.
+    """
+    cols = _columns(masks, n_points)
+    memo: dict = {}
+
+    def rec(s: int) -> int:
+        cached = memo.get(s)
+        if cached is not None:
+            return cached
+        cap = s.bit_count().bit_length() - 1  # 2^depth distinct leaf sets needed
+        best = 0
+        tried = set()
+        for col in cols:
+            if best == cap:
+                break
+            pos = s & col
+            neg = s ^ pos
+            if not pos or not neg or pos in tried:
+                continue
+            tried.add(pos)
+            tried.add(neg)
+            value = rec(neg)
+            if value < best:  # 1 + min(value, ...) cannot beat best
+                continue
+            value = 1 + min(value, rec(pos))
+            if value > best:
+                best = value
+        memo[s] = best
+        return best
+
+    return rec((1 << len(masks)) - 1)
+
+
+def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
+    """Max number of well-labeled leaves over depth-`depth` trees.
+
+    Recursion: at depth 0 a lone leaf is well-labeled iff the family
+    is nonempty; otherwise the best root point splits the family and
+    the two subtrees contribute independently.  A subfamily of s
+    members at depth d has at most min(s, 2^d) such leaves, so a node
+    stops once it reaches that.
+    """
+    cols = _columns(masks, n_points)
+    memo: dict = {}
+
+    def rec(s: int, d: int) -> int:
+        if not s:
+            return 0
+        if d == 0:
+            return 1
+        size = s.bit_count()
+        if size == 1 and n_points > 0:
+            return 1  # label every node with any point; one consistent path
+        key = (s, d)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        cap = min(size, 1 << d)
+        best = 0
+        tried = set()
+        for col in cols:
+            if best == cap:
+                break
+            pos = s & col
+            if pos in tried:
+                continue
+            neg = s ^ pos
+            tried.add(pos)
+            tried.add(neg)
+            value = rec(neg, d - 1) + rec(pos, d - 1)
+            if value > best:
+                best = value
+        memo[key] = best
+        return best
+
+    return rec((1 << len(masks)) - 1, depth)

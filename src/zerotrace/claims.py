@@ -12,8 +12,8 @@ points, block structure for line-covered images, the C(n,<d) maximal
 profiles on samples, the plane-union grid (membership pattern, trace
 counts, the big tree), span injectivity with minimal reductions, the
 strict counting deficit under subspace covers, the
-maximal-vs-covered dichotomy on built-ins, JSON round trips, kernel
-backend parity, and randomized oracle equivalences.
+maximal-vs-covered dichotomy on built-ins, JSON round trips, and
+randomized oracle equivalences.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Callable, Optional
 
-from . import _kernels
 from .constructions import (
     binom_le,
     dual_basis,
@@ -618,27 +617,6 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
     return {"families": checked, "seed": ctx.seed}
 
 
-def check_backend_parity(ctx: CheckContext) -> dict:
-    """Pure and compiled kernels agree on a seeded corpus."""
-    backends = _kernels.available_backends()
-    if "compiled" not in backends:
-        return {"skipped": "compiled backend unavailable", "backends": sorted(backends)}
-    pure, core = backends["pure"], backends["compiled"]
-    rng = random.Random(ctx.seed + 1)
-    cases = 0
-    for _ in range(60):
-        fam = random_family(rng)
-        masks, n = fam.masks, fam.ground.size
-        if masks:
-            assert pure.vcdim(masks, n) == core.vcdim(masks, n)
-            assert pure.ldim(masks, n) == core.ldim(masks, n)
-        for k in range(n + 1):
-            assert pure.pi(masks, n, k) == core.pi(masks, n, k)
-            assert pure.rho(masks, n, k) == core.rho(masks, n, k)
-        cases += 1
-    return {"cases": cases, "backends": sorted(backends)}
-
-
 def check_enumerator_equivalence(ctx: CheckContext) -> dict:
     """Flat-walk and projective brute force agree over F_3 and F_5."""
     details = {}
@@ -742,10 +720,6 @@ CHECKS: dict = {
         "recursive vcdim/rho match exhaustive tree oracles; count bounds hold",
         check_oracle_equivalences_random,
     ),
-    "backend_parity": (
-        "pure and compiled kernels return identical values",
-        check_backend_parity,
-    ),
     "enumerator_equivalence": (
         "flat-walk enumeration equals projective brute force over F_3 and F_5",
         check_enumerator_equivalence,
@@ -774,7 +748,7 @@ def run_checks(
         try:
             details = fn(ctx)
             results.append(CheckResult(name, assertion, True, details))
-        except (AssertionError, ZerotraceError) as e:
+        except Exception as e:  # noqa: BLE001 - a crashing check fails, the rest still run
             results.append(
                 CheckResult(name, assertion, False, {}, f"{type(e).__name__}: {e}")
             )

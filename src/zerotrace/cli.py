@@ -115,7 +115,7 @@ def _load_instance(cfg: RunConfig):
     text = cfg.instance
     path = Path(text)
     if text.endswith(".json") or path.is_file():
-        spec = json.loads(path.read_text())
+        spec = json.loads(path.read_text(encoding="utf-8"))
         return instance_from_spec(spec), spec
     return parse_instance_name(text), None
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise InvalidInputError("config file must hold a JSON object")
         unknown = set(loaded) - {
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     except AssertionError as e:
         sys.stderr.write(f"assertion failed: {e}\n")
         return EXIT_ASSERTION
-    except (ZerotraceError, OSError, json.JSONDecodeError) as e:
+    except (ZerotraceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return EXIT_INVALID
 

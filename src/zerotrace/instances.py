@@ -19,7 +19,7 @@ import ast
 from itertools import count, product
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .exactalg import (
     Field,
     PrimeField,
@@ -29,6 +29,7 @@ from .exactalg import (
     field_from_json,
     field_to_json,
 )
+from .setsystem import MAX_POINTS
 from .zerosets import Instance, Sample
 
 
@@ -336,13 +337,6 @@ def parse_instance_name(text: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def instance_to_spec(instance: Instance) -> dict:
-    """Spec dict that rebuilds the instance (used in witness bundles)."""
-    if instance.spec is None:
-        raise InvalidInputError(f"instance {instance.name} carries no JSON spec")
-    return instance.spec
-
-
 def instance_from_spec(spec: dict) -> Instance:
     """Build an instance from the JSON spec format.
 
@@ -382,9 +376,18 @@ def sample_from_spec(instance: Instance, spec: dict, *, default_prefix: int) -> 
     part = spec.get("sample") if isinstance(spec, dict) else None
     if part is None:
         return Sample.prefix(instance, default_prefix)
+    if not isinstance(part, dict):
+        raise InvalidInputError("'sample' must be an object")
     if "prefix" in part:
-        return Sample.prefix(instance, part["prefix"])
+        k = part["prefix"]
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise InvalidInputError(f"sample prefix must be an integer >= 1, got {k!r}")
+        if k > MAX_POINTS:
+            raise ResourceLimitError(f"sample prefix {k} exceeds the limit of {MAX_POINTS} points")
+        return Sample.prefix(instance, k)
     if "points" in part:
+        if not isinstance(part["points"], list):
+            raise InvalidInputError("sample 'points' must be a list")
         points = [tuple(p) if isinstance(p, list) else p for p in part["points"]]
         return Sample.take(instance, points)
     raise InvalidInputError("'sample' needs 'prefix' or 'points'")

@@ -2,7 +2,7 @@
 
 A family lives over a ground set of indexed points (0..n-1) and stores
 each member set as an integer bitmask.  Growth statistics (vcdim, the
-trace-count function pi) run on the selected kernel backend; a separate
+trace-count function pi) run on the bitmask kernels; a separate
 tree-search oracle recomputes vcdim from the definition for use as an
 independent cross-check.
 """
@@ -26,7 +26,7 @@ NEG_INF = float("-inf")
 MAX_POINTS = 20
 MAX_SETS = 4096
 
-#: Hard cap imposed by the compiled kernels (uint64 masks).
+#: Hard cap on the ground set, kept even when enforce_limits is off.
 _HARD_MAX_POINTS = 64
 
 
@@ -215,7 +215,7 @@ def vcdim_via_trees(fam: SetFamily):
     A depth-d candidate assigns one point per level (repeats allowed, as
     in the definition); it is fully well-labeled iff every one of the
     2^d membership patterns over those points is realized by some member
-    set.  Independent of the kernel backend; exponential, so only for
+    set.  Independent of the bitmask kernels; exponential, so only for
     small inputs.
     """
     if not fam.masks:

@@ -1,5 +1,7 @@
 """The fixed checklist: registry integrity, failure capture, determinism."""
 
+import json
+
 import pytest
 
 from zerotrace.claims import CHECKS, CheckResult, run_checks
@@ -47,6 +49,26 @@ def test_failing_check_is_captured_not_raised():
     assert "AssertionError: designed failure" in results[0].error
     assert "InvalidInputError: designed invalid input" in results[1].error
     assert results[0].details == {}
+
+
+def test_crashing_check_fails_and_the_rest_still_run(monkeypatch, capsys):
+    from zerotrace.cli import main
+
+    def crash(ctx):
+        raise ValueError("designed crash")
+
+    assertion, _ = CHECKS["grid_membership_pattern"]
+    monkeypatch.setitem(CHECKS, "grid_membership_pattern", (assertion, crash))
+    code = main(["verify", "--checks", "json_round_trips,grid_membership_pattern,grid_trace_count"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(r["name"], r["passed"]) for r in report["results"]] == [
+        ("json_round_trips", True),
+        ("grid_membership_pattern", False),
+        ("grid_trace_count", True),
+    ]
+    assert report["results"][1]["error"] == "ValueError: designed crash"
+    assert (report["passed"], report["failed"]) == (2, 1)
 
 
 def test_results_deterministic_across_fresh_contexts():

@@ -274,6 +274,47 @@ def test_analyze_instance_spec_file(tmp_path, capsys):
     assert report["vcdim"] == 1
 
 
+def test_non_utf8_config_and_spec_are_invalid_input(tmp_path, capsys):
+    blob = tmp_path / "binary.json"
+    blob.write_bytes(b"\x7fELF\xff\xfe\x00\x81{}")
+    for flag in ("--config", "--instance"):
+        code, _, err = run(capsys, "shatter-fn", flag, str(blob))
+        assert code == 3, flag
+        assert err.startswith("invalid input:"), flag
+
+
+@pytest.mark.parametrize(
+    "sample, code",
+    [
+        ({"prefix": "a"}, 3),
+        ({"prefix": True}, 3),
+        ({"prefix": 0}, 3),
+        ({"prefix": 2.5}, 3),
+        ({"prefix": 21}, 2),
+        ({"prefix": 10**9}, 2),
+        ([3], 3),
+        ("prefix", 3),
+        ({"points": 5}, 3),
+        ({"points": "012"}, 3),
+    ],
+    ids=str,
+)
+def test_bad_sample_spec_exits_without_scanning(tmp_path, sample, code):
+    path = tmp_path / "inst.json"
+    spec = {"field": "rational", "d": 3, "family": {"builtin": "moment_curve"}, "sample": sample}
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "analyze", "--instance", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith("resource limit:" if code == 2 else "invalid input:")
+
+
 def _write_spec(tmp_path, field):
     path = tmp_path / "constant.json"
     spec = {"field": field, "d": 2, "family": {"polynomials": ["1", "2"], "variables": ["x"]}}

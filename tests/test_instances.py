@@ -14,7 +14,6 @@ from zerotrace.instances import (
     ellipse_carrier,
     high_vcden,
     instance_from_spec,
-    instance_to_spec,
     integer_shells,
     integer_spiral,
     make_builtin,
@@ -153,7 +152,7 @@ def test_parse_instance_name_forms():
 
 def test_instance_spec_round_trip():
     for inst in (moment_curve(3), conics(), high_vcden(3), two_lines(), moment_curve(2, F3)):
-        back = instance_from_spec(instance_to_spec(inst))
+        back = instance_from_spec(inst.spec)
         assert back.name == inst.name
         assert back.d == inst.d
         assert back.field == inst.field
@@ -172,7 +171,7 @@ def test_instance_spec_rejects_malformed():
 
 def test_sample_from_spec_forms():
     inst = moment_curve(2)
-    spec = instance_to_spec(inst)
+    spec = inst.spec
     assert sample_from_spec(inst, spec, default_prefix=3).points == (0, 1, -1)
     assert sample_from_spec(inst, {**spec, "sample": {"prefix": 2}}, default_prefix=3).points == (0, 1)
     got = sample_from_spec(inst, {**spec, "sample": {"points": [5, -5]}}, default_prefix=3)

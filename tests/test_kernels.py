@@ -1,54 +1,128 @@
-"""Backend parity and kernel invariants.
+"""Bitmask kernels: agreement with a tuple-recursion reference, invariants.
 
-The compiled and pure kernels must be interchangeable; every parity
-test runs the same inputs through both modules when both import.
+The reference below is the straightforward form of each recursion:
+subfamilies are sorted tuples of masks, split point by point with no
+pruning beyond the ldim depth cap.  The kernels must return the same
+values on every input.
 """
 
-import pytest
+from itertools import combinations
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_mask_family
-from zerotrace._kernels import available_backends, backend_name
-from zerotrace._kernels import _pure
+from zerotrace import _kernels
 from zerotrace.constructions import binom_le
-
-BACKENDS = available_backends()
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled kernel not built"
-)
+from zerotrace.instances import high_vcden
+from zerotrace.zerosets import Sample, enumerate_family_flats
 
 
-def test_backend_selection_is_consistent():
-    assert backend_name() in BACKENDS
+def _ref_submasks(n_points, k):
+    for combo in combinations(range(n_points), k):
+        yield sum(1 << i for i in combo)
 
 
-@needs_both
-def test_parity_on_seeded_families(rng):
-    compiled = BACKENDS["compiled"]
-    for _ in range(80):
-        n = rng.randint(1, 6)
-        masks = random_mask_family(rng, n, rng.randint(1, 12))
-        sub = rng.randrange(1 << n)
-        assert compiled.count_restrictions(masks, sub) == _pure.count_restrictions(
-            masks, sub
-        )
-        assert compiled.vcdim(masks, n) == _pure.vcdim(masks, n)
-        assert compiled.ldim(masks, n) == _pure.ldim(masks, n)
-        for k in range(n + 1):
-            assert compiled.pi(masks, n, k) == _pure.pi(masks, n, k)
-        for depth in range(4):
-            assert compiled.rho(masks, n, depth) == _pure.rho(masks, n, depth)
+def _ref_count(masks, submask):
+    return len({m & submask for m in masks})
 
 
-@needs_both
-def test_parity_on_larger_ground(rng):
-    compiled = BACKENDS["compiled"]
-    n = 10
-    masks = sorted(rng.sample(range(1 << n), 40))
-    assert compiled.vcdim(masks, n) == _pure.vcdim(masks, n)
-    assert compiled.pi(masks, n, 4) == _pure.pi(masks, n, 4)
-    assert compiled.ldim(masks, n) == _pure.ldim(masks, n)
+def ref_vcdim(masks, n_points):
+    best = 0
+    for k in range(1, min(n_points, len(masks).bit_length() - 1) + 1):
+        if not any(_ref_count(masks, sub) == 1 << k for sub in _ref_submasks(n_points, k)):
+            return best
+        best = k
+    return best
+
+
+def ref_pi(masks, n_points, k):
+    if not masks:
+        return 0
+    return max(_ref_count(masks, sub) for sub in _ref_submasks(n_points, k))
+
+
+def ref_ldim(masks, n_points):
+    memo = {}
+
+    def rec(fam):
+        if fam in memo:
+            return memo[fam]
+        best = 0
+        if len(fam) > 1:
+            cap = len(fam).bit_length() - 1
+            for x in range(n_points):
+                pos = tuple(m for m in fam if m >> x & 1)
+                if not pos or len(pos) == len(fam):
+                    continue
+                neg = tuple(m for m in fam if not m >> x & 1)
+                best = max(best, 1 + min(rec(neg), rec(pos)))
+                if best == cap:
+                    break
+        memo[fam] = best
+        return best
+
+    return rec(tuple(sorted(masks)))
+
+
+def ref_rho(masks, n_points, depth):
+    memo = {}
+
+    def rec(fam, d):
+        if not fam:
+            return 0
+        if d == 0:
+            return 1
+        if len(fam) == 1 and n_points > 0:
+            return 1
+        if (fam, d) not in memo:
+            best = 0
+            for x in range(n_points):
+                pos = tuple(m for m in fam if m >> x & 1)
+                neg = tuple(m for m in fam if not m >> x & 1)
+                best = max(best, rec(neg, d - 1) + rec(pos, d - 1))
+            memo[fam, d] = best
+        return memo[fam, d]
+
+    return rec(tuple(sorted(masks)), depth)
+
+
+def assert_matches_reference(masks, n, max_depth):
+    if masks:
+        assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n), masks
+        assert _kernels.ldim(masks, n) == ref_ldim(masks, n), masks
+    for k in range(n + 1):
+        assert _kernels.pi(masks, n, k) == ref_pi(masks, n, k), (masks, k)
+    for depth in range(max_depth + 1):
+        assert _kernels.rho(masks, n, depth) == ref_rho(masks, n, depth), (masks, depth)
+
+
+def test_kernels_match_reference_on_seeded_families(rng):
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        masks = random_mask_family(rng, n, rng.randint(1, 20))
+        rng.shuffle(masks)  # member order must not matter
+        assert_matches_reference(masks, n, min(n, 5))
+
+
+def test_kernels_match_reference_on_edge_families():
+    assert_matches_reference([], 3, 3)  # the empty family
+    assert _kernels.rho([], 3, 0) == 0
+    for n in range(4):
+        assert_matches_reference([0b101 & ((1 << n) - 1)], n, 3)  # a single set
+    for depth in (1, 2, 3):
+        assert _kernels.rho([0], 0, depth) == ref_rho([0], 0, depth) == 0
+    assert _kernels.rho([0], 0, 0) == 1
+    assert _kernels.ldim([0], 0) == ref_ldim([0], 0) == 0
+
+
+def test_kernels_match_reference_on_designed_grid():
+    inst = high_vcden(3)
+    sample = Sample.take(inst, inst.profile_points(5))
+    fam = enumerate_family_flats(sample).to_set_family()
+    masks, n = list(fam.masks), fam.ground.size
+    assert_matches_reference(masks, n, 5)
+    assert [_kernels.rho(masks, n, depth) for depth in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
 masks_strategy = st.integers(1, 5).flatmap(
@@ -64,7 +138,7 @@ masks_strategy = st.integers(1, 5).flatmap(
 @given(masks_strategy)
 def test_vcdim_bounded_by_log_family_size(case):
     n, masks = case
-    d = _pure.vcdim(masks, n)
+    d = _kernels.vcdim(masks, n)
     assert (1 << d) <= len(masks)
     assert d <= n
 
@@ -72,8 +146,8 @@ def test_vcdim_bounded_by_log_family_size(case):
 @given(masks_strategy)
 def test_pi_monotone_and_sauer(case):
     n, masks = case
-    d = _pure.vcdim(masks, n)
-    values = [_pure.pi(masks, n, k) for k in range(n + 1)]
+    d = _kernels.vcdim(masks, n)
+    values = [_kernels.pi(masks, n, k) for k in range(n + 1)]
     assert values[0] == 1
     assert all(a <= b for a, b in zip(values, values[1:]))
     for k, v in enumerate(values):
@@ -83,56 +157,35 @@ def test_pi_monotone_and_sauer(case):
 @given(masks_strategy)
 def test_rho_monotone_and_dominates_pi(case):
     n, masks = case
-    ld = _pure.ldim(masks, n)
-    rhos = [_pure.rho(masks, n, depth) for depth in range(n + 1)]
+    ld = _kernels.ldim(masks, n)
+    rhos = [_kernels.rho(masks, n, depth) for depth in range(n + 1)]
     assert all(a <= b for a, b in zip(rhos, rhos[1:]))
     assert all(r <= len(masks) for r in rhos)
     for k in range(n + 1):
-        assert _pure.pi(masks, n, k) <= rhos[k]
+        assert _kernels.pi(masks, n, k) <= rhos[k]
         assert rhos[k] <= binom_le(k, ld)
 
 
 @given(masks_strategy)
 def test_vcdim_at_most_ldim(case):
     n, masks = case
-    assert _pure.vcdim(masks, n) <= _pure.ldim(masks, n)
+    assert _kernels.vcdim(masks, n) <= _kernels.ldim(masks, n)
 
 
 def test_count_restrictions_hand_case():
     # sets {0}, {1}, {0,1} restricted to {0}: traces {}, {0}
-    assert _pure.count_restrictions([0b01, 0b10, 0b11], 0b01) == 2
-    assert _pure.count_restrictions([0b01, 0b10, 0b11], 0b11) == 3
+    assert _kernels.count_restrictions([0b01, 0b10, 0b11], 0b01) == 2
+    assert _kernels.count_restrictions([0b01, 0b10, 0b11], 0b11) == 3
 
 
 def test_powerset_dimensions():
     n = 3
     masks = list(range(1 << n))
-    assert _pure.vcdim(masks, n) == n
-    assert _pure.ldim(masks, n) == n
-    assert _pure.pi(masks, n, n) == 1 << n
-    assert _pure.rho(masks, n, n) == 1 << n
+    assert _kernels.vcdim(masks, n) == n
+    assert _kernels.ldim(masks, n) == n
+    assert _kernels.pi(masks, n, n) == 1 << n
+    assert _kernels.rho(masks, n, n) == 1 << n
 
 
-def test_env_var_forces_backend():
-    import os
-    import subprocess
-    import sys
-
-    code = "import zerotrace._kernels as k; print(k.backend_name())"
-    for name in BACKENDS:
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "ZEROTRACE_BACKEND": name},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == name
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "ZEROTRACE_BACKEND": "turbo"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "unknown ZEROTRACE_BACKEND" in proc.stderr
+def test_backend_name_is_pure():
+    assert _kernels.backend_name() == "pure"
