@@ -58,6 +58,7 @@ from .maximality import (
     CoverCertificate,
     cover_from_instance,
     image_family,
+    maximal_profile_check,
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
@@ -100,7 +101,6 @@ class CheckContext:
     budget: int = 10_000
     seed: int = DEFAULT_SEED
     depth_cap: int = 16
-    random_families: int = DEFAULT_RANDOM_FAMILIES
     _cache: dict = dc_field(default_factory=dict)
 
     def memo(self, key, thunk):
@@ -534,9 +534,8 @@ def check_dichotomy_on_builtins(ctx: CheckContext) -> dict:
         n_test = 4
         fam = ctx.memo(
             ("profile", inst.name, n_test),
-            lambda inst=inst: _profile_family(ctx, inst, 4),
+            lambda inst=inst: maximal_profile_check(inst, n_test, budget=ctx.budget),
         )
-        assert len(fam.sets) == binom_le(n_test, inst.d - 1)
         assert inst.cover_subspaces is None
         details[inst.name] = {"branch": "maximal_at_n", "n": n_test, "traces": len(fam.sets)}
     for inst in covered_side:
@@ -557,11 +556,6 @@ def check_dichotomy_on_builtins(ctx: CheckContext) -> dict:
             "deficit": report.bound - report.trace_count,
         }
     return details
-
-
-def _profile_family(ctx: CheckContext, inst, n: int) -> ZeroSetFamily:
-    seq = independence_sequence(inst, n + inst.d - 1, budget=ctx.budget)
-    return max_vc_trace(seq, n)
 
 
 def check_json_round_trips(ctx: CheckContext) -> dict:
@@ -597,7 +591,7 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
     """Seeded random families: recursions match oracles, bounds hold."""
     rng = random.Random(ctx.seed)
     checked = 0
-    for _ in range(ctx.random_families):
+    for _ in range(DEFAULT_RANDOM_FAMILIES):
         fam = random_family(rng)
         vc = vcdim(fam)
         assert vc == vcdim_via_trees(fam)
@@ -733,12 +727,9 @@ def run_checks(
     budget: int = 10_000,
     seed: int = DEFAULT_SEED,
     depth_cap: int = 16,
-    random_families: int = DEFAULT_RANDOM_FAMILIES,
 ) -> list:
     """Run the checklist (all of it by default) and collect results."""
-    ctx = CheckContext(
-        budget=budget, seed=seed, depth_cap=depth_cap, random_families=random_families
-    )
+    ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)
     selected = list(CHECKS) if names is None else list(names)
     results = []
     for name in selected:

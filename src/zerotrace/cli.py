@@ -42,7 +42,15 @@ from .instances import (
     parse_instance_name,
     sample_from_spec,
 )
-from .littlestone import ldim, ldim_witness, rho, tree_from_json, tree_to_json
+from .littlestone import (
+    ldim,
+    ldim_witness,
+    littlestone_profile,
+    rho,
+    tree_from_json,
+    tree_to_json,
+    vc_profile,
+)
 from .maximality import cover_from_instance, cover_to_json
 from .setsystem import family_to_json, pi, restrict, vcdim
 from .zerosets import (
@@ -136,10 +144,9 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     zfam = enumerate_family_flats(sample)
     fam = zfam.to_set_family()
     vc, ld = vcdim(fam), ldim(fam)
-    pi_top = min(cfg.n_max, fam.ground.size)
     rho_top = min(cfg.n_max, cfg.depth_cap)
-    pis = [pi(fam, n) for n in range(pi_top + 1)]
-    rhos = [rho(fam, n, depth_cap=cfg.depth_cap) for n in range(rho_top + 1)]
+    pis = list(vc_profile(fam, cfg.n_max).values)
+    rhos = list(littlestone_profile(fam, rho_top, depth_cap=cfg.depth_cap).values)
     assertions = [
         {
             "assertion": "littlestone.ldim(fam) <= d-1",
@@ -153,9 +160,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
         },
         {
             "assertion": "pi(n) <= rho(n) for computed n",
-            "passed": all(
-                pis[n] <= rhos[n] for n in range(min(pi_top, rho_top) + 1)
-            ),
+            "passed": all(p <= r for p, r in zip(pis, rhos)),
             "values": {"pi": pis, "rho": rhos},
         },
     ]

@@ -30,7 +30,7 @@ from math import comb
 from .errors import BudgetExhaustedError, InvalidInputError
 from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis
 from .littlestone import LabeledTree
-from .setsystem import GroundSet, SetFamily
+from .setsystem import MAX_POINTS, GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
 
@@ -408,7 +408,7 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
         ground,
         [z.mask for z in family_sets],
         [z.witness for z in family_sets],
-        enforce_limits=ground.size <= 20,
+        enforce_limits=ground.size <= MAX_POINTS,
     )
     target = binom_le(n, d - 1)
     return GridTreeResult(tree=tree, family=family, sample=sample, well_labeled_target=target)

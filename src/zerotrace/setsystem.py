@@ -256,7 +256,7 @@ def family_to_json(fam: SetFamily) -> dict:
     }
 
 
-def family_from_json(data: dict, *, enforce_limits: bool = True) -> SetFamily:
+def family_from_json(data: dict) -> SetFamily:
     if not isinstance(data, dict) or "ground" not in data or "sets" not in data:
         raise InvalidInputError("family JSON needs 'ground' and 'sets'")
     labels = data["ground"]
@@ -266,4 +266,4 @@ def family_from_json(data: dict, *, enforce_limits: bool = True) -> SetFamily:
     sets = data["sets"]
     if not isinstance(sets, list):
         raise InvalidInputError("'sets' must be a list of index lists")
-    return SetFamily.from_index_sets(ground, sets, enforce_limits=enforce_limits)
+    return SetFamily.from_index_sets(ground, sets)

@@ -32,7 +32,7 @@ from .exactalg import (
     nullspace_basis,
     projective_normalize,
 )
-from .setsystem import GroundSet, SetFamily
+from .setsystem import MAX_POINTS, GroundSet, SetFamily
 
 #: Default number of stream points a scan may consume.
 DEFAULT_BUDGET = 10_000
@@ -159,12 +159,11 @@ class ZeroSetFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def to_set_family(self, *, enforce_limits: bool = True) -> SetFamily:
+    def to_set_family(self) -> SetFamily:
         return SetFamily.create(
             self.sample.ground_set(),
             [z.mask for z in self.sets],
             [z.witness for z in self.sets],
-            enforce_limits=enforce_limits,
         )
 
 
@@ -378,36 +377,40 @@ def _search_witness_in_kernel(
     raise ResourceLimitError("rational witness search exceeded its safety cap")
 
 
-def enumerate_family_flats(sample: Sample, *, max_flats: int = MAX_FLATS) -> ZeroSetFamily:
+def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     """Trace family via the span-closure lattice (any field).
 
     Candidate traces are closures T(W) = {x : image(x) in W} for W
-    ranging over spans of image subsets with rank < d; the walk adds one
-    generator at a time, which reaches every closure.  Each candidate is
-    kept only if some coefficient vector orthogonal to W avoids all
-    images outside T(W); over a finite field that search can fail, and
-    the candidate is then correctly dropped.
+    spanned by fewer than d independent images.  The depth-first walk
+    reaches each closure once: a basis grows only by an image j after
+    its last one and outside its closure, and the new closure is kept
+    only if it gains no point before j (prefix-preserving extension).
+    Each candidate is kept only if some coefficient vector orthogonal
+    to W avoids all images outside T(W); over a finite field that
+    search can fail, and the candidate is then correctly dropped.
     """
     inst = sample.instance
     field = inst.field
     images = sample.images
-    start_mask = _closure(images, [])
-    seen = {start_mask: []}
-    queue = [(start_mask, [])]
-    while queue:
-        mask, basis = queue.pop()
-        if len(seen) > max_flats:
-            raise ResourceLimitError(f"flat lattice exceeded {max_flats} closures")
-        for i, v in enumerate(images):
-            if mask & (1 << i):
+    if len(images) > MAX_POINTS:
+        raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
+    seen: dict = {}
+    stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)
+    while stack:
+        last, mask, basis = stack.pop()
+        seen[mask] = basis
+        if len(seen) > MAX_FLATS:
+            raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
+        if len(basis) == inst.d - 1:
+            continue  # one more image would span the whole space
+        for j in range(last + 1, len(images)):
+            if mask >> j & 1:
                 continue
-            new_basis = basis + [v]
-            if len(new_basis) == inst.d:
-                continue  # spans the whole space; its flat is {0}
-            new_mask = _closure(images, new_basis)
-            if new_mask not in seen:
-                seen[new_mask] = new_basis
-                queue.append((new_mask, new_basis))
+            child_basis = basis + [images[j]]
+            child = _closure(images, child_basis)
+            below = (1 << j) - 1
+            if child & below == mask & below:
+                stack.append((j, child, child_basis))
     found: dict = {}
     for mask in sorted(seen):
         basis = seen[mask]

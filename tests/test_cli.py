@@ -338,6 +338,20 @@ def test_shatter_fn_stops_at_budget_when_images_repeat(tmp_path):
     assert "resource limit" in done.stderr
 
 
+def test_analyze_oversized_dual_sample_exits_before_the_walk():
+    # d = 40 gives a 40-point dual-basis sample, beyond the 20-point cap
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "analyze", "--instance", "moment_curve:40"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("resource limit:")
+
+
 def test_shatter_fn_short_stream_gives_short_table(tmp_path, capsys):
     path = _write_spec(tmp_path, {"prime": 3})
     code, out, _ = run(

@@ -1,13 +1,24 @@
 """Zero-set traces: samples, verdicts, dual-route enumeration, bundles."""
 
+import random
+
 import pytest
+
+from zerotrace import zerosets
 
 from zerotrace.errors import (
     BudgetExhaustedError,
     InvalidInputError,
     ResourceLimitError,
 )
-from zerotrace.exactalg import QQ, PrimeField, Vector, dot
+from zerotrace.exactalg import (
+    QQ,
+    PrimeField,
+    Vector,
+    dot,
+    nullspace_basis,
+    projective_normalize,
+)
 from zerotrace.instances import (
     high_vcden,
     moment_curve,
@@ -26,9 +37,11 @@ from zerotrace.zerosets import (
     verify_bundle,
     zero_set,
 )
+from zerotrace.setsystem import MAX_POINTS
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F13 = PrimeField(13)
 
 
 def test_sample_guards():
@@ -74,6 +87,99 @@ def test_flats_matches_bruteforce_on_prime_fields():
         assert set(flats.masks()) == set(brute.masks())
         assert flats.method == "flat_lattice"
         assert brute.method == "projective_bruteforce"
+
+
+def _reference_flats(sample):
+    """The earlier queue walk, kept as a reference: pop a flat, close its
+    basis plus every image outside it, keep the closures not seen yet.
+    Returns {mask: witness entries}."""
+    inst = sample.instance
+    images = sample.images
+    start_mask = zerosets._closure(images, [])
+    seen = {start_mask: []}
+    queue = [(start_mask, [])]
+    while queue:
+        mask, basis = queue.pop()
+        for i, v in enumerate(images):
+            if mask & (1 << i):
+                continue
+            new_basis = basis + [v]
+            if len(new_basis) == inst.d:
+                continue
+            new_mask = zerosets._closure(images, new_basis)
+            if new_mask not in seen:
+                seen[new_mask] = new_basis
+                queue.append((new_mask, new_basis))
+    found = {}
+    for mask in sorted(seen):
+        kernel = nullspace_basis(inst.field, inst.d, seen[mask])
+        off_images = [v for i, v in enumerate(images) if not mask & (1 << i)]
+        witness = zerosets._search_witness_in_kernel(inst.field, kernel, off_images)
+        if witness is not None:
+            found[mask] = projective_normalize(witness).entries
+    return found
+
+
+def _walk_samples(field):
+    """Seeded samples: generic points, plane-union points sharing planes
+    and lines, a zero image, and points with equal images."""
+    rng = random.Random(f"flat-walk:{field}")
+    box = range(-6, 7) if field is QQ else range(field.p)
+
+    def pick(k, draw, fixed=()):
+        points = list(fixed)
+        while len(points) < k:
+            point = draw()
+            if point not in points:
+                points.append(point)
+        return points
+
+    def pair():
+        return (rng.choice(box), rng.choice(box))
+
+    def plane_point():
+        return (rng.randrange(3), rng.choice(box), rng.choice(box))
+
+    generic = polynomial_instance(field, 4, ["x*y", "x", "y", "1"], ["x", "y"], name="g")
+    zero = polynomial_instance(field, 3, ["x", "x*y", "y^2"], ["x", "y"], name="z")
+    hv = high_vcden(4, field)
+    # (0,1,0) and (1,1,0) both map to e_0; (2,2,0) lies on the same line;
+    # (0,1,2) and (0,2,4) lie on one line of the first plane.
+    shared = [(0, 1, 0), (1, 1, 0), (2, 2, 0), (0, 1, 2), (0, 2, 4)]
+    return [
+        Sample.take(generic, pick(7, pair)),
+        Sample.take(zero, pick(7, pair, [(0, 0)])),
+        Sample.take(hv, pick(10, plane_point, shared)),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, F13], ids=str)
+def test_flats_match_reference_walk(monkeypatch, field):
+    calls = {"n": 0}
+    closure = zerosets._closure
+
+    def counting(images, basis):
+        calls["n"] += 1
+        return closure(images, basis)
+
+    monkeypatch.setattr(zerosets, "_closure", counting)
+    for sample in _walk_samples(field):
+        calls["n"] = 0
+        expected = _reference_flats(sample)
+        reference_closures = calls["n"]
+        calls["n"] = 0
+        fam = enumerate_family_flats(sample)
+        assert {z.mask: z.witness.entries for z in fam.sets} == expected
+        assert calls["n"] <= reference_closures
+
+
+def test_flats_reject_oversized_sample_before_any_closure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zerosets, "_closure", lambda *args: calls.append(args))
+    sample = Sample.prefix(moment_curve(2), MAX_POINTS + 1)
+    with pytest.raises(ResourceLimitError):
+        enumerate_family_flats(sample)
+    assert not calls
 
 
 def test_bruteforce_needs_prime_field():
