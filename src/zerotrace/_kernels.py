@@ -1,11 +1,12 @@
 """Bitmask kernels for the combinatorial searches.
 
 Families are sequences of distinct integer bitmasks over ground points
-0..n_points-1 (bit i set means point i belongs to the set).  The
-Littlestone recursions (ldim, rho) work on subfamilies, each an int
-bitset over member indices (bit i set means member i is in it); with
-one column bitset per ground point a split is two bit operations, and
-the subfamily itself is the memo key.
+0..n_points-1 (bit i set means point i belongs to the set).  The one
+Littlestone recursion, the rho split search, works on subfamilies, each
+an int bitset over member indices (bit i set means member i is in it);
+with one column bitset per ground point a split is two bit operations,
+and (subfamily, depth) is the memo key.  ldim is read off that search
+as the deepest depth at which rho fills every leaf.
 """
 
 from __future__ import annotations
@@ -75,53 +76,14 @@ def pi(masks: Sequence[int], n_points: int, k: int) -> int:
     return best
 
 
-def ldim(masks: Sequence[int], n_points: int) -> int:
-    """Largest depth of a fully well-labeled binary tree.
+def _rho_search(masks: Sequence[int], n_points: int):
+    """rec(s, d): rho of the subfamily s at depth d, over one shared memo.
 
-    Split recursion: depth >= r+1 iff some point splits the family
-    into a containing part and an avoiding part, both of depth >= r.
-    A subfamily of s members has depth at most floor(log2 s), so a node
-    stops once it reaches that.  masks must be nonempty.
-    """
-    cols = _columns(masks, n_points)
-    memo: dict = {}
-
-    def rec(s: int) -> int:
-        cached = memo.get(s)
-        if cached is not None:
-            return cached
-        cap = s.bit_count().bit_length() - 1  # 2^depth distinct leaf sets needed
-        best = 0
-        tried = set()
-        for col in cols:
-            if best == cap:
-                break
-            pos = s & col
-            neg = s ^ pos
-            if not pos or not neg or pos in tried:
-                continue
-            tried.add(pos)
-            tried.add(neg)
-            value = rec(neg)
-            if value < best:  # 1 + min(value, ...) cannot beat best
-                continue
-            value = 1 + min(value, rec(pos))
-            if value > best:
-                best = value
-        memo[s] = best
-        return best
-
-    return rec((1 << len(masks)) - 1)
-
-
-def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
-    """Max number of well-labeled leaves over depth-`depth` trees.
-
-    Recursion: at depth 0 a lone leaf is well-labeled iff the family
-    is nonempty; otherwise the best root point splits the family and
-    the two subtrees contribute independently.  A subfamily of s
-    members at depth d has at most min(s, 2^d) such leaves, so a node
-    stops once it reaches that.
+    Recursion: at depth 0 a lone leaf is well-labeled iff the subfamily
+    is nonempty; otherwise the best root point splits it and the two
+    subtrees contribute independently.  A subfamily of s members at
+    depth d has at most min(s, 2^d) such leaves, so a node stops once
+    it reaches that.
     """
     cols = _columns(masks, n_points)
     memo: dict = {}
@@ -156,4 +118,24 @@ def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
         memo[key] = best
         return best
 
-    return rec((1 << len(masks)) - 1, depth)
+    return rec
+
+
+def ldim(masks: Sequence[int], n_points: int) -> int:
+    """Largest depth of a fully well-labeled binary tree.
+
+    That is the largest r with rho(r) = 2^r: cutting a level off such a
+    tree leaves one of depth r-1.  Each member labels at most one
+    well-labeled leaf, so no r with 2^r > len(masks) is tried.
+    """
+    rec = _rho_search(masks, n_points)
+    full = (1 << len(masks)) - 1
+    depth = 0
+    while 2 << depth <= len(masks) and rec(full, depth + 1) == 2 << depth:
+        depth += 1
+    return depth
+
+
+def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
+    """Max number of well-labeled leaves over depth-`depth` trees."""
+    return _rho_search(masks, n_points)((1 << len(masks)) - 1, depth)

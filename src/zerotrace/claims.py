@@ -45,6 +45,7 @@ from .instances import (
     two_lines,
 )
 from .littlestone import (
+    MAX_DEPTH,
     count_well_labeled,
     ldim,
     ldim_witness,
@@ -75,6 +76,7 @@ from .setsystem import (
     vcdim_via_trees,
 )
 from .zerosets import (
+    DEFAULT_BUDGET,
     Sample,
     ZeroSetFamily,
     density_zero_partition,
@@ -98,9 +100,9 @@ class CheckResult:
 
 @dataclass
 class CheckContext:
-    budget: int = 10_000
+    budget: int = DEFAULT_BUDGET
     seed: int = DEFAULT_SEED
-    depth_cap: int = 16
+    depth_cap: int = MAX_DEPTH
     _cache: dict = dc_field(default_factory=dict)
 
     def memo(self, key, thunk):
@@ -724,9 +726,9 @@ CHECKS: dict = {
 def run_checks(
     names=None,
     *,
-    budget: int = 10_000,
+    budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
-    depth_cap: int = 16,
+    depth_cap: int = MAX_DEPTH,
 ) -> list:
     """Run the checklist (all of it by default) and collect results."""
     ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)

@@ -43,6 +43,7 @@ from .instances import (
     sample_from_spec,
 )
 from .littlestone import (
+    MAX_DEPTH,
     ldim,
     ldim_witness,
     littlestone_profile,
@@ -54,6 +55,7 @@ from .littlestone import (
 from .maximality import cover_from_instance, cover_to_json
 from .setsystem import family_to_json, pi, restrict, vcdim
 from .zerosets import (
+    DEFAULT_BUDGET,
     Sample,
     distinct_image_points,
     enumerate_family_flats,
@@ -76,8 +78,8 @@ class RunConfig:
     command: str
     instance: Optional[str] = None
     n_max: int = 6
-    depth_cap: int = 16
-    budget: int = 10_000
+    depth_cap: int = MAX_DEPTH
+    budget: int = DEFAULT_BUDGET
     out: Optional[str] = None
     format: str = "json"
     seed: int = DEFAULT_SEED

@@ -29,7 +29,7 @@ from math import comb
 
 from .errors import BudgetExhaustedError, InvalidInputError
 from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis
-from .littlestone import LabeledTree
+from .littlestone import MAX_DEPTH, LabeledTree
 from .setsystem import MAX_POINTS, GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
@@ -352,8 +352,8 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
         )
     if n < 1:
         raise InvalidInputError("tree depth must be >= 1")
-    if n > 16:
-        raise InvalidInputError("tree depth capped at 16 (2^n leaves)")
+    if n > MAX_DEPTH:
+        raise InvalidInputError(f"tree depth capped at {MAX_DEPTH} (2^n leaves)")
     field = inst.field
 
     # Ground set: grid points (i,k) for k < n, plus the clamp point (0,n).

@@ -316,20 +316,15 @@ def make_builtin(name: str, *, d: int | None = None, p: int | None = None) -> In
 def parse_instance_name(text: str) -> Instance:
     """Parse CLI shorthand like "moment_curve:4" or "moment_curve:2,p=3"."""
     name, _, params = text.partition(":")
-    d = None
-    p = None
+    given = {}
     if params:
         for part in params.split(","):
             part = part.strip()
-            if part.startswith("p="):
-                p = int(part[2:])
-            elif part.startswith("d="):
-                d = int(part[2:])
-            elif part.isdigit():
-                d = int(part)
-            else:
+            key, value = part.split("=", 1) if "=" in part else ("d", part)
+            if key not in ("p", "d") or not value.isdecimal():
                 raise InvalidInputError(f"bad instance parameter {part!r}")
-    return make_builtin(name, d=d, p=p)
+            given[key] = int(value)
+    return make_builtin(name, d=given.get("d"), p=given.get("p"))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +347,10 @@ def instance_from_spec(spec: dict) -> Instance:
             raise InvalidInputError(f"instance spec missing {key!r}")
     field = field_from_json(spec["field"])
     d = spec["d"]
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise InvalidInputError(f"bad dimension d={d!r}")
+    if not isinstance(spec.get("name", ""), str):
+        raise InvalidInputError("'name' must be a string")
     fam = spec["family"]
     if not isinstance(fam, dict):
         raise InvalidInputError("'family' must be an object")
@@ -364,11 +361,17 @@ def instance_from_spec(spec: dict) -> Instance:
         return polynomial_instance(
             field,
             d,
-            fam["polynomials"],
-            fam.get("variables", ["x"]),
+            _string_list(fam["polynomials"], "polynomials"),
+            _string_list(fam.get("variables", ["x"]), "variables"),
             name=spec.get("name", ""),
         )
     raise InvalidInputError("'family' needs 'builtin' or 'polynomials'")
+
+
+def _string_list(value, key: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidInputError(f"{key!r} must be a list of strings")
+    return value
 
 
 def sample_from_spec(instance: Instance, spec: dict, *, default_prefix: int) -> Sample:

@@ -9,10 +9,11 @@ the leaf's set.
 
 ldim is the largest depth of a tree whose every leaf is well-labeled;
 rho(n) is the largest number of well-labeled leaves over all depth-n
-trees.  Both are computed by a split recursion on the family (choosing
-a root point partitions the members by whether they contain it), which
+trees.  rho is computed by a split recursion on the family (choosing a
+root point partitions the members by whether they contain it), which
 the exhaustive tree-search oracle rho_via_trees validates on small
-inputs.
+inputs.  ldim is read off the same recursion as the largest n with
+rho(n) = 2^n.
 """
 
 from __future__ import annotations

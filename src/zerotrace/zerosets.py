@@ -32,7 +32,7 @@ from .exactalg import (
     nullspace_basis,
     projective_normalize,
 )
-from .setsystem import MAX_POINTS, GroundSet, SetFamily
+from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
 #: Default number of stream points a scan may consume.
 DEFAULT_BUDGET = 10_000
@@ -387,20 +387,30 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     only if it gains no point before j (prefix-preserving extension).
     Each candidate is kept only if some coefficient vector orthogonal
     to W avoids all images outside T(W); over a finite field that
-    search can fail, and the candidate is then correctly dropped.
+    search can fail, and the candidate is then correctly dropped.  Each
+    closure's witness is searched when the walk reaches it, so the walk
+    stops as soon as more than MAX_SETS traces are realized.
     """
     inst = sample.instance
     field = inst.field
     images = sample.images
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
-    seen: dict = {}
+    found: dict = {}
+    visited = 0
     stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)
     while stack:
         last, mask, basis = stack.pop()
-        seen[mask] = basis
-        if len(seen) > MAX_FLATS:
+        visited += 1
+        if visited > MAX_FLATS:
             raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
+        kernel = nullspace_basis(field, inst.d, basis)
+        off_images = [v for i, v in enumerate(images) if not mask & (1 << i)]
+        witness = _search_witness_in_kernel(field, kernel, off_images)
+        if witness is not None:
+            found[mask] = ZeroSet(mask, projective_normalize(witness))
+            if len(found) > MAX_SETS:
+                raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
         if len(basis) == inst.d - 1:
             continue  # one more image would span the whole space
         for j in range(last + 1, len(images)):
@@ -411,14 +421,6 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
             below = (1 << j) - 1
             if child & below == mask & below:
                 stack.append((j, child, child_basis))
-    found: dict = {}
-    for mask in sorted(seen):
-        basis = seen[mask]
-        kernel = nullspace_basis(field, inst.d, basis)
-        off_images = [v for i, v in enumerate(images) if not mask & (1 << i)]
-        witness = _search_witness_in_kernel(field, kernel, off_images)
-        if witness is not None:
-            found[mask] = ZeroSet(mask, projective_normalize(witness))
     sets = tuple(found[m] for m in sorted(found))
     return ZeroSetFamily(sample, sets, "flat_lattice")
 

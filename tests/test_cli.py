@@ -68,6 +68,12 @@ def test_analyze_unknown_instance(capsys):
     assert "unknown builtin" in err
 
 
+def test_analyze_bad_instance_parameter_is_invalid_input(capsys):
+    code, _, err = run(capsys, "analyze", "--instance", "moment_curve:p=x")
+    assert code == 3
+    assert err.startswith("invalid input:")
+
+
 def test_analyze_stream_exhaustion_is_resource_exit(capsys):
     code, _, err = run(capsys, "analyze", "--instance", "moment_curve:4,p=3")
     assert code == 2

@@ -146,8 +146,9 @@ def test_parse_instance_name_forms():
     inst = parse_instance_name("moment_curve:2,p=3")
     assert inst.d == 2 and inst.field == F3
     assert parse_instance_name("high_vcden:d=4").d == 4
-    with pytest.raises(InvalidInputError):
-        parse_instance_name("moment_curve:x=1")
+    for bad in ("moment_curve:x=1", "moment_curve:p=x", "moment_curve:d=", "moment_curve:3,p="):
+        with pytest.raises(InvalidInputError):
+            parse_instance_name(bad)
 
 
 def test_instance_spec_round_trip():
@@ -167,6 +168,17 @@ def test_instance_spec_rejects_malformed():
         instance_from_spec({"field": "rational", "d": 0, "family": {"builtin": "conics"}})
     with pytest.raises(InvalidInputError):
         instance_from_spec({"field": "rational", "d": 2, "family": {}})
+    poly = {"polynomials": ["x", "1"], "variables": ["x"]}
+    for bad in (
+        {"field": "rational", "d": True, "family": {"builtin": "moment_curve"}},
+        {"field": "rational", "d": 2, "family": {**poly, "variables": "xy"}},
+        {"field": "rational", "d": 2, "family": {**poly, "polynomials": ["x", 1]}},
+        {"field": "rational", "d": 2, "family": {**poly, "polynomials": "x1"}},
+        {"field": "rational", "d": 2, "family": poly, "name": 5},
+        {"field": "rational", "d": 2, "family": {"builtin": "moment_curve"}, "name": 5},
+    ):
+        with pytest.raises(InvalidInputError):
+            instance_from_spec(bad)
 
 
 def test_sample_from_spec_forms():

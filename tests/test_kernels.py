@@ -125,6 +125,22 @@ def test_kernels_match_reference_on_designed_grid():
     assert [_kernels.rho(masks, n, depth) for depth in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
+def test_ldim_is_deepest_full_rho_depth(rng):
+    inst = high_vcden(3)
+    grid = enumerate_family_flats(Sample.take(inst, inst.profile_points(5))).to_set_family()
+    cases = [(list(grid.masks), grid.ground.size)]
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        cases.append((random_mask_family(rng, n, rng.randint(1, 30)), n))
+    for masks, n in cases:
+        ld = _kernels.ldim(masks, n)
+        full = [r for r in range(len(masks).bit_length()) if _kernels.rho(masks, n, r) == 1 << r]
+        assert ld == max(full), (masks, n)
+        # rho is full exactly up to ldim, also past the 2^r <= len(masks) guard
+        for r in range(n + 2):
+            assert (_kernels.rho(masks, n, r) == 1 << r) == (r <= ld), (masks, n, r)
+
+
 masks_strategy = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
         st.just(n),

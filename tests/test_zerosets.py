@@ -182,6 +182,23 @@ def test_flats_reject_oversized_sample_before_any_closure(monkeypatch):
     assert not calls
 
 
+def test_flats_stop_at_the_family_cap(monkeypatch):
+    sample = Sample.prefix(moment_curve(3), 6)
+    assert len(enumerate_family_flats(sample)) > 5
+    calls = []
+    search = zerosets._search_witness_in_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(zerosets, "MAX_SETS", 5)
+    monkeypatch.setattr(zerosets, "_search_witness_in_kernel", counting)
+    with pytest.raises(ResourceLimitError):
+        enumerate_family_flats(sample)
+    assert len(calls) <= 6
+
+
 def test_bruteforce_needs_prime_field():
     s = Sample.take(moment_curve(2), [0, 1])
     with pytest.raises(InvalidInputError):
