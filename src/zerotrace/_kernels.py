@@ -6,7 +6,8 @@ Littlestone recursion, the rho split search, works on subfamilies, each
 an int bitset over member indices (bit i set means member i is in it);
 with one column bitset per ground point a split is two bit operations,
 and (subfamily, depth) is the memo key.  ldim is read off that search
-as the deepest depth at which rho fills every leaf.
+as the deepest depth at which rho fills every leaf; littlestone reads
+the rho profile and the ldim witness tree off one search each.
 """
 
 from __future__ import annotations

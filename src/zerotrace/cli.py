@@ -228,15 +228,19 @@ def _shatter_rows(inst, cfg: RunConfig):
             sampling = "stream-prefix"
             points = distinct_image_points(inst, cfg.n_max, budget=cfg.budget)
         points = points[: cfg.n_max]
+    top = min(cfg.n_max, len(points))
+    if top > cfg.depth_cap:
+        raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")
     # One walk on the longest sample: the traces on a prefix are the
     # restrictions of the traces on the whole sample.
     full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
+    if designed:
+        rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap).values
     rows = []
-    top = min(cfg.n_max, len(points))
     for n in range(1, top + 1):
         fam = full if designed else restrict(full, range(n))
         p_n = pi(fam, n)
-        r_n = rho(fam, n, depth_cap=cfg.depth_cap)
+        r_n = rhos[n] if designed else rho(fam, n, depth_cap=cfg.depth_cap)
         ref = binom_le(n, d - 1)
         rows.append(
             {

@@ -13,7 +13,9 @@ trees.  rho is computed by a split recursion on the family (choosing a
 root point partitions the members by whether they contain it), which
 the exhaustive tree-search oracle rho_via_trees validates on small
 inputs.  ldim is read off the same recursion as the largest n with
-rho(n) = 2^n.
+rho(n) = 2^n.  The whole profile rho(0..n) and the ldim witness tree
+are each read off one such search, sharing its memo across depths and
+subfamilies.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ def count_well_labeled(tree: LabeledTree, fam: SetFamily) -> int:
     )
 
 
-def is_level_balanced(tree: LabeledTree) -> bool:
-    """True iff all nodes at each level carry the same point."""
-    for level in range(tree.depth):
-        labels = {v for k, v in tree.node_labels.items() if len(k) == level}
-        if len(labels) > 1:
-            return False
-    return True
-
-
 def ldim(fam: SetFamily):
     """Littlestone dimension; NEG_INF for the empty family."""
     if not fam.masks:
@@ -108,35 +101,35 @@ def ldim(fam: SetFamily):
 def ldim_witness(fam: SetFamily) -> LabeledTree:
     """A fully well-labeled tree of depth ldim(fam).
 
-    Follows the split recursion, always taking the lowest point index
-    that keeps both branches deep enough, and labels each leaf with the
-    first member (in input order) consistent with its path.
+    Walks the split search over member bitsets: a node with subfamily s
+    and r levels left takes the lowest point whose two sides both have
+    rho(r-1) = 2^(r-1), i.e. ldim at least r-1, and each leaf names the
+    lowest member index consistent with its path.
     """
     if not fam.masks:
         raise InvalidInputError("empty family has no witness tree")
     n = fam.ground.size
     depth = _kernels.ldim(fam.masks, n)
     tree = LabeledTree(depth=depth)
+    rec = _kernels._rho_search(fam.masks, n)
+    cols = _kernels._columns(fam.masks, n)
 
-    def sub_ldim(indices) -> int:
-        return _kernels.ldim([fam.masks[i] for i in indices], n)
-
-    def build(prefix: str, indices: list, r: int) -> None:
+    def build(prefix: str, s: int, r: int) -> None:
         if r == 0:
-            tree.leaf_labels[prefix] = indices[0]
+            tree.leaf_labels[prefix] = (s & -s).bit_length() - 1
             return
-        for x in range(n):
-            bit = 1 << x
-            pos = [i for i in indices if fam.masks[i] & bit]
-            neg = [i for i in indices if not fam.masks[i] & bit]
-            if pos and neg and sub_ldim(neg) >= r - 1 and sub_ldim(pos) >= r - 1:
+        full = 1 << (r - 1)
+        for x, col in enumerate(cols):
+            pos = s & col
+            neg = s ^ pos
+            if rec(neg, r - 1) == full and rec(pos, r - 1) == full:
                 tree.node_labels[prefix] = x
                 build(prefix + "0", neg, r - 1)
                 build(prefix + "1", pos, r - 1)
                 return
         raise AssertionError("split recursion invariant violated")
 
-    build("", list(range(len(fam.masks))), depth)
+    build("", (1 << len(fam.masks)) - 1, depth)
     tree.validate(fam)
     return tree
 
@@ -238,11 +231,14 @@ def vc_profile(fam: SetFamily, n_max: int) -> ShatterProfile:
 def littlestone_profile(
     fam: SetFamily, n_max: int, *, depth_cap: int = MAX_DEPTH
 ) -> ShatterProfile:
-    """rho(0..n_max)."""
-    return ShatterProfile(
-        "littlestone",
-        tuple(rho(fam, n, depth_cap=depth_cap) for n in range(n_max + 1)),
-    )
+    """rho(0..n_max), read off one split search; the cap is checked first."""
+    if n_max > depth_cap:
+        raise ResourceLimitError(f"rho depth {depth_cap + 1} exceeds cap {depth_cap}")
+    if not fam.masks:
+        return ShatterProfile("littlestone", (0,) * (n_max + 1))
+    rec = _kernels._rho_search(fam.masks, fam.ground.size)
+    full = (1 << len(fam.masks)) - 1
+    return ShatterProfile("littlestone", tuple(rec(full, n) for n in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zerotrace
+from zerotrace import cli
 from zerotrace.cli import main
 from zerotrace.instances import instance_from_spec
 from zerotrace.zerosets import Sample, verify_bundle
@@ -370,6 +371,28 @@ def test_shatter_fn_short_stream_gives_short_table(tmp_path, capsys):
     assert [row["n"] for row in report["rows"]] == [1]
 
 
+def test_shatter_fn_checks_depth_cap_before_the_walk(capsys, monkeypatch):
+    def no_walk(sample):
+        raise AssertionError("flat walk started")
+
+    monkeypatch.setattr(cli, "enumerate_family_flats", no_walk)
+    code, _, err = run(capsys, "shatter-fn", "--instance", "moment_curve:3", "--n-max", "17")
+    assert code == 2
+    assert "rho depth 17 exceeds cap 16" in err
+
+
+def test_shatter_fn_cap_applies_to_the_sampled_length(capsys):
+    # the F_5 stream ends after 5 distinct points, so 17 > cap 6 never comes up
+    code, out, _ = run(
+        capsys, "shatter-fn", "--instance", "moment_curve:2,p=5", "--n-max", "17",
+        "--depth-cap", "6",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["sampling"] == "stream-prefix"
+    assert [row["n"] for row in report["rows"]] == [1, 2, 3, 4, 5]
+
+
 #: sha256 of the canonical report without timings.  Any change to a
 #: witness, mask or count changes the digest, so update one only for an
 #: intended change of output.
@@ -382,6 +405,8 @@ GOLDEN_DIGESTS = {
         "ebcc3c41319219d517268d21b0e611f0c94812aab01133ff57c41f14683267de",
     ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6"):
         "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
+    ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"):
+        "4e4998be4cc988f53dd6490504cf124710f093b8a66c07b3ad773f00bbc2184d",
 }
 
 
@@ -393,3 +418,18 @@ def test_report_matches_golden_digest(capsys, argv):
     del report["timings"]
     canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+#: sha256 of the designed-grid files that `export --instance high_vcden:3`
+#: writes: the witness tree and the rho column read off the grid family.
+GOLDEN_EXPORT_DIGESTS = {
+    "tree.json": "22a8e41b40aff7aab913843a2add199ca4cde1521134992f5181df7a6b22480a",
+    "shatter.csv": "270470db32abacba52aa8e6d127d0bf0576b6176f7d56c22ffeda5065db194fa",
+}
+
+
+def test_designed_grid_export_matches_golden_digests(tmp_path, capsys):
+    code, _, _ = run(capsys, "export", "--instance", "high_vcden:3", "--out", str(tmp_path))
+    assert code == 0
+    for name, digest in GOLDEN_EXPORT_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import random_mask_family
+from zerotrace import _kernels
 from zerotrace.constructions import binom_le
 from zerotrace.errors import (
     InvalidInputError,
@@ -13,7 +14,6 @@ from zerotrace.littlestone import (
     LabeledTree,
     ShatterProfile,
     count_well_labeled,
-    is_level_balanced,
     ldim,
     ldim_witness,
     leaf_well_labeled,
@@ -25,11 +25,56 @@ from zerotrace.littlestone import (
     tree_to_json,
     vc_profile,
 )
+from zerotrace.instances import high_vcden
 from zerotrace.setsystem import GroundSet, SetFamily, pi, vcdim
+from zerotrace.zerosets import Sample, enumerate_family_flats
 
 
 def powerset_family(n):
     return SetFamily.create(GroundSet(n), tuple(range(1 << n)))
+
+
+def is_level_balanced(tree):
+    return all(len({v for k, v in tree.node_labels.items() if len(k) == level}) == 1
+               for level in range(tree.depth))
+
+
+def reference_ldim_witness(fam):
+    """The split recursion over index lists, with a fresh ldim per side.
+
+    At each node it takes the lowest point that leaves both sides
+    nonempty with ldim at least the remaining depth minus one, and each
+    leaf names the first member index left on its path.
+    """
+    n = fam.ground.size
+    depth = _kernels.ldim(fam.masks, n)
+    tree = LabeledTree(depth=depth)
+
+    def sub_ldim(indices):
+        return _kernels.ldim([fam.masks[i] for i in indices], n)
+
+    def build(prefix, indices, r):
+        if r == 0:
+            tree.leaf_labels[prefix] = indices[0]
+            return
+        for x in range(n):
+            pos = [i for i in indices if fam.masks[i] >> x & 1]
+            neg = [i for i in indices if not fam.masks[i] >> x & 1]
+            if pos and neg and sub_ldim(neg) >= r - 1 and sub_ldim(pos) >= r - 1:
+                tree.node_labels[prefix] = x
+                build(prefix + "0", neg, r - 1)
+                build(prefix + "1", pos, r - 1)
+                return
+        raise AssertionError("split recursion invariant violated")
+
+    build("", list(range(len(fam.masks))), depth)
+    return tree
+
+
+def designed_grid_family(n_max):
+    inst = high_vcden(3)
+    sample = Sample.take(inst, inst.profile_points(n_max))
+    return enumerate_family_flats(sample).to_set_family()
 
 
 def hand_tree():
@@ -88,6 +133,20 @@ def test_ldim_witness_is_fully_well_labeled(rng):
         tree = ldim_witness(fam)
         assert tree.depth == ldim(fam)
         assert count_well_labeled(tree, fam) == 1 << tree.depth
+
+
+def test_ldim_witness_matches_index_list_reference(rng):
+    families = [designed_grid_family(7)]
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        families.append(
+            SetFamily.create(GroundSet(n), tuple(random_mask_family(rng, n, rng.randint(1, 12))))
+        )
+    for fam in families:
+        tree, ref = ldim_witness(fam), reference_ldim_witness(fam)
+        assert tree.depth == ref.depth, fam.masks
+        assert tree.node_labels == ref.node_labels, fam.masks
+        assert tree.leaf_labels == ref.leaf_labels, fam.masks
 
 
 def test_ldim_witness_empty_family_rejected():
@@ -155,6 +214,28 @@ def test_profiles():
     assert lp.values == (1, 2, 4, 8, 8, 8)
     with pytest.raises(InvalidInputError):
         ShatterProfile(kind="vc", values=(7,))
+
+
+def test_littlestone_profile_matches_per_depth_rho(rng):
+    families = [SetFamily.create(GroundSet(3), ()), designed_grid_family(5)]
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        families.append(
+            SetFamily.create(GroundSet(n), tuple(random_mask_family(rng, n, rng.randint(1, 12))))
+        )
+    for fam in families:
+        values = littlestone_profile(fam, 6).values
+        assert values == tuple(rho(fam, n) for n in range(7)), fam.masks
+    assert littlestone_profile(families[0], 6).values == (0,) * 7
+
+
+def test_littlestone_profile_checks_depth_cap_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("rho search started")
+
+    monkeypatch.setattr(_kernels, "_rho_search", no_search)
+    with pytest.raises(ResourceLimitError, match="rho depth 5 exceeds cap 4"):
+        littlestone_profile(powerset_family(2), 5, depth_cap=4)
 
 
 def test_tree_json_round_trip():
