@@ -53,7 +53,7 @@ from .littlestone import (
     vc_profile,
 )
 from .maximality import cover_from_instance, cover_to_json
-from .setsystem import family_to_json, pi, restrict, vcdim
+from .setsystem import MAX_POINTS, family_to_json, pi, restrict, vcdim
 from .zerosets import (
     DEFAULT_BUDGET,
     Sample,
@@ -219,15 +219,18 @@ def _shatter_rows(inst, cfg: RunConfig):
         sampling = "designed-grid"
         points = list(inst.profile_points(cfg.n_max))
     else:
-        want = cfg.n_max + (d - 1 if d >= 2 else 0)
+        # A table longer than depth_cap or MAX_POINTS exits 2, so one
+        # point past the tighter cap is as far as sampling need go.
+        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
+        want = table + (d - 1 if d >= 2 else 0)
         sampling = "independent-prefix"
         try:
             seq = independence_sequence(inst, want, budget=cfg.budget)
             points = list(seq.points)
         except (BudgetExhaustedError, StreamExhaustedError):
             sampling = "stream-prefix"
-            points = distinct_image_points(inst, cfg.n_max, budget=cfg.budget)
-        points = points[: cfg.n_max]
+            points = distinct_image_points(inst, table, budget=cfg.budget)
+        points = points[:table]
     top = min(cfg.n_max, len(points))
     if top > cfg.depth_cap:
         raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")

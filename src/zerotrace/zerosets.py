@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -333,48 +335,107 @@ def _closure(images: Sequence[Vector], basis: list) -> int:
     return mask
 
 
-def _search_witness_in_kernel(
-    field: Field, kernel: Sequence[Vector], off_images: Sequence[Vector]
-) -> Optional[Vector]:
-    """A vector in span(kernel) with nonzero dot against every off_image.
-
-    Over a prime field the span is searched exhaustively (projectively);
-    absence of a witness means the candidate trace is not realizable.
-    Over the rationals a witness always exists (a vector space over an
-    infinite field is not a finite union of proper subspaces), found by
-    walking integer coefficient tuples outward by max-norm.
-    """
-    zero = field.zero
-    r = len(kernel)
-
-    def combine(coeffs) -> Vector:
-        acc = kernel[0].scale(coeffs[0])
-        for c, b in zip(coeffs[1:], kernel[1:]):
-            acc = acc + b.scale(c)
-        return acc
-
+def _integer_images(field: Field, images: Sequence[Vector]) -> list:
+    """Each image as a tuple of plain ints: its residues over F_p, or its
+    primitive integer multiple over Q.  Over Q that is a positive
+    rescaling, so no zero test and no line through an image changes."""
     if isinstance(field, PrimeField):
+        return [tuple(x.value for x in v.entries) for v in images]
+    out = []
+    for v in images:
+        den = lcm(*(x.denominator for x in v.entries))
+        nums = [x.numerator * (den // x.denominator) for x in v.entries]
+        g = gcd(*nums) or 1
+        out.append(tuple(n // g for n in nums))
+    return out
+
+
+def _quotient_rows(field: Field, ints: list, kernel: Sequence[Vector], mask: int) -> dict:
+    """Row M[i] = (v_i . k)_k, k in kernel, for every image i outside mask.
+
+    The kernel is the nullspace of W, so v -> (v . k)_k has kernel
+    exactly W: M[i] is nonzero off the closure, and v_i lies in
+    W + <v_j> iff M[i] is parallel to M[j].  Over Q the kernel is scaled
+    by one common denominator, which scales every row by the same
+    positive constant.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        cols = [tuple(x.value for x in k.entries) for k in kernel]
+        return {
+            i: tuple(sum(map(mul, v, k)) % p for k in cols)
+            for i, v in enumerate(ints)
+            if not mask >> i & 1
+        }
+    den = lcm(*(x.denominator for k in kernel for x in k.entries))
+    cols = [tuple(x.numerator * (den // x.denominator) for x in k.entries) for k in kernel]
+    return {
+        i: tuple(sum(map(mul, v, k)) for k in cols)
+        for i, v in enumerate(ints)
+        if not mask >> i & 1
+    }
+
+
+def _line_key(row: tuple, p: int) -> tuple:
+    """Canonical point of the line through a nonzero row: first nonzero
+    entry 1 mod p (p > 0), or coprime ints with a positive first nonzero
+    entry (p == 0)."""
+    lead = next(x for x in row if x)
+    if p:
+        inv = pow(lead, -1, p)
+        return tuple(x * inv % p for x in row)
+    g = gcd(*row) if lead > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def _child_closures(mask: int, rows: dict, p: int) -> dict:
+    """Closure of W + <v_j> for every image j outside the closure mask of
+    W, from one grouping of the quotient rows by line."""
+    keys = {i: _line_key(row, p) for i, row in rows.items()}
+    classes: dict = {}
+    for i, key in keys.items():
+        classes[key] = classes.get(key, mask) | 1 << i
+    return {j: classes[key] for j, key in keys.items()}
+
+
+def _search_coefficients(p: int, r: int, rows) -> Optional[tuple]:
+    """First coefficient tuple c with sum_k c_k * M[i][k] nonzero (mod p
+    when p > 0) on every row M[i]; the combination of the kernel by c is
+    then a witness.
+
+    Over F_p the r-dimensional span is searched exhaustively and
+    projectively, and None means the candidate trace is not realizable.
+    Over Q (p == 0) a witness always exists (a vector space over an
+    infinite field is not a finite union of proper subspaces); it is
+    found by walking integer tuples outward by max-norm.
+    """
+    if p:
         for lead in range(r):
-            head = [0] * lead + [1]
-            for tail in product(range(field.p), repeat=r - lead - 1):
-                a = combine([field.element(c) for c in head + list(tail)])
-                if all(dot(a, v) != zero for v in off_images):
-                    return a
+            head = (0,) * lead + (1,)
+            for tail in product(range(p), repeat=r - lead - 1):
+                c = head + tail
+                if all(sum(map(mul, c, row)) % p for row in rows):
+                    return c
         return None
     tried = 0
     radius = 1
     while tried < _RATIONAL_SEARCH_CAP:
-        for coeffs in product(range(-radius, radius + 1), repeat=r):
-            if max(abs(c) for c in coeffs) != radius:
+        for c in product(range(-radius, radius + 1), repeat=r):
+            if max(map(abs, c)) != radius:
                 continue
             tried += 1
-            a = combine([field.from_int(c) for c in coeffs])
-            if a.is_zero():
-                continue
-            if all(dot(a, v) != zero for v in off_images):
-                return a
+            if all(sum(map(mul, c, row)) for row in rows):
+                return c
         radius += 1
     raise ResourceLimitError("rational witness search exceeded its safety cap")
+
+
+def _combine(kernel: Sequence[Vector], coeffs: tuple) -> Vector:
+    """The exact vector sum_k coeffs[k] * kernel[k]."""
+    acc = kernel[0].scale(coeffs[0])
+    for c, k in zip(coeffs[1:], kernel[1:]):
+        acc = acc + k.scale(c)
+    return acc
 
 
 def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
@@ -390,12 +451,19 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     search can fail, and the candidate is then correctly dropped.  Each
     closure's witness is searched when the walk reaches it, so the walk
     stops as soon as more than MAX_SETS traces are realized.
+
+    Per flat, the images outside T(W) are mapped once into quotient
+    coordinates over plain ints (see _quotient_rows).  Both the child
+    closures and the witness search read those rows; only the winning
+    coefficients are combined into an exact vector.
     """
     inst = sample.instance
     field = inst.field
     images = sample.images
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
+    p = field.p if isinstance(field, PrimeField) else 0
+    ints = _integer_images(field, images)
     found: dict = {}
     visited = 0
     stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)
@@ -405,22 +473,18 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
         if visited > MAX_FLATS:
             raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
         kernel = nullspace_basis(field, inst.d, basis)
-        off_images = [v for i, v in enumerate(images) if not mask & (1 << i)]
-        witness = _search_witness_in_kernel(field, kernel, off_images)
-        if witness is not None:
-            found[mask] = ZeroSet(mask, projective_normalize(witness))
+        rows = _quotient_rows(field, ints, kernel, mask)
+        coeffs = _search_coefficients(p, len(kernel), rows.values())
+        if coeffs is not None:
+            found[mask] = ZeroSet(mask, projective_normalize(_combine(kernel, coeffs)))
             if len(found) > MAX_SETS:
                 raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
         if len(basis) == inst.d - 1:
             continue  # one more image would span the whole space
-        for j in range(last + 1, len(images)):
-            if mask >> j & 1:
-                continue
-            child_basis = basis + [images[j]]
-            child = _closure(images, child_basis)
+        for j, child in _child_closures(mask, rows, p).items():
             below = (1 << j) - 1
-            if child & below == mask & below:
-                stack.append((j, child, child_basis))
+            if j > last and child & below == mask & below:
+                stack.append((j, child, basis + [images[j]]))
     sets = tuple(found[m] for m in sorted(found))
     return ZeroSetFamily(sample, sets, "flat_lattice")
 

@@ -381,16 +381,34 @@ def test_shatter_fn_checks_depth_cap_before_the_walk(capsys, monkeypatch):
     assert "rho depth 17 exceeds cap 16" in err
 
 
-def test_shatter_fn_cap_applies_to_the_sampled_length(capsys):
-    # the F_5 stream ends after 5 distinct points, so 17 > cap 6 never comes up
-    code, out, _ = run(
-        capsys, "shatter-fn", "--instance", "moment_curve:2,p=5", "--n-max", "17",
-        "--depth-cap", "6",
+def test_shatter_fn_bounds_sampling_by_the_depth_cap():
+    # only 17 points are sampled, however long a table is asked for
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "shatter-fn", "--instance", "moment_curve:3",
+         "--n-max", "100000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
     )
-    assert code == 0
-    report = json.loads(out)
-    assert report["sampling"] == "stream-prefix"
-    assert [row["n"] for row in report["rows"]] == [1, 2, 3, 4, 5]
+    assert done.returncode == 2, done.stderr
+    assert "rho depth 17 exceeds cap 16" in done.stderr
+
+
+def test_shatter_fn_cap_applies_to_the_sampled_length(capsys):
+    cases = [
+        # the F_5 stream ends after 5 distinct points, so 17 > cap 6 never comes up
+        (("moment_curve:2,p=5", "--n-max", "17", "--depth-cap", "6"), 5),
+        # the F_13 stream ends after 13 distinct points, below the cap of 16
+        (("moment_curve:3,p=13", "--n-max", "25"), 13),
+    ]
+    for argv, rows in cases:
+        code, out, _ = run(capsys, "shatter-fn", "--instance", *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["sampling"] == "stream-prefix"
+        assert [row["n"] for row in report["rows"]] == list(range(1, rows + 1))
 
 
 #: sha256 of the canonical report without timings.  Any change to a
@@ -403,6 +421,11 @@ GOLDEN_DIGESTS = {
         "a16b3fa731db8e45a6c5b607142966c3ebe1fd49c7b77c4e0900a20b2bf4c79b",
     ("analyze", "--instance", "two_lines"):
         "ebcc3c41319219d517268d21b0e611f0c94812aab01133ff57c41f14683267de",
+    # witnesses with rational denominators, and with F_13 entries
+    ("analyze", "--instance", "conics"):
+        "a106422e4c14d163ad203585a02162855db4b9b9257e257bc541fceda66a1a27",
+    ("analyze", "--instance", "moment_curve:4,p=13"):
+        "202a7a648d16b80e678e1a1e2edfa46a70578636a2a4ac0b6a578e086e755b52",
     ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6"):
         "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
     ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"):

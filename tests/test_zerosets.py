@@ -1,6 +1,8 @@
 """Zero-set traces: samples, verdicts, dual-route enumeration, bundles."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,8 +16,10 @@ from zerotrace.errors import (
 from zerotrace.exactalg import (
     QQ,
     PrimeField,
+    Span,
     Vector,
     dot,
+    in_span,
     nullspace_basis,
     projective_normalize,
 )
@@ -89,15 +93,52 @@ def test_flats_matches_bruteforce_on_prime_fields():
         assert brute.method == "projective_bruteforce"
 
 
+def _span_closure(images, basis):
+    """Mask of the images in span(basis), one fresh Span per basis."""
+    span = Span(basis)
+    return sum(1 << i for i, v in enumerate(images) if in_span(v, span))
+
+
+def _reference_witness(field, kernel, off_images):
+    """The earlier witness search on exact vectors: combine every candidate
+    coefficient tuple and take dot products with each off image."""
+    zero = field.zero
+
+    def combine(coeffs):
+        acc = kernel[0].scale(coeffs[0])
+        for c, b in zip(coeffs[1:], kernel[1:]):
+            acc = acc + b.scale(c)
+        return acc
+
+    if isinstance(field, PrimeField):
+        for lead in range(len(kernel)):
+            head = [0] * lead + [1]
+            for tail in product(range(field.p), repeat=len(kernel) - lead - 1):
+                a = combine(head + list(tail))
+                if all(dot(a, v) != zero for v in off_images):
+                    return a
+        return None
+    radius = 1
+    while True:
+        for coeffs in product(range(-radius, radius + 1), repeat=len(kernel)):
+            if max(abs(c) for c in coeffs) == radius:
+                a = combine(coeffs)
+                if all(dot(a, v) != zero for v in off_images):
+                    return a
+        radius += 1
+
+
 def _reference_flats(sample):
     """The earlier queue walk, kept as a reference: pop a flat, close its
     basis plus every image outside it, keep the closures not seen yet.
-    Returns {mask: witness entries}."""
+    Returns ({mask: witness entries}, {closure mask: basis}, number of
+    closures computed)."""
     inst = sample.instance
     images = sample.images
-    start_mask = zerosets._closure(images, [])
+    start_mask = _span_closure(images, [])
     seen = {start_mask: []}
     queue = [(start_mask, [])]
+    closures = 1
     while queue:
         mask, basis = queue.pop()
         for i, v in enumerate(images):
@@ -106,7 +147,8 @@ def _reference_flats(sample):
             new_basis = basis + [v]
             if len(new_basis) == inst.d:
                 continue
-            new_mask = zerosets._closure(images, new_basis)
+            new_mask = _span_closure(images, new_basis)
+            closures += 1
             if new_mask not in seen:
                 seen[new_mask] = new_basis
                 queue.append((new_mask, new_basis))
@@ -114,10 +156,10 @@ def _reference_flats(sample):
     for mask in sorted(seen):
         kernel = nullspace_basis(inst.field, inst.d, seen[mask])
         off_images = [v for i, v in enumerate(images) if not mask & (1 << i)]
-        witness = zerosets._search_witness_in_kernel(inst.field, kernel, off_images)
+        witness = _reference_witness(inst.field, kernel, off_images)
         if witness is not None:
             found[mask] = projective_normalize(witness).entries
-    return found
+    return found, seen, closures
 
 
 def _walk_samples(field):
@@ -155,22 +197,76 @@ def _walk_samples(field):
 
 @pytest.mark.parametrize("field", [QQ, F3, F5, F13], ids=str)
 def test_flats_match_reference_walk(monkeypatch, field):
-    calls = {"n": 0}
-    closure = zerosets._closure
+    visited = {"n": 0}
+    kernel_of = zerosets.nullspace_basis
 
-    def counting(images, basis):
-        calls["n"] += 1
-        return closure(images, basis)
+    def counting(*args):  # the walk asks for one kernel per flat it visits
+        visited["n"] += 1
+        return kernel_of(*args)
 
-    monkeypatch.setattr(zerosets, "_closure", counting)
+    monkeypatch.setattr(zerosets, "nullspace_basis", counting)
     for sample in _walk_samples(field):
-        calls["n"] = 0
-        expected = _reference_flats(sample)
-        reference_closures = calls["n"]
-        calls["n"] = 0
+        expected, closures, reference_work = _reference_flats(sample)
+        visited["n"] = 0
         fam = enumerate_family_flats(sample)
         assert {z.mask: z.witness.entries for z in fam.sets} == expected
-        assert calls["n"] <= reference_closures
+        assert visited["n"] == len(closures) <= reference_work
+
+
+def _explicit_sample(field, rows):
+    """Sample whose i-th point has exactly the image rows[i]."""
+    vectors = [Vector.make(field, row) for row in rows]
+    inst = zerosets.Instance(
+        name="explicit",
+        field=field,
+        d=len(rows[0]),
+        evaluate=lambda i: vectors[i],
+        stream=lambda: iter(range(len(vectors))),
+    )
+    return Sample.take(inst, range(len(vectors)))
+
+
+def _quotient_samples(field):
+    """Seeded images with a zero image, equal images, v and -2v, negative
+    leading entries and, over Q, mixed denominators."""
+    rng = random.Random(f"quotient:{field}")
+    if field is QQ:
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    else:
+        def entry():
+            return rng.randrange(field.p)
+    samples = []
+    for d in (3, 4):
+        base = [[entry() for _ in range(d)] for _ in range(6)]
+        base[0][0] = -abs(base[0][0]) - 1  # negative leading entry
+        rows = base + [
+            [0] * d,
+            list(base[1]),
+            [-2 * x for x in base[2]],
+            [-x for x in base[3]],
+            [0] + [entry() for _ in range(d - 1)],
+        ]
+        samples.append(_explicit_sample(field, rows))
+    return samples
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, F13], ids=str)
+def test_class_grouped_child_closures_match_span_closures(field):
+    p = field.p if isinstance(field, PrimeField) else 0
+    for sample in _quotient_samples(field):
+        images, d = sample.images, sample.instance.d
+        ints = zerosets._integer_images(field, images)
+        _, flats, _ = _reference_flats(sample)
+        for mask, basis in flats.items():
+            kernel = nullspace_basis(field, d, basis)
+            children = zerosets._child_closures(
+                mask, zerosets._quotient_rows(field, ints, kernel, mask), p
+            )
+            off = [j for j in range(len(images)) if not mask >> j & 1]
+            assert sorted(children) == off
+            for j in off:
+                assert children[j] == _span_closure(images, basis + [images[j]])
 
 
 def test_flats_reject_oversized_sample_before_any_closure(monkeypatch):
@@ -186,17 +282,17 @@ def test_flats_stop_at_the_family_cap(monkeypatch):
     sample = Sample.prefix(moment_curve(3), 6)
     assert len(enumerate_family_flats(sample)) > 5
     calls = []
-    search = zerosets._search_witness_in_kernel
+    search = zerosets._search_coefficients
 
     def counting(*args):
         calls.append(args)
         return search(*args)
 
     monkeypatch.setattr(zerosets, "MAX_SETS", 5)
-    monkeypatch.setattr(zerosets, "_search_witness_in_kernel", counting)
+    monkeypatch.setattr(zerosets, "_search_coefficients", counting)
     with pytest.raises(ResourceLimitError):
         enumerate_family_flats(sample)
-    assert len(calls) <= 6
+    assert len(calls) == 6  # over Q every flat is a trace; the sixth overflows
 
 
 def test_bruteforce_needs_prime_field():
