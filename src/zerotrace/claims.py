@@ -19,6 +19,7 @@ randomized oracle equivalences.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Callable, Optional
@@ -96,6 +97,7 @@ class CheckResult:
     passed: bool
     details: dict
     error: Optional[str] = None
+    wall_s: float = 0.0
 
 
 @dataclass
@@ -730,7 +732,10 @@ def run_checks(
     seed: int = DEFAULT_SEED,
     depth_cap: int = MAX_DEPTH,
 ) -> list:
-    """Run the checklist (all of it by default) and collect results."""
+    """Run the checklist (all of it by default) and collect results.
+
+    Each result carries its check's wall time in seconds (wall_s).
+    """
     ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)
     selected = list(CHECKS) if names is None else list(names)
     results = []
@@ -738,11 +743,12 @@ def run_checks(
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
         assertion, fn = CHECKS[name]
+        start = time.perf_counter()
         try:
             details = fn(ctx)
-            results.append(CheckResult(name, assertion, True, details))
+            passed, error = True, None
         except Exception as e:  # noqa: BLE001 - a crashing check fails, the rest still run
-            results.append(
-                CheckResult(name, assertion, False, {}, f"{type(e).__name__}: {e}")
-            )
+            details, passed, error = {}, False, f"{type(e).__name__}: {e}"
+        wall_s = time.perf_counter() - start
+        results.append(CheckResult(name, assertion, passed, details, error, wall_s))
     return results

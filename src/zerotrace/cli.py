@@ -13,7 +13,8 @@ Subcommands:
 
 Reports are deterministic given the config; wall-clock timings live
 under a separate key excluded from that guarantee.  Exit codes: 0 all
-pass, 1 assertion or check failure, 2 resource limit, 3 invalid input.
+pass, 1 assertion or check failure, 2 resource limit (also when every
+failed verify check stopped at one), 3 invalid input.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     return {
         "command": "verify",
         "config": asdict(cfg),
+        "timings": {"checks": {r.name: round(r.wall_s, 3) for r in results}},
         "results": [
             {
                 "name": r.name,
@@ -431,13 +433,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(report: dict, cfg: RunConfig, elapsed: float) -> None:
+    """Write the report; a command's own `timings` join `wall_s` on stdout only."""
+    report = dict(report)
+    timings = report.pop("timings", {})
     if cfg.format == "csv":
         if "rows" not in report:
             raise InvalidInputError(f"{report['command']} has no CSV table")
         sys.stdout.write(_rows_to_csv(report["rows"]))
     else:
-        payload = dict(report)
-        payload["timings"] = {"wall_s": round(elapsed, 3)}
+        payload = dict(report, timings={"wall_s": round(elapsed, 3), **timings})
         sys.stdout.write(_canonical(payload))
     if cfg.out and report["command"] != "export":
         out = Path(cfg.out)
@@ -446,12 +450,22 @@ def _emit(report: dict, cfg: RunConfig, elapsed: float) -> None:
         (out / name).write_text(_canonical(report))
 
 
-def _failures(report: dict) -> int:
+#: Errors that make a failed verify check a resource limit, not a refuted
+#: claim; the report names them in each result's `error`.
+_LIMIT_ERRORS = (ResourceLimitError, BudgetExhaustedError, StreamExhaustedError)
+
+
+def _exit_code(report: dict) -> int:
     if report["command"] == "verify":
-        return report["failed"]
+        errors = [r["error"] for r in report["results"] if not r["passed"]]
+        limits = {e.__name__ for e in _LIMIT_ERRORS}
+        if errors and all(e.split(":", 1)[0] in limits for e in errors):
+            return EXIT_RESOURCE
+        return EXIT_ASSERTION if errors else EXIT_OK
     if report["command"] == "analyze":
-        return sum(not a["passed"] for a in report["assertions"])
-    return 0
+        if any(not a["passed"] for a in report["assertions"]):
+            return EXIT_ASSERTION
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -475,8 +489,8 @@ def main(argv=None) -> int:
                     line += f" [{r['error']}]"
                 sys.stderr.write(line + "\n")
         _emit(report, cfg, elapsed)
-        return EXIT_ASSERTION if _failures(report) else EXIT_OK
-    except (ResourceLimitError, BudgetExhaustedError, StreamExhaustedError) as e:
+        return _exit_code(report)
+    except _LIMIT_ERRORS as e:
         sys.stderr.write(f"resource limit: {e}\n")
         return EXIT_RESOURCE
     except AssertionError as e:

@@ -27,11 +27,17 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .errors import BudgetExhaustedError, InvalidInputError
+from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
 from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis
 from .littlestone import MAX_DEPTH, LabeledTree
 from .setsystem import MAX_POINTS, GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
+
+
+#: Largest C(n, d-1) that independence_sequence accepts: it keeps one
+#: span per (d-1)-subset of the chosen images and tests every candidate
+#: against all of them.
+MAX_SUBSETS = 4096
 
 
 def index_growth(j: int, field: Field):
@@ -174,10 +180,17 @@ def independence_sequence(
     (d-1)-element subset of the chosen images (smaller subsets are
     covered by monotonicity).  Budget exhaustion raises with the
     blocking spans attached: evidence, not proof, that the image is
-    covered by finitely many proper subspaces.
+    covered by finitely many proper subspaces.  A request for which
+    C(n, d-1) exceeds MAX_SUBSETS raises ResourceLimitError before the
+    scan.
     """
     inst = instance
     d = inst.d
+    if comb(n, d - 1) > MAX_SUBSETS:
+        raise ResourceLimitError(
+            f"a {n}-point sequence needs C({n}, {d - 1}) = {comb(n, d - 1)} spans, "
+            f"over the cap {MAX_SUBSETS}"
+        )
     points: list = []
     images: list = []
     spans = [Span()]  # one per min(d-1, len(images))-subset of images

@@ -178,32 +178,36 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
     """rho recomputed by exhaustive backtracking over labeled trees.
 
     Walks every assignment of points to internal positions, carrying the
-    actual (point, branch) path, and counts leaves for which some member
-    matches the path's membership pattern; subtree choices are
-    independent, so the walk maximizes them separately.  No memoization
-    and no family splitting: this is deliberately redundant with rho for
-    cross-checking, and exponential (feasible for n <= ~4 on tiny
-    families only).
+    root-to-leaf path as two point masks: `care` (the points named on
+    the path) and `value` (those it branched right on), plus a `clash`
+    flag for a path that names one point on both branches.  A leaf is
+    well-labeled iff the path has no clash and some member m has
+    m & care == value; subtree choices are independent, so the walk
+    maximizes them separately.  No memoization, no family splitting and
+    no pruning: every one of the (2 * ground size)^n leaves is reached.
+    This is deliberately redundant with rho for cross-checking, and
+    exponential (feasible for n <= ~4 on tiny families only).
     """
     if not fam.masks:
         return 0
-    size = fam.ground.size
+    masks = fam.masks
+    bits = [1 << p for p in range(fam.ground.size)]
 
-    def best(path: list, remaining: int) -> int:
+    def best(care: int, value: int, clash: bool, remaining: int) -> int:
         if remaining == 0:
-            for mask in fam.masks:
-                if all(bool(mask & (1 << p)) == b for p, b in path):
-                    return 1
-            return 0
+            return 0 if clash else int(any(m & care == value for m in masks))
         top = 0
-        for point in range(size):
-            left = best(path + [(point, False)], remaining - 1)
-            right = best(path + [(point, True)], remaining - 1)
+        for bit in bits:
+            # value is within care, so care ^ value holds the left-branch points
+            left_clash = clash or bool(value & bit)
+            right_clash = clash or bool((care ^ value) & bit)
+            left = best(care | bit, value, left_clash, remaining - 1)
+            right = best(care | bit, value | bit, right_clash, remaining - 1)
             if left + right > top:
                 top = left + right
         return top
 
-    return best([], n)
+    return best(0, 0, False, n)
 
 
 @dataclass(frozen=True)

@@ -215,25 +215,36 @@ def vcdim_via_trees(fam: SetFamily):
     A depth-d candidate assigns one point per level (repeats allowed, as
     in the definition); it is fully well-labeled iff every one of the
     2^d membership patterns over those points is realized by some member
-    set.  Independent of the bitmask kernels; exponential, so only for
-    small inputs.
+    set.  A pattern is carried as two point masks, the points it puts in
+    (`value`) and out (`zeros`).  A pattern that puts one point both in
+    and out is never realized; otherwise member m realizes it iff
+    m & care == value, where care is the mask of the candidate's points.
+    Independent of the bitmask kernels; exponential, so only for small
+    inputs.
     """
     if not fam.masks:
         return NEG_INF
     n = fam.ground.size
+    masks = fam.masks
     best = 0
     d = 1
     while d <= n:
         found = False
         for points in product(range(n), repeat=d):
             bits = [1 << p for p in points]
-            if all(
-                any(
-                    all(bool(m & bits[i]) == bool(pattern & (1 << i)) for i in range(d))
-                    for m in fam.masks
-                )
-                for pattern in range(1 << d)
-            ):
+            care = 0
+            for bit in bits:
+                care |= bit
+            for pattern in range(1 << d):
+                value = zeros = 0
+                for i, bit in enumerate(bits):
+                    if pattern >> i & 1:
+                        value |= bit
+                    else:
+                        zeros |= bit
+                if value & zeros or not any(m & care == value for m in masks):
+                    break
+            else:
                 found = True
                 break
         if not found:

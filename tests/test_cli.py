@@ -396,6 +396,61 @@ def test_shatter_fn_bounds_sampling_by_the_depth_cap():
     assert "rho depth 17 exceeds cap 16" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C(17 + 11, 11) and C(8 + 9, 9) spans per accepted point
+        ("moment_curve:12", "--n-max", "100000"),
+        ("moment_curve:10", "--n-max", "8"),
+    ],
+    ids=" ".join,
+)
+def test_shatter_fn_caps_the_subset_count_before_sampling(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "shatter-fn", "--instance", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("resource limit:")
+    assert "over the cap 4096" in done.stderr
+
+
+def test_verify_budget_limit_exits_2_and_other_failures_exit_1(monkeypatch, capsys):
+    argv = ["verify", "--budget", "3", "--checks", "dichotomy_on_builtins"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert (report["passed"], report["failed"]) == (0, 1)
+    assert report["results"][0]["error"].startswith("BudgetExhaustedError:")
+    assert err.startswith("FAIL dichotomy_on_builtins:")
+
+    def crash(ctx):
+        raise ValueError("designed crash")
+
+    assertion, _ = cli.CHECKS["grid_membership_pattern"]
+    monkeypatch.setitem(cli.CHECKS, "grid_membership_pattern", (assertion, crash))
+    code, out, _ = run(capsys, *argv[:-1], "dichotomy_on_builtins,grid_membership_pattern")
+    assert code == 1
+    assert json.loads(out)["failed"] == 2
+
+
+def test_verify_times_each_check_in_timings_only(tmp_path, capsys):
+    names = ["json_round_trips", "grid_membership_pattern"]
+    code, out, _ = run(capsys, "verify", "--checks", ",".join(names), "--out", str(tmp_path))
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert sorted(timings) == ["checks", "wall_s"]
+    assert sorted(timings["checks"]) == sorted(names)
+    assert all(isinstance(t, float) and t >= 0 for t in timings["checks"].values())
+    written = json.loads((tmp_path / "verify_report.json").read_text())
+    assert "timings" not in written
+    assert [r["name"] for r in written["results"]] == names
+
+
 def test_shatter_fn_cap_applies_to_the_sampled_length(capsys):
     cases = [
         # the F_5 stream ends after 5 distinct points, so 17 > cap 6 never comes up
@@ -430,6 +485,9 @@ GOLDEN_DIGESTS = {
         "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
     ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"):
         "4e4998be4cc988f53dd6490504cf124710f093b8a66c07b3ad773f00bbc2184d",
+    # every check at the default seed, exact details included
+    ("verify",):
+        "eedd5c644aaa6edd9b0a400c5cc54e4823cee7ae4a3e339f70dd8d428b615f1d",
 }
 
 

@@ -1,10 +1,13 @@
 """Constructive machinery: dual bases, d-wise sequences, the plane grid."""
 
+from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from zerotrace.constructions import (
+    MAX_SUBSETS,
     binom_le,
     dual_basis,
     grid_max_tree,
@@ -16,7 +19,7 @@ from zerotrace.constructions import (
     shattered_set,
     subset_witness,
 )
-from zerotrace.errors import BudgetExhaustedError, InvalidInputError
+from zerotrace.errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
 from zerotrace.exactalg import QQ, PrimeField, Vector, dot, rank
 from zerotrace.instances import high_vcden, moment_curve, two_lines
 from zerotrace.littlestone import count_well_labeled
@@ -99,6 +102,18 @@ def test_independence_sequence_stalls_on_covered_image():
     partial = info.value.partial
     assert len(partial["points"]) == 2
     assert partial["blocking_spans"]
+
+
+def test_independence_sequence_checks_subset_cap_before_scanning():
+    def no_stream():
+        raise AssertionError("stream scanned")
+
+    # C(17, 9) = 24310 spans would be kept; C(11, 3) = 165 stays below the cap
+    inst = replace(moment_curve(10), stream=no_stream)
+    with pytest.raises(ResourceLimitError, match=f"over the cap {MAX_SUBSETS}"):
+        independence_sequence(inst, 17)
+    assert comb(17, 9) > MAX_SUBSETS >= comb(11, 3)
+    assert len(independence_sequence(moment_curve(4), 11)) == 11
 
 
 def test_subset_witness_separation():
