@@ -11,6 +11,11 @@ Every span question (rank, membership, canonical basis, nullspace) is
 answered by one echelon form, ``Span``.  Its canonical basis and
 nullspace depend only on the subspace, never on the order of the input
 vectors, so witnesses built from them are stable.
+
+``Span`` rows and ``dot`` sums are plain ints: residues over F_p,
+integer multiples over Q.  ``Fraction`` and ``FpElement`` values appear
+only at the API boundary, where a vector is converted once on entry and
+a canonical row, kernel vector or inner product is built once on exit.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidInputError
@@ -312,13 +319,26 @@ def basis_vector(field: Field, width: int, index: int) -> Vector:
     return Vector(field, tuple(entries))
 
 
+def _over_common_denominator(entries: tuple) -> tuple:
+    """(nums, den) with entries[i] == nums[i] / den for rationals, den
+    the least common denominator."""
+    dens = [x.denominator for x in entries]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (den // d) for x, d in zip(entries, dens)], den
+
+
 def dot(a: Vector, b: Vector) -> Scalar:
     """Exact inner product; errors on width or field mismatch."""
     a._check(b)
-    total = a.field.zero
-    for x, y in zip(a.entries, b.entries):
-        total = total + x * y
-    return total
+    if isinstance(a.field, PrimeField):
+        total = sum([x.value * y.value for x, y in zip(a.entries, b.entries)])
+        return FpElement(a.field, total % a.field.p)
+    na, da = _over_common_denominator(a.entries)
+    nb, db = _over_common_denominator(b.entries)
+    total = sum(map(mul, na, nb))
+    return Fraction(total) if da == db == 1 else Fraction(total, da * db)
 
 
 def projective_normalize(v: Vector) -> Vector:
@@ -334,69 +354,126 @@ def projective_normalize(v: Vector) -> Vector:
     raise InvalidInputError("cannot normalize the zero vector")
 
 
+def _int_row(v: Vector) -> list:
+    """v as plain ints: its residues over F_p, or over Q its primitive
+    integer multiple.  Over Q that is a positive rescaling, so neither
+    the zero pattern nor the line through v changes."""
+    if isinstance(v.field, PrimeField):
+        return [x.value for x in v.entries]
+    nums, _ = _over_common_denominator(v.entries)
+    g = gcd(*nums)
+    return [n // g for n in nums] if g > 1 else nums
+
+
 class Span:
     """A subspace of F^width, held as echelon rows of the vectors added.
 
-    Each stored row has 1 at its pivot column and 0 left of it, pivots
-    are distinct, and rows are kept in pivot order.  Reducing a vector
-    against the rows in that order clears it at every pivot, so it lies
-    in the span iff nothing is left.  The pivot columns are those of the
-    reduced row-echelon form, which depends only on the subspace, so
-    everything derived here is independent of the order vectors arrive
-    in.  Field and width are fixed by the first vector added.
+    Rows are plain ints; field elements appear only at the API boundary.
+    Over F_p a row holds residues with 1 at its pivot.  Over Q a row is
+    the primitive integer multiple of its echelon row, with a positive
+    entry at its pivot, and reduction stays in the integers (Bareiss):
+    v <- r[q]*v - v[q]*r clears v at the pivot q of r.  Each stored row
+    is 0 left of its pivot, pivots are distinct, and rows are kept in
+    pivot order.  Reducing a vector against the rows in that order
+    clears it at every pivot, so it lies in the span iff nothing is
+    left.  The pivot columns are those of the reduced row-echelon form,
+    which depends only on the subspace, so everything derived here is
+    independent of the order vectors arrive in.  Field and width are
+    fixed by the first vector added.
     """
 
-    __slots__ = ("field", "width", "pivots", "_rows")
+    __slots__ = ("field", "width", "pivots", "_rows", "_p")
 
     def __init__(self, vectors: Iterable[Vector] = ()):
         self.field = None
         self.width = None
         self.pivots: list = []
         self._rows: list = []
+        self._p = 0  # the prime over F_p, 0 over Q
         for v in vectors:
             self.add(v)
 
-    def _reduce(self, entries: list, start: int = 0) -> list:
-        """entries minus its components along the rows from start on."""
-        for p, row in zip(self.pivots[start:], self._rows[start:]):
-            c = entries[p]
-            if c:
-                entries = [a - c * b if b else a for a, b in zip(entries, row)]
-        return entries
+    def _reduce(self, row: list, start: int = 0) -> list:
+        """row minus its components along the rows from start on, up to
+        a nonzero factor (a positive one over Q)."""
+        p = self._p
+        for q, r in zip(self.pivots[start:], self._rows[start:]):
+            c = row[q]
+            if not c:
+                continue
+            if p:
+                row = [(a - c * b) % p for a, b in zip(row, r)]
+            else:
+                lead = r[q]
+                g = gcd(lead, c)
+                if g > 1:
+                    lead //= g
+                    c //= g
+                row = [lead * a - c * b for a, b in zip(row, r)]
+        return row
 
-    def _residual(self, v: Vector) -> list:
+    def _row_of(self, v: Vector) -> list:
+        """v's plain-int row, once it has passed the field and width checks."""
+        if not isinstance(v, Vector):
+            raise FieldMismatchError(f"expected Vector, got {v!r}")
         if self.field is not None:
             if v.field != self.field:
                 raise FieldMismatchError("vectors over different fields")
             if len(v) != self.width:
                 raise DimensionMismatchError("vectors of different widths")
-        return self._reduce(list(v.entries))
+        return _int_row(v)
 
     def add(self, v: Vector) -> bool:
         """Extend the span by v; True iff v was not in it already."""
-        residual = self._residual(v)
+        residual = self._reduce(self._row_of(v))
         if self.field is None:
             self.field, self.width = v.field, len(v)
+            self._p = v.field.p if isinstance(v.field, PrimeField) else 0
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
-        lead = residual[pivot]
+        p = self._p
+        if p:
+            inv = pow(residual[pivot], -1, p)
+            residual = [a * inv % p for a in residual]
+        else:
+            g = gcd(*residual)
+            if residual[pivot] < 0:
+                g = -g
+            if g != 1:
+                residual = [a // g for a in residual]
         at = bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
-        self._rows.insert(at, [a / lead for a in residual])
+        self._rows.insert(at, residual)
         return True
 
     def __contains__(self, v: Vector) -> bool:
-        return not any(self._residual(v))
+        return not any(self._reduce(self._row_of(v)))
 
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _reduced_rows(self) -> list:
+        """Per row in pivot order: the row cleared at every other pivot,
+        and its entry at its own pivot.  Row / entry is the reduced
+        row-echelon row."""
+        out = []
+        for i, (q, row) in enumerate(zip(self.pivots, self._rows)):
+            row = self._reduce(row, i + 1)
+            out.append((row, row[q]))
+        return out
+
     def canonical(self) -> tuple:
         """Reduced row-echelon basis, in pivot order."""
+        field = self.field
+        if self._p:  # every pivot entry is already 1
+            return tuple(
+                Vector(field, tuple(FpElement(field, a) for a in row))
+                for row, _ in self._reduced_rows()
+            )
         return tuple(
-            Vector(self.field, tuple(self._reduce(row, i + 1)))
-            for i, row in enumerate(self._rows)
+            Vector(field, tuple(Fraction(a, lead) for a in row))
+            for row, lead in self._reduced_rows()
         )
 
 
@@ -442,14 +519,16 @@ def nullspace_basis(field: Field, width: int, vectors: Sequence[Vector]) -> list
         if len(v) != width:
             raise DimensionMismatchError("row width differs from the requested width")
     span = Span(vectors)
-    rows = span.canonical()
+    rows = span._reduced_rows()
+    p = span._p
     basis = []
     for free_col in range(width):
         if free_col in span.pivots:
             continue
         solution = [field.zero] * width
         solution[free_col] = field.one
-        for col, row in zip(span.pivots, rows):
-            solution[col] = -row[free_col]
+        for col, (row, lead) in zip(span.pivots, rows):
+            a = row[free_col]
+            solution[col] = FpElement(field, -a % p) if p else Fraction(-a, lead)
         basis.append(Vector(field, tuple(solution)))
     return basis

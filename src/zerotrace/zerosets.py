@@ -29,6 +29,7 @@ from .exactalg import (
     PrimeField,
     Span,
     Vector,
+    _int_row,
     dot,
     in_span,
     nullspace_basis,
@@ -335,21 +336,6 @@ def _closure(images: Sequence[Vector], basis: list) -> int:
     return mask
 
 
-def _integer_images(field: Field, images: Sequence[Vector]) -> list:
-    """Each image as a tuple of plain ints: its residues over F_p, or its
-    primitive integer multiple over Q.  Over Q that is a positive
-    rescaling, so no zero test and no line through an image changes."""
-    if isinstance(field, PrimeField):
-        return [tuple(x.value for x in v.entries) for v in images]
-    out = []
-    for v in images:
-        den = lcm(*(x.denominator for x in v.entries))
-        nums = [x.numerator * (den // x.denominator) for x in v.entries]
-        g = gcd(*nums) or 1
-        out.append(tuple(n // g for n in nums))
-    return out
-
-
 def _quotient_rows(field: Field, ints: list, kernel: Sequence[Vector], mask: int) -> dict:
     """Row M[i] = (v_i . k)_k, k in kernel, for every image i outside mask.
 
@@ -463,7 +449,7 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
     p = field.p if isinstance(field, PrimeField) else 0
-    ints = _integer_images(field, images)
+    ints = [_int_row(v) for v in images]
     found: dict = {}
     visited = 0
     stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zerotrace import exactalg
 from zerotrace.errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -14,6 +15,7 @@ from zerotrace.errors import (
 )
 from zerotrace.exactalg import (
     QQ,
+    FpElement,
     PrimeField,
     Span,
     Vector,
@@ -297,3 +299,135 @@ def test_span_matches_reference_elimination(field):
         for i, v in enumerate(rows):
             assert grown.add(v) == (_ref_rank(rows[: i + 1]) > _ref_rank(rows[:i]))
         assert len(grown) == len(span)
+
+
+def _wide_system(rng, field, width):
+    """Row lists that stress integer-row growth and the gcd and sign
+    normalization: entries up to +-60 (Q denominators up to 9), negative
+    leading entries, zero rows, repeated and negated rows, full rank."""
+    if isinstance(field, PrimeField):
+        entry = lambda: field.element(rng.randint(-60, 60))  # noqa: E731
+    else:
+        entry = lambda: Fraction(rng.randint(-60, 60), rng.randint(1, 9))  # noqa: E731
+    rows = []
+    for _ in range(rng.randint(0, width + 3)):
+        entries = [entry() if rng.random() < 0.8 else field.zero for _ in range(width)]
+        lead = next((i for i, a in enumerate(entries) if a), None)
+        if lead is not None and not isinstance(field, PrimeField):
+            entries[lead] = -abs(entries[lead])
+        rows.append(Vector(field, tuple(entries)))
+    shape = rng.randrange(4)
+    if shape == 0 and rows:
+        rows.append(rows[rng.randrange(len(rows))])
+        rows.append(rows[rng.randrange(len(rows))].scale(field.from_int(-1)))
+    elif shape == 1:
+        rows.insert(rng.randint(0, len(rows)), Vector(field, (field.zero,) * width))
+    elif shape == 2:  # triangular with a nonzero diagonal: full rank
+        for i in range(width):
+            tail = tuple(entry() for _ in range(width - i - 1))
+            rows.append(Vector(field, (field.zero,) * i + (entry() or field.one,) + tail))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
+def test_span_matches_reference_on_wide_systems(field):
+    rng = random.Random(90210)
+    for _ in range(120):
+        width = rng.randint(1, 7)
+        rows = _wide_system(rng, field, width)
+        probes = _wide_system(rng, field, width) + rows
+        span = Span(rows)
+        assert rank(rows) == len(span) == _ref_rank(rows)
+        assert independent(rows) == (_ref_rank(rows) == len(rows))
+        assert row_space_canonical(rows) == _ref_row_space_canonical(rows)
+        assert nullspace_basis(field, width, rows) == _ref_nullspace_basis(field, width, rows)
+        for v in probes:
+            assert (v in span) == in_span(v, rows) == _ref_in_span(v, rows)
+
+
+def _ref_dot(a, b):
+    total = a.field.zero
+    for x, y in zip(a.entries, b.entries):
+        total = total + x * y
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
+def test_dot_matches_reference_sum(field):
+    rng = random.Random(4711)
+    for _ in range(300):
+        width = rng.randint(0, 7)
+        if isinstance(field, PrimeField):
+            entry = lambda: field.element(rng.randint(-60, 60))  # noqa: E731
+        elif rng.random() < 0.5:  # integer vectors
+            entry = lambda: Fraction(rng.randint(-60, 60))  # noqa: E731
+        else:  # mixed denominators
+            entry = lambda: Fraction(rng.randint(-60, 60), rng.randint(1, 9))  # noqa: E731
+        a = Vector(field, tuple(entry() for _ in range(width)))
+        b = Vector(field, tuple(entry() for _ in range(width)))
+        got = dot(a, b)
+        assert got == _ref_dot(a, b)
+        if isinstance(field, PrimeField):
+            assert type(got) is FpElement and got.field == field
+        else:
+            assert type(got) is Fraction
+
+
+def test_mixed_vectors_are_rejected_before_int_conversion(monkeypatch):
+    q2 = Vector.make(QQ, (1, 0))
+    q_span, f7_span = Span([q2]), Span([Vector.make(F7, (1, 0))])
+
+    def no_conversion(*args):
+        raise AssertionError("converted before the field and width checks")
+
+    monkeypatch.setattr(exactalg, "_int_row", no_conversion)
+    monkeypatch.setattr(exactalg, "_over_common_denominator", no_conversion)
+    f5 = Vector.make(F5, (1, 2))
+    wrong_field = [(q_span, f5), (f7_span, f5), (f7_span, q2), (q_span, (1, 2))]
+    wrong_width = [(q_span, Vector.make(QQ, (1, 2, 3))), (f7_span, Vector.make(F7, (1,)))]
+    for error, cases in ((FieldMismatchError, wrong_field), (DimensionMismatchError, wrong_width)):
+        for span, v in cases:
+            with pytest.raises(error):
+                span.add(v)
+            with pytest.raises(error):
+                v in span  # noqa: B015
+    with pytest.raises(FieldMismatchError):
+        dot(q2, f5)
+    with pytest.raises(FieldMismatchError):
+        dot(Vector.make(F7, (1, 2)), f5)
+    with pytest.raises(DimensionMismatchError):
+        dot(q2, Vector.make(QQ, (1, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        dot(Vector.make(F7, (1, 2)), Vector.make(F7, (1,)))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_empty_span_membership_is_a_zero_test(field):
+    assert Vector.make(field, (0, 0, 0)) in Span()
+    assert Vector.make(field, (0, 3, 0)) not in Span()
+    assert in_span(Vector.make(field, (0, 0)), [])
+    assert not in_span(Vector.make(field, (1, 0)), [])
+
+
+def test_span_runs_without_fraction_arithmetic(monkeypatch):
+    rows = [
+        Vector.make(QQ, r) for r in ((2, -4, 6, 0), (-3, 6, 1, 5), (1, -2, 3, 0), (0, 0, 10, 5))
+    ]
+    probes = [Vector.make(QQ, r) for r in ((0, 0, 2, 1), (1, 0, 0, 0), (-1, 2, 7, 5))]
+    canonical = row_space_canonical(rows)
+    kernel = nullspace_basis(QQ, 4, rows)
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic inside the echelon")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    span = Span()
+    assert [span.add(v) for v in rows] == [True, True, False, False]
+    assert len(span) == rank(rows) == 2
+    assert [v in span for v in probes] == [True, False, True]
+    assert row_space_canonical(rows) == canonical
+    assert nullspace_basis(QQ, 4, rows) == kernel
+    assert dot(rows[0], rows[1]) == Fraction(-24)

@@ -18,6 +18,7 @@ from zerotrace.exactalg import (
     PrimeField,
     Span,
     Vector,
+    _int_row,
     dot,
     in_span,
     nullspace_basis,
@@ -256,7 +257,7 @@ def test_class_grouped_child_closures_match_span_closures(field):
     p = field.p if isinstance(field, PrimeField) else 0
     for sample in _quotient_samples(field):
         images, d = sample.images, sample.instance.d
-        ints = zerosets._integer_images(field, images)
+        ints = [_int_row(v) for v in images]
         _, flats, _ = _reference_flats(sample)
         for mask, basis in flats.items():
             kernel = nullspace_basis(field, d, basis)
