@@ -77,8 +77,9 @@ def pi(masks: Sequence[int], n_points: int, k: int) -> int:
     return best
 
 
-def _rho_search(masks: Sequence[int], n_points: int):
-    """rec(s, d): rho of the subfamily s at depth d, over one shared memo.
+def _rho_search(cols: list):
+    """rec(s, d): rho of the subfamily s at depth d, over one shared memo
+    and the column bitsets cols of _columns.
 
     Recursion: at depth 0 a lone leaf is well-labeled iff the subfamily
     is nonempty; otherwise the best root point splits it and the two
@@ -86,7 +87,6 @@ def _rho_search(masks: Sequence[int], n_points: int):
     depth d has at most min(s, 2^d) such leaves, so a node stops once
     it reaches that.
     """
-    cols = _columns(masks, n_points)
     memo: dict = {}
 
     def rec(s: int, d: int) -> int:
@@ -95,7 +95,7 @@ def _rho_search(masks: Sequence[int], n_points: int):
         if d == 0:
             return 1
         size = s.bit_count()
-        if size == 1 and n_points > 0:
+        if size == 1 and cols:
             return 1  # label every node with any point; one consistent path
         key = (s, d)
         cached = memo.get(key)
@@ -129,14 +129,19 @@ def ldim(masks: Sequence[int], n_points: int) -> int:
     tree leaves one of depth r-1.  Each member labels at most one
     well-labeled leaf, so no r with 2^r > len(masks) is tried.
     """
-    rec = _rho_search(masks, n_points)
-    full = (1 << len(masks)) - 1
+    return _full_depth(_rho_search(_columns(masks, n_points)), len(masks))
+
+
+def _full_depth(rec, members: int) -> int:
+    """ldim read off a search rec over a family of that many members:
+    the deepest depth at which rec fills every leaf."""
+    full = (1 << members) - 1
     depth = 0
-    while 2 << depth <= len(masks) and rec(full, depth + 1) == 2 << depth:
+    while 2 << depth <= members and rec(full, depth + 1) == 2 << depth:
         depth += 1
     return depth
 
 
 def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
     """Max number of well-labeled leaves over depth-`depth` trees."""
-    return _rho_search(masks, n_points)((1 << len(masks)) - 1, depth)
+    return _rho_search(_columns(masks, n_points))((1 << len(masks)) - 1, depth)

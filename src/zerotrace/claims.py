@@ -36,7 +36,7 @@ from .constructions import (
     shattered_set,
 )
 from .errors import BudgetExhaustedError, StreamExhaustedError, ZerotraceError
-from .exactalg import QQ, PrimeField, Vector, basis_vector, dot, in_span, rank
+from .exactalg import QQ, PrimeField, Vector, basis_vector, dot, in_span, rank, zero_mask
 from .instances import (
     conics,
     ellipse_carrier,
@@ -243,14 +243,11 @@ def check_shattered_set(ctx: CheckContext) -> dict:
         db, sample = _dual_sample(ctx, inst)
         ss = shattered_set(db)
         d = inst.d
-        zero = inst.field.zero
+        images = [inst.image(p) for p in ss.points]
         for trace_bits in range(1 << (d - 1)):
             trace = {i for i in range(d - 1) if trace_bits >> i & 1}
-            witness = ss.witness_for_trace(trace)
-            got = {
-                i for i in range(d - 1) if dot(witness, inst.image(ss.points[i])) == zero
-            }
-            assert got == trace, f"{inst.name}: subset {sorted(trace)} realized {sorted(got)}"
+            got = zero_mask(ss.witness_for_trace(trace), images)
+            assert got == trace_bits, f"{inst.name}: subset {sorted(trace)} realized {bin(got)}"
         fam = _enumerated(ctx, sample).to_set_family()
         front = (1 << (d - 1)) - 1
         assert shatters(fam, front), f"{inst.name}: enumerated family misses a subset"
@@ -373,11 +370,7 @@ def check_grid_trace_count(ctx: CheckContext) -> dict:
     masks = {z.mask for z in fam.sets}
     for j0 in range(4):
         for j1 in range(4):
-            w = grid_witness(QQ, 3, (j0, j1))
-            mask = 0
-            for idx, img in enumerate(sample.images):
-                if dot(w, img) == QQ.zero:
-                    mask |= 1 << idx
+            mask = zero_mask(grid_witness(QQ, 3, (j0, j1)), sample.images)
             assert mask in masks, f"designed witness ({j0},{j1}) trace missing"
     return {"points": 8, "traces": count, "lower_bound": 16}
 

@@ -53,7 +53,7 @@ from .littlestone import (
     tree_to_json,
     vc_profile,
 )
-from .maximality import cover_from_instance, cover_to_json
+from .maximality import cover_from_instance, cover_from_json, cover_to_json
 from .setsystem import MAX_POINTS, family_to_json, pi, restrict, vcdim
 from .zerosets import (
     DEFAULT_BUDGET,
@@ -113,6 +113,14 @@ class RunConfig:
 
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _round_tripped(blob, reparse, what: str) -> str:
+    """blob's canonical text, checked to come back byte for byte through reparse."""
+    text = _canonical(blob)
+    if _canonical(reparse(json.loads(text))) != text:
+        raise AssertionError(f"{what} export is not canonical")
+    return text
 
 
 def _load_instance(cfg: RunConfig):
@@ -332,15 +340,17 @@ def cmd_export(cfg: RunConfig) -> dict:
     fam = zfam.to_set_family()
     written["family_sets.json"] = _canonical(family_to_json(fam))
 
-    tree = ldim_witness(fam)
-    tree_blob = tree_to_json(tree)
-    reparsed = tree_from_json(json.loads(_canonical(tree_blob)), fam)
-    if _canonical(tree_to_json(reparsed)) != _canonical(tree_blob):
-        raise AssertionError("tree export is not canonical")
-    written["tree.json"] = _canonical(tree_blob)
-
+    written["tree.json"] = _round_tripped(
+        tree_to_json(ldim_witness(fam)),
+        lambda data: tree_to_json(tree_from_json(data, fam)),
+        "tree",
+    )
     if inst.cover_subspaces is not None:
-        written["cover.json"] = _canonical(cover_to_json(cover_from_instance(inst)))
+        written["cover.json"] = _round_tripped(
+            cover_to_json(cover_from_instance(inst)),
+            lambda data: cover_to_json(cover_from_json(data)),
+            "cover",
+        )
 
     rows, sampling, _ = _shatter_rows(inst, cfg)
     written["shatter.csv"] = _rows_to_csv(rows)

@@ -28,7 +28,7 @@ from itertools import combinations, islice
 from math import comb
 
 from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
-from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis
+from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis, zero_mask
 from .littlestone import MAX_DEPTH, LabeledTree
 from .setsystem import MAX_POINTS, GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
@@ -245,11 +245,11 @@ def subset_witness(seq: IndependenceSequence, indices) -> Vector:
     if len(kernel) != 1:
         raise AssertionError("kernel of d-1 independent rows must be a line")
     witness = kernel[0]
-    zero = seq.instance.field.zero
-    for i, v in enumerate(seq.images):
-        expected_zero = i in indices
-        if (dot(witness, v) == zero) != expected_zero:
-            raise AssertionError(f"witness fails separation at sequence index {i}")
+    wrong = zero_mask(witness, seq.images) ^ sum(1 << i for i in indices)
+    if wrong:
+        raise AssertionError(
+            f"witness fails separation at sequence index {(wrong & -wrong).bit_length() - 1}"
+        )
     return witness
 
 
@@ -269,17 +269,13 @@ def max_vc_trace(seq: IndependenceSequence, n: int) -> ZeroSetFamily:
             f"sequence holds {len(seq.points)} points, padding needs {needed}"
         )
     sample = Sample.take(inst, seq.points[:n])
-    zero = inst.field.zero
     sets = []
     seen = set()
     for size in range(min(d, n + 1)):
         for subset in combinations(range(n), size):
             padded = list(subset) + list(range(n, n + (d - 1 - size)))
             witness = subset_witness(seq, padded)
-            mask = 0
-            for i in range(n):
-                if dot(witness, seq.images[i]) == zero:
-                    mask |= 1 << i
+            mask = zero_mask(witness, seq.images[:n])
             expected = 0
             for i in subset:
                 expected |= 1 << i
@@ -390,15 +386,10 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
     tree = LabeledTree(depth=n)
     witnesses: dict = {}  # ordered js tuple -> family index
     family_sets: list = []
-    zero = field.zero
 
     def trace_of(js: tuple) -> ZeroSet:
         witness = grid_witness(field, d, js)
-        mask = 0
-        for idx, img in enumerate(sample.images):
-            if dot(witness, img) == zero:
-                mask |= 1 << idx
-        return ZeroSet(mask, witness)
+        return ZeroSet(zero_mask(witness, sample.images), witness)
 
     for value in range(1 << n):
         tau = format(value, f"0{n}b") if n else ""

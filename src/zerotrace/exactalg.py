@@ -12,10 +12,12 @@ answered by one echelon form, ``Span``.  Its canonical basis and
 nullspace depend only on the subspace, never on the order of the input
 vectors, so witnesses built from them are stable.
 
-``Span`` rows and ``dot`` sums are plain ints: residues over F_p,
-integer multiples over Q.  ``Fraction`` and ``FpElement`` values appear
-only at the API boundary, where a vector is converted once on entry and
-a canonical row, kernel vector or inner product is built once on exit.
+``Span`` rows, ``dot`` sums and ``zero_mask`` tests are plain ints:
+residues over F_p, integer multiples over Q.  ``Fraction`` and
+``FpElement`` values appear only at the API boundary, where a vector is
+converted once on entry and a canonical row, kernel vector, normalized
+witness or inner product is built once on exit.  No other module reads
+the ints behind a field element.
 """
 
 from __future__ import annotations
@@ -347,11 +349,9 @@ def projective_normalize(v: Vector) -> Vector:
     This is the canonical representative of the line through v, used
     for witness vectors so that reports and JSON exports are stable.
     """
-    zero = v.field.zero
-    for entry in v.entries:
-        if entry != zero:
-            return v.scale(v.field.one / entry)
-    raise InvalidInputError("cannot normalize the zero vector")
+    if v.is_zero():
+        raise InvalidInputError("cannot normalize the zero vector")
+    return _unit_lead(v.field, _int_row(v))
 
 
 def _int_row(v: Vector) -> list:
@@ -363,6 +363,54 @@ def _int_row(v: Vector) -> list:
     nums, _ = _over_common_denominator(v.entries)
     g = gcd(*nums)
     return [n // g for n in nums] if g > 1 else nums
+
+
+def _int_columns(vectors: Sequence[Vector]) -> list:
+    """Vectors of one field and width as int tuples, all scaled by one
+    positive constant: residues over F_p, or over Q the vectors times
+    the least common denominator of all their entries."""
+    if isinstance(vectors[0].field, PrimeField):
+        return [tuple(x.value for x in v.entries) for v in vectors]
+    width = len(vectors[0])
+    nums, _ = _over_common_denominator([x for v in vectors for x in v.entries])
+    return [tuple(nums[i : i + width]) for i in range(0, len(nums), width)]
+
+
+def _line_point(row, p: int) -> tuple:
+    """Canonical point of the line through a nonzero int row: first
+    nonzero entry 1 mod p (p > 0; entries already residues), or coprime
+    ints with a positive first nonzero entry (p == 0)."""
+    lead = next(x for x in row if x)
+    if p:
+        inv = pow(lead, -1, p)
+        return tuple([x * inv % p for x in row])
+    g = gcd(*row) if lead > 0 else -gcd(*row)
+    return tuple([x // g for x in row])
+
+
+def _unit_lead(field: Field, row) -> Vector:
+    """The vector with first nonzero entry 1 on the line through a
+    nonzero int row, each entry built once.  Over F_p the entries are
+    read mod p; over Q the row may be any nonzero multiple."""
+    if isinstance(field, PrimeField):
+        point = _line_point([x % field.p for x in row], field.p)
+        return Vector(field, tuple(FpElement(field, x) for x in point))
+    lead = next(x for x in row if x)
+    return Vector(field, tuple(Fraction(x, lead) for x in row))
+
+
+def zero_mask(a: Vector, vectors: Iterable[Vector]) -> int:
+    """Bit i set iff a . vectors[i] == 0.  a is converted to ints once,
+    each vector after the same field and width checks as in dot."""
+    row = _int_row(a)
+    p = a.field.p if isinstance(a.field, PrimeField) else 0
+    mask = 0
+    for i, v in enumerate(vectors):
+        a._check(v)
+        total = sum(map(mul, row, _int_row(v)))
+        if not (total % p if p else total):
+            mask |= 1 << i
+    return mask
 
 
 class Span:
@@ -432,16 +480,7 @@ class Span:
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
-        p = self._p
-        if p:
-            inv = pow(residual[pivot], -1, p)
-            residual = [a * inv % p for a in residual]
-        else:
-            g = gcd(*residual)
-            if residual[pivot] < 0:
-                g = -g
-            if g != 1:
-                residual = [a // g for a in residual]
+        residual = _line_point(residual, self._p)
         at = bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self._rows.insert(at, residual)

@@ -30,7 +30,11 @@ from .exactalg import (
     field_to_json,
 )
 from .setsystem import MAX_POINTS
-from .zerosets import Instance, Sample
+from .zerosets import Instance, Sample, point_from_json
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def integer_spiral() -> Iterator[int]:
@@ -214,6 +218,8 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         raise InvalidInputError("plane-union instance needs d >= 2")
 
     def evaluate(point):
+        if not (isinstance(point, tuple) and len(point) == 3 and all(map(_is_int, point))):
+            raise InvalidInputError(f"plane-union point {point!r} is not an integer triple")
         i, s, t = point
         if not 0 <= i < d - 1:
             raise InvalidInputError(f"plane index {i} out of range")
@@ -262,6 +268,8 @@ def two_lines() -> Instance:
     field = QQ
 
     def evaluate(x):
+        if not _is_int(x):
+            raise InvalidInputError(f"two_lines point {x!r} is not an integer")
         if x % 2 == 0:
             return Vector.make(field, (x, 0))
         return Vector.make(field, (0, x))
@@ -391,6 +399,5 @@ def sample_from_spec(instance: Instance, spec: dict, *, default_prefix: int) -> 
     if "points" in part:
         if not isinstance(part["points"], list):
             raise InvalidInputError("sample 'points' must be a list")
-        points = [tuple(p) if isinstance(p, list) else p for p in part["points"]]
-        return Sample.take(instance, points)
+        return Sample.take(instance, [point_from_json(p) for p in part["points"]])
     raise InvalidInputError("'sample' needs 'prefix' or 'points'")

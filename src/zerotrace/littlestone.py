@@ -108,11 +108,10 @@ def ldim_witness(fam: SetFamily) -> LabeledTree:
     """
     if not fam.masks:
         raise InvalidInputError("empty family has no witness tree")
-    n = fam.ground.size
-    depth = _kernels.ldim(fam.masks, n)
+    cols = _kernels._columns(fam.masks, fam.ground.size)
+    rec = _kernels._rho_search(cols)
+    depth = _kernels._full_depth(rec, len(fam.masks))
     tree = LabeledTree(depth=depth)
-    rec = _kernels._rho_search(fam.masks, n)
-    cols = _kernels._columns(fam.masks, n)
 
     def build(prefix: str, s: int, r: int) -> None:
         if r == 0:
@@ -240,7 +239,7 @@ def littlestone_profile(
         raise ResourceLimitError(f"rho depth {depth_cap + 1} exceeds cap {depth_cap}")
     if not fam.masks:
         return ShatterProfile("littlestone", (0,) * (n_max + 1))
-    rec = _kernels._rho_search(fam.masks, fam.ground.size)
+    rec = _kernels._rho_search(_kernels._columns(fam.masks, fam.ground.size))
     full = (1 << len(fam.masks)) - 1
     return ShatterProfile("littlestone", tuple(rec(full, n) for n in range(n_max + 1)))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,11 +28,15 @@ from .exactalg import (
     PrimeField,
     Span,
     Vector,
+    _int_columns,
     _int_row,
+    _line_point,
+    _unit_lead,
     dot,
     in_span,
     nullspace_basis,
     projective_normalize,
+    zero_mask,
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
@@ -250,8 +253,7 @@ def linearly_independent(
         )
     kernel = nullspace_basis(inst.field, inst.d, basis)
     witness = projective_normalize(kernel[0])
-    zero = inst.field.zero
-    if all(dot(witness, v) == zero for v in streamed):
+    if zero_mask(witness, streamed) == (1 << len(streamed)) - 1:
         kind = "dependent"
     else:
         kind = "inconclusive"
@@ -336,48 +338,26 @@ def _closure(images: Sequence[Vector], basis: list) -> int:
     return mask
 
 
-def _quotient_rows(field: Field, ints: list, kernel: Sequence[Vector], mask: int) -> dict:
+def _quotient_rows(p: int, ints: list, cols: list, mask: int) -> dict:
     """Row M[i] = (v_i . k)_k, k in kernel, for every image i outside mask.
 
     The kernel is the nullspace of W, so v -> (v . k)_k has kernel
     exactly W: M[i] is nonzero off the closure, and v_i lies in
-    W + <v_j> iff M[i] is parallel to M[j].  Over Q the kernel is scaled
-    by one common denominator, which scales every row by the same
-    positive constant.
+    W + <v_j> iff M[i] is parallel to M[j].  cols is the kernel as ints
+    (see exactalg._int_columns); over Q its common positive scale
+    scales every row by the same positive constant.
     """
-    if isinstance(field, PrimeField):
-        p = field.p
-        cols = [tuple(x.value for x in k.entries) for k in kernel]
-        return {
-            i: tuple(sum(map(mul, v, k)) % p for k in cols)
-            for i, v in enumerate(ints)
-            if not mask >> i & 1
-        }
-    den = lcm(*(x.denominator for k in kernel for x in k.entries))
-    cols = [tuple(x.numerator * (den // x.denominator) for x in k.entries) for k in kernel]
     return {
-        i: tuple(sum(map(mul, v, k)) for k in cols)
+        i: tuple(sum(map(mul, v, k)) % p if p else sum(map(mul, v, k)) for k in cols)
         for i, v in enumerate(ints)
         if not mask >> i & 1
     }
 
 
-def _line_key(row: tuple, p: int) -> tuple:
-    """Canonical point of the line through a nonzero row: first nonzero
-    entry 1 mod p (p > 0), or coprime ints with a positive first nonzero
-    entry (p == 0)."""
-    lead = next(x for x in row if x)
-    if p:
-        inv = pow(lead, -1, p)
-        return tuple(x * inv % p for x in row)
-    g = gcd(*row) if lead > 0 else -gcd(*row)
-    return tuple(x // g for x in row)
-
-
 def _child_closures(mask: int, rows: dict, p: int) -> dict:
     """Closure of W + <v_j> for every image j outside the closure mask of
     W, from one grouping of the quotient rows by line."""
-    keys = {i: _line_key(row, p) for i, row in rows.items()}
+    keys = {i: _line_point(row, p) for i, row in rows.items()}
     classes: dict = {}
     for i, key in keys.items():
         classes[key] = classes.get(key, mask) | 1 << i
@@ -416,14 +396,6 @@ def _search_coefficients(p: int, r: int, rows) -> Optional[tuple]:
     raise ResourceLimitError("rational witness search exceeded its safety cap")
 
 
-def _combine(kernel: Sequence[Vector], coeffs: tuple) -> Vector:
-    """The exact vector sum_k coeffs[k] * kernel[k]."""
-    acc = kernel[0].scale(coeffs[0])
-    for c, k in zip(coeffs[1:], kernel[1:]):
-        acc = acc + k.scale(c)
-    return acc
-
-
 def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     """Trace family via the span-closure lattice (any field).
 
@@ -441,7 +413,8 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     Per flat, the images outside T(W) are mapped once into quotient
     coordinates over plain ints (see _quotient_rows).  Both the child
     closures and the witness search read those rows; only the winning
-    coefficients are combined into an exact vector.
+    coefficients are combined over the int kernel and boxed into field
+    elements, once per trace.
     """
     inst = sample.instance
     field = inst.field
@@ -458,11 +431,12 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
         visited += 1
         if visited > MAX_FLATS:
             raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
-        kernel = nullspace_basis(field, inst.d, basis)
-        rows = _quotient_rows(field, ints, kernel, mask)
-        coeffs = _search_coefficients(p, len(kernel), rows.values())
+        cols = _int_columns(nullspace_basis(field, inst.d, basis))
+        rows = _quotient_rows(p, ints, cols, mask)
+        coeffs = _search_coefficients(p, len(cols), rows.values())
         if coeffs is not None:
-            found[mask] = ZeroSet(mask, projective_normalize(_combine(kernel, coeffs)))
+            witness = [sum(map(mul, coeffs, entries)) for entries in zip(*cols)]
+            found[mask] = ZeroSet(mask, _unit_lead(field, witness))
             if len(found) > MAX_SETS:
                 raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
         if len(basis) == inst.d - 1:
@@ -571,13 +545,14 @@ def point_to_json(point):
         isinstance(c, int) and not isinstance(c, bool) for c in point
     ):
         return list(point)
-    raise InvalidInputError(f"point {point!r} is not JSON-portable")
+    raise InvalidInputError(f"point {point!r} is not an integer or an integer tuple")
 
 
 def point_from_json(data):
-    if isinstance(data, list):
-        return tuple(data)
-    return data
+    """Inverse of point_to_json: an integer or a list of integers."""
+    point = tuple(data) if isinstance(data, list) else data
+    point_to_json(point)  # rejects every other JSON value
+    return point
 
 
 def family_bundle(zfam: ZeroSetFamily) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,27 @@ def test_export_is_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_export_round_trips_cover_json(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse = cli.cover_from_json
+    monkeypatch.setattr(cli, "cover_from_json", lambda data: parsed.append(data) or parse(data))
+    out_dir = tmp_path / "ok"
+    code, _, _ = run(capsys, "export", "--instance", "two_lines", "--n-max", "3", "--out", str(out_dir))
+    assert code == 0
+    assert parsed == [json.loads((out_dir / "cover.json").read_text())]
+
+    def lossy(data):  # drops the last covering subspace
+        cert = parse(data)
+        return type(cert)(field=cert.field, d=cert.d, subspaces=cert.subspaces[:-1])
+
+    monkeypatch.setattr(cli, "cover_from_json", lossy)
+    bad_dir = tmp_path / "bad"
+    code, _, err = run(capsys, "export", "--instance", "two_lines", "--n-max", "3", "--out", str(bad_dir))
+    assert code == 1
+    assert "cover export is not canonical" in err
+    assert not (bad_dir / "cover.json").exists()
+
+
 def test_export_requires_out(capsys):
     code, _, err = run(capsys, "export", "--instance", "two_lines")
     assert code == 3
@@ -320,6 +342,98 @@ def test_bad_sample_spec_exits_without_scanning(tmp_path, sample, code):
     )
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith("resource limit:" if code == 2 else "invalid input:")
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        ("moment_curve", [{"a": 1}]),
+        ("moment_curve", [[1, [2]]]),
+        ("high_vcden", [5]),
+        ("high_vcden", [[0, 1]]),
+        ("high_vcden", [[0, 1, "x"]]),
+        ("high_vcden", [[0, 1, True]]),
+        ("two_lines", [[1, 2]]),
+        ("two_lines", ["a"]),
+        ("two_lines", [1.5]),
+    ],
+    ids=str,
+)
+def test_malformed_sample_points_are_invalid_input(tmp_path, capsys, family, points):
+    path = tmp_path / "inst.json"
+    d = 2 if family == "two_lines" else 3
+    spec = {"field": "rational", "d": d, "family": {"builtin": family}, "sample": {"points": points}}
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "analyze", "--instance", str(path))
+    assert code == 3
+    assert err.startswith("invalid input:")
+
+
+_FUZZ_WORDS = ("", "x", "x^2", "1", "moment_curve", "high_vcden", "two_lines", "conics")
+
+
+def _fuzz_json(rng, depth=0):
+    """A small random JSON value: scalars of every type, nested lists and objects."""
+    kind = rng.randrange(7 if depth < 2 else 5)
+    if kind == 0:
+        return rng.randint(-3, 12)
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice(_FUZZ_WORDS)
+    if kind == 3:
+        return rng.choice((0.5, -1.0, 2.0))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return [_fuzz_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = ("builtin", "points", "prefix", "polynomials", "variables")
+    return {rng.choice(keys): _fuzz_json(rng, depth + 1) for _ in range(rng.randint(0, 2))}
+
+
+def _fuzz_spec(rng) -> dict:
+    """A spec whose family and sample parts are well formed, near misses or noise."""
+    field = rng.choice(("rational", {"prime": 3}, {"prime": 5}))
+    spec = {"field": field, "d": rng.choice((2, 3))}
+    r = rng.random()
+    if r < 0.5:
+        spec["family"] = {"builtin": rng.choice(_FUZZ_WORDS[4:] + ("ellipse_carrier",))}
+    elif r < 0.7:
+        polys = [rng.choice(("x", "x^2", "y", "1", "x*y")) for _ in range(rng.randint(1, 3))]
+        variables = rng.choice((["x"], ["x", "y"], _fuzz_json(rng, 1)))
+        spec["family"] = {"polynomials": polys, "variables": variables}
+    else:
+        spec["family"] = _fuzz_json(rng)
+
+    def point():
+        r = rng.random()
+        if r < 0.3:
+            return rng.randint(-4, 4)
+        if r < 0.7:
+            return [rng.randint(-2, 4) for _ in range(rng.choice((1, 2, 3, 3)))]
+        return _fuzz_json(rng, 1)
+
+    r = rng.random()
+    if r < 0.55:
+        spec["sample"] = {"points": [point() for _ in range(rng.randint(0, 6))]}
+    elif r < 0.75:
+        spec["sample"] = {"prefix": _fuzz_json(rng, 1)}
+    elif r < 0.9:
+        spec["sample"] = _fuzz_json(rng)
+    return spec
+
+
+def test_fuzzed_family_and_sample_specs_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(20211018)
+    path = tmp_path / "inst.json"
+    codes = set()
+    for _ in range(300):
+        spec = _fuzz_spec(rng)
+        path.write_text(json.dumps(spec))
+        code, _, _ = run(capsys, "analyze", "--instance", str(path), "--budget", "200", "--n-max", "2")
+        assert code in (0, 1, 2, 3), spec
+        codes.add(code)
+    assert {0, 3} <= codes
 
 
 def _write_spec(tmp_path, field):

@@ -31,6 +31,7 @@ from zerotrace.exactalg import (
     row_space_canonical,
     scalar_from_str,
     scalar_to_str,
+    zero_mask,
 )
 
 F3 = PrimeField(3)
@@ -431,3 +432,60 @@ def test_span_runs_without_fraction_arithmetic(monkeypatch):
     assert row_space_canonical(rows) == canonical
     assert nullspace_basis(QQ, 4, rows) == kernel
     assert dot(rows[0], rows[1]) == Fraction(-24)
+
+
+def _small_vector(rng, field, width):
+    """Entries in -3..3 (over Q with denominators 1 to 3), so that dot
+    products vanish often."""
+    if isinstance(field, PrimeField):
+        return Vector(field, tuple(field.element(rng.randint(-3, 3)) for _ in range(width)))
+    return Vector(
+        field, tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(width))
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
+def test_zero_mask_matches_dot_per_vector(field):
+    rng = random.Random(1968)
+    outcomes = set()
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        a = _small_vector(rng, field, width)
+        vectors = [_small_vector(rng, field, width) for _ in range(rng.randint(0, 8))]
+        zeros = [_ref_dot(a, v) == field.zero for v in vectors]
+        outcomes.update(zeros)
+        assert zero_mask(a, vectors) == sum(1 << i for i, z in enumerate(zeros) if z)
+    assert outcomes == {True, False}
+
+
+def test_zero_mask_rejects_field_and_width_mismatch():
+    q2, f5 = Vector.make(QQ, (1, 2)), Vector.make(F5, (1, 2))
+    assert zero_mask(q2, []) == 0
+    for a, vectors in ((q2, [q2, f5]), (f5, [Vector.make(F7, (1, 2))]), (q2, [(1, 2)])):
+        with pytest.raises(FieldMismatchError):
+            zero_mask(a, vectors)
+    for a, vectors in ((q2, [Vector.make(QQ, (1, 2, 3))]), (f5, [Vector.make(F5, (1,))])):
+        with pytest.raises(DimensionMismatchError):
+            zero_mask(a, vectors)
+
+
+def _ref_projective_normalize(v):
+    lead = next(x for x in v.entries if x != v.field.zero)
+    inverse = v.field.one / lead
+    return Vector(v.field, tuple(x * inverse for x in v.entries))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
+def test_projective_normalize_matches_scale_by_inverse(field):
+    rng = random.Random(1968)
+    entry_type = FpElement if isinstance(field, PrimeField) else Fraction
+    for _ in range(300):
+        v = _small_vector(rng, field, rng.randint(1, 6))
+        if v.is_zero():
+            with pytest.raises(InvalidInputError):
+                projective_normalize(v)
+            continue
+        got, expected = projective_normalize(v), _ref_projective_normalize(v)
+        assert got == expected
+        assert [scalar_to_str(x) for x in got] == [scalar_to_str(x) for x in expected]
+        assert all(type(x) is entry_type for x in got)

@@ -115,6 +115,15 @@ def test_two_lines_images_alternate():
     assert inst.cover_subspaces is not None
 
 
+def test_evaluators_reject_descriptors_of_the_wrong_shape():
+    for point in (5, (0, 1), (0, 1, "x"), (0, 1.5, 1), (0, True, 1), [0, 1, 1]):
+        with pytest.raises(InvalidInputError):
+            high_vcden(3).image(point)
+    for point in ((1, 2), "a", 1.5, True):
+        with pytest.raises(InvalidInputError):
+            two_lines().image(point)
+
+
 def test_conics_and_ellipse_shapes():
     assert conics().d == 6
     assert ellipse_carrier().d == 5

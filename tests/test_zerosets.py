@@ -18,6 +18,7 @@ from zerotrace.exactalg import (
     PrimeField,
     Span,
     Vector,
+    _int_columns,
     _int_row,
     dot,
     in_span,
@@ -214,6 +215,24 @@ def test_flats_match_reference_walk(monkeypatch, field):
         assert visited["n"] == len(closures) <= reference_work
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+def test_walk_pins_its_benchmark_counted_calls(monkeypatch, field):
+    """The root closure makes the walk's only in_span calls, one per
+    image; after it, every flat asks for exactly one kernel."""
+    calls = []
+    for name in ("nullspace_basis", "in_span"):
+        real = getattr(zerosets, name)
+        monkeypatch.setattr(
+            zerosets, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
+    for sample in _walk_samples(field):
+        _, closures, _ = _reference_flats(sample)
+        calls.clear()
+        enumerate_family_flats(sample)
+        n = len(sample.images)
+        assert calls == ["in_span"] * n + ["nullspace_basis"] * len(closures)
+
+
 def _explicit_sample(field, rows):
     """Sample whose i-th point has exactly the image rows[i]."""
     vectors = [Vector.make(field, row) for row in rows]
@@ -262,7 +281,7 @@ def test_class_grouped_child_closures_match_span_closures(field):
         for mask, basis in flats.items():
             kernel = nullspace_basis(field, d, basis)
             children = zerosets._child_closures(
-                mask, zerosets._quotient_rows(field, ints, kernel, mask), p
+                mask, zerosets._quotient_rows(p, ints, _int_columns(kernel), mask), p
             )
             off = [j for j in range(len(images)) if not mask >> j & 1]
             assert sorted(children) == off
@@ -358,6 +377,9 @@ def test_point_json_round_trip():
         point_to_json(True)
     with pytest.raises(InvalidInputError):
         point_to_json("x")
+    for data in ({"a": 1}, [1, [2]], "x", 1.5, True, [0, False], None):
+        with pytest.raises(InvalidInputError):
+            point_from_json(data)
 
 
 def test_bundle_round_trip_and_reverification():
