@@ -175,7 +175,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
             "values": {"pi": pis, "rho": rhos},
         },
     ]
-    if verdict.kind == "independent":
+    if sample_kind == "dual-basis":
         assertions.append(
             {
                 "assertion": "vcdim(fam) == ldim(fam) == d-1 on the dual-point sample",

@@ -28,7 +28,17 @@ from itertools import combinations, islice
 from math import comb
 
 from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
-from .exactalg import Field, Span, Vector, basis_vector, dot, in_span, nullspace_basis, zero_mask
+from .exactalg import (
+    Field,
+    Span,
+    Vector,
+    _vector_of_ints,
+    basis_vector,
+    dot,
+    in_span,
+    nullspace_basis,
+    zero_mask,
+)
 from .littlestone import MAX_DEPTH, LabeledTree
 from .setsystem import MAX_POINTS, GroundSet, SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
@@ -48,7 +58,7 @@ def index_growth(j: int, field: Field):
     """
     if j < 0:
         raise InvalidInputError("column index must be >= 0")
-    value = field.from_int(j + 1)
+    value = field.element(j + 1)
     if value == field.zero:
         raise InvalidInputError(f"column injection collapsed at j={j} (field too small)")
     return value
@@ -300,9 +310,11 @@ def grid_point(field: Field, d: int, i: int, j: int) -> Vector:
     """c_(i,j) = e_0 + g(j) * e_(i+1): column j on plane i."""
     if not 0 <= i < d - 1:
         raise InvalidInputError(f"plane index {i} out of range for d={d}")
-    return basis_vector(field, d, 0) + basis_vector(field, d, i + 1).scale(
-        index_growth(j, field)
-    )
+    index_growth(j, field)  # rejects a column the field collapses to 0
+    ints = [0] * d
+    ints[0] = 1
+    ints[i + 1] = j + 1
+    return _vector_of_ints(field, ints)
 
 
 def grid_witness(field: Field, d: int, js) -> Vector:

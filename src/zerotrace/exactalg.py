@@ -13,21 +13,24 @@ nullspace depend only on the subspace, never on the order of the input
 vectors, so witnesses built from them are stable.
 
 ``Span`` rows, ``dot`` sums and ``zero_mask`` tests are plain ints:
-residues over F_p, integer multiples over Q.  ``Fraction`` and
-``FpElement`` values appear only at the API boundary, where a vector is
-converted once on entry and a canonical row, kernel vector, normalized
-witness or inner product is built once on exit.  No other module reads
-the ints behind a field element.
+residues over F_p, integer multiples over Q.  Each ``Vector`` carries its
+int row, built at most once: alongside the entries when the vector is
+made from ints (``_vector_of_ints``, as the instance evaluators do), or
+from the entries on first use.  ``Fraction`` and ``FpElement`` values
+appear only at the API boundary, where a canonical row, kernel vector,
+normalized witness or inner product is built once on exit.  No other
+module reads the ints behind a field element.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidInputError
 
@@ -68,8 +71,6 @@ class PrimeField:
     # -- element construction ------------------------------------------
     def element(self, value: int) -> "FpElement":
         return FpElement(self, value % self.p)
-
-    from_int = element
 
     @property
     def zero(self) -> "FpElement":
@@ -202,9 +203,6 @@ class RationalField:
     def element(self, numerator, denominator=1) -> Fraction:
         return Fraction(numerator, denominator)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
@@ -265,12 +263,19 @@ def scalar_from_str(field: Field, text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vector:
-    """Immutable fixed-width vector with a field tag."""
+    """Immutable fixed-width vector with a field tag.
+
+    _row caches the vector's int row (see _int_row); it takes no part in
+    equality, hashing or repr.
+    """
 
     field: Field
     entries: tuple
+    _row: Optional[tuple] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @staticmethod
     def make(field: Field, values: Iterable) -> "Vector":
@@ -316,9 +321,7 @@ class Vector:
 def basis_vector(field: Field, width: int, index: int) -> Vector:
     if not 0 <= index < width:
         raise DimensionMismatchError(f"basis index {index} out of range for width {width}")
-    entries = [field.zero] * width
-    entries[index] = field.one
-    return Vector(field, tuple(entries))
+    return _vector_of_ints(field, [int(k == index) for k in range(width)])
 
 
 def _over_common_denominator(entries: tuple) -> tuple:
@@ -354,15 +357,40 @@ def projective_normalize(v: Vector) -> Vector:
     return _unit_lead(v.field, _int_row(v))
 
 
-def _int_row(v: Vector) -> list:
+def _int_row(v: Vector) -> tuple:
     """v as plain ints: its residues over F_p, or over Q its primitive
     integer multiple.  Over Q that is a positive rescaling, so neither
-    the zero pattern nor the line through v changes."""
-    if isinstance(v.field, PrimeField):
-        return [x.value for x in v.entries]
-    nums, _ = _over_common_denominator(v.entries)
+    the zero pattern nor the line through v changes.  Built once per
+    vector and cached on it."""
+    row = v._row
+    if row is None:
+        if isinstance(v.field, PrimeField):
+            row = tuple([x.value for x in v.entries])
+        else:
+            row = _primitive(_over_common_denominator(v.entries)[0])
+        object.__setattr__(v, "_row", row)
+    return row
+
+
+def _primitive(nums) -> tuple:
+    """Integers divided by their gcd (unchanged when it is 0 or 1)."""
     g = gcd(*nums)
-    return [n // g for n in nums] if g > 1 else nums
+    return tuple([n // g for n in nums] if g > 1 else nums)
+
+
+def _vector_of_ints(field: Field, ints) -> Vector:
+    """The vector with these integer entries, read mod p over F_p.  Its
+    int row is built from the ints at the same time, so it is never read
+    back from the entries."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        row = tuple([x % p for x in ints])
+        v = Vector(field, tuple([FpElement(field, x) for x in row]))
+    else:
+        v = Vector(field, tuple(map(Fraction, ints)))
+        row = _primitive(ints)
+    object.__setattr__(v, "_row", row)
+    return v
 
 
 def _int_columns(vectors: Sequence[Vector]) -> list:
@@ -393,21 +421,31 @@ def _unit_lead(field: Field, row) -> Vector:
     nonzero int row, each entry built once.  Over F_p the entries are
     read mod p; over Q the row may be any nonzero multiple."""
     if isinstance(field, PrimeField):
-        point = _line_point([x % field.p for x in row], field.p)
-        return Vector(field, tuple(FpElement(field, x) for x in point))
+        return _vector_of_ints(field, _line_point([x % field.p for x in row], field.p))
     lead = next(x for x in row if x)
-    return Vector(field, tuple(Fraction(x, lead) for x in row))
+    v = Vector(field, tuple(Fraction(x, lead) for x in row))
+    object.__setattr__(v, "_row", _line_point(row, 0))
+    return v
 
 
 def zero_mask(a: Vector, vectors: Iterable[Vector]) -> int:
-    """Bit i set iff a . vectors[i] == 0.  a is converted to ints once,
-    each vector after the same field and width checks as in dot."""
+    """Bit i set iff a . vectors[i] == 0.  Each vector is read as its int
+    row after the same field and width checks as in dot."""
+    rows = []
+    for v in vectors:
+        a._check(v)
+        rows.append(_int_row(v))
+    return _rows_zero_mask(a, rows)
+
+
+def _rows_zero_mask(a: Vector, rows: Iterable) -> int:
+    """Bit i set iff a . rows[i] == 0, for int rows (see _int_row) of
+    vectors over a's field and of a's width."""
     row = _int_row(a)
     p = a.field.p if isinstance(a.field, PrimeField) else 0
     mask = 0
-    for i, v in enumerate(vectors):
-        a._check(v)
-        total = sum(map(mul, row, _int_row(v)))
+    for i, r in enumerate(rows):
+        total = sum(map(mul, row, r))
         if not (total % p if p else total):
             mask |= 1 << i
     return mask
@@ -460,7 +498,7 @@ class Span:
                 row = [lead * a - c * b for a, b in zip(row, r)]
         return row
 
-    def _row_of(self, v: Vector) -> list:
+    def _row_of(self, v: Vector) -> tuple:
         """v's plain-int row, once it has passed the field and width checks."""
         if not isinstance(v, Vector):
             raise FieldMismatchError(f"expected Vector, got {v!r}")
@@ -506,10 +544,7 @@ class Span:
         """Reduced row-echelon basis, in pivot order."""
         field = self.field
         if self._p:  # every pivot entry is already 1
-            return tuple(
-                Vector(field, tuple(FpElement(field, a) for a in row))
-                for row, _ in self._reduced_rows()
-            )
+            return tuple(_vector_of_ints(field, row) for row, _ in self._reduced_rows())
         return tuple(
             Vector(field, tuple(Fraction(a, lead) for a in row))
             for row, lead in self._reduced_rows()

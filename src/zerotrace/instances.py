@@ -11,6 +11,11 @@ Polynomial instances accept expressions in named variables built from
 integer literals, +, -, *, and nonnegative integer powers (either ** or
 ^); they are validated as an AST whitelist and evaluated exactly over
 the instance field.
+
+Every evaluator here takes integer point descriptors and computes in
+ints: exact integers over Q, residues over F_p (powers taken mod p).
+exactalg._vector_of_ints turns the result into the image vector and its
+int row at once.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .exactalg import (
     Field,
     PrimeField,
     QQ,
-    Vector,
+    _vector_of_ints,
     basis_vector,
     field_from_json,
     field_to_json,
@@ -91,10 +96,28 @@ def _validate_poly_ast(node: ast.AST, variables: Sequence[str]) -> None:
         raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
 
 
-def compile_polynomial(text: str, variables: Sequence[str]):
+class _PowersModP(ast.NodeTransformer):
+    """Rewrites every a ** k as a.__pow__(k, p): the power is reduced mod
+    p as it is taken, so none grows past p however large k is."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        method = ast.Attribute(value=node.left, attr="__pow__", ctx=ast.Load())
+        call = ast.Call(func=method, args=[node.right, ast.Constant(self.p)], keywords=[])
+        return ast.copy_location(call, node)
+
+
+def compile_polynomial(text: str, variables: Sequence[str], p: int = 0):
     """Compile one polynomial expression into an exact evaluator.
 
-    Returns a callable taking a dict of variable -> field element.
+    Returns a callable taking a dict of variable -> value: field elements
+    or ints.  With a prime p the values must be ints; powers are then
+    taken mod p, and the result is right mod p.
     """
     source = text.replace("^", "**")
     try:
@@ -102,10 +125,13 @@ def compile_polynomial(text: str, variables: Sequence[str]):
     except SyntaxError as exc:
         raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
     _validate_poly_ast(parsed, variables)
+    if p:
+        parsed = ast.fix_missing_locations(_PowersModP(p).visit(parsed))
     code = compile(parsed, f"<poly {text!r}>", "eval")
+    no_builtins = {"__builtins__": {}}
 
     def evaluate(env: dict):
-        return eval(code, {"__builtins__": {}}, dict(env))  # noqa: S307 - AST whitelisted
+        return eval(code, no_builtins, env)  # noqa: S307 - AST whitelisted
 
     return evaluate
 
@@ -122,15 +148,18 @@ def polynomial_instance(
         raise InvalidInputError(f"need exactly d={d} polynomials, got {len(polynomials)}")
     if not variables or len(set(variables)) != len(variables):
         raise InvalidInputError("variables must be a nonempty list of distinct names")
-    evaluators = [compile_polynomial(p, variables) for p in polynomials]
+    p = field.p if isinstance(field, PrimeField) else 0
+    evaluators = [compile_polynomial(text, variables, p) for text in polynomials]
     dims = len(variables)
 
     def evaluate(point):
         coords = point if isinstance(point, tuple) else (point,)
         if len(coords) != dims:
             raise InvalidInputError(f"point {point!r} has wrong arity, expected {dims}")
-        env = {v: field.from_int(c) for v, c in zip(variables, coords)}
-        return Vector(field, tuple(field.coerce(e(env)) for e in evaluators))
+        if not all(map(_is_int, coords)):
+            raise InvalidInputError(f"point {point!r} has a non-integer coordinate")
+        env = dict(zip(variables, [c % p for c in coords] if p else coords))
+        return _vector_of_ints(field, [e(env) for e in evaluators])
 
     def stream():
         if isinstance(field, PrimeField):
@@ -139,8 +168,8 @@ def polynomial_instance(
             pts = integer_spiral()
         else:
             pts = integer_shells(dims)
-        for p in pts:
-            yield p if dims > 1 else (p[0] if isinstance(p, tuple) else p)
+        for pt in pts:
+            yield pt if dims > 1 else (pt[0] if isinstance(pt, tuple) else pt)
 
     resolved_name = name or f"poly[{', '.join(polynomials)}]"
     spec = {
@@ -169,12 +198,14 @@ def moment_curve(d: int, field: Field = QQ) -> Instance:
     if d < 1:
         raise InvalidInputError("moment curve needs d >= 1")
 
+    p = field.p if isinstance(field, PrimeField) else 0
+
     def evaluate(x):
-        e = field.from_int(x) if isinstance(x, int) else field.coerce(x)
-        entries = [field.one]
-        for _ in range(d - 1):
-            entries.append(entries[-1] * e)
-        return Vector(field, tuple(entries))
+        if not _is_int(x):
+            raise InvalidInputError(f"moment curve point {x!r} is not an integer")
+        if p:
+            x %= p
+        return _vector_of_ints(field, [x**k for k in range(d)])
 
     def stream():
         if isinstance(field, PrimeField):
@@ -223,9 +254,10 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         i, s, t = point
         if not 0 <= i < d - 1:
             raise InvalidInputError(f"plane index {i} out of range")
-        return basis_vector(field, d, 0).scale(field.from_int(s)) + basis_vector(
-            field, d, i + 1
-        ).scale(field.from_int(t))
+        ints = [0] * d
+        ints[0] = s
+        ints[i + 1] = t
+        return _vector_of_ints(field, ints)
 
     def stream():
         if isinstance(field, PrimeField):
@@ -270,9 +302,7 @@ def two_lines() -> Instance:
     def evaluate(x):
         if not _is_int(x):
             raise InvalidInputError(f"two_lines point {x!r} is not an integer")
-        if x % 2 == 0:
-            return Vector.make(field, (x, 0))
-        return Vector.make(field, (0, x))
+        return _vector_of_ints(field, (x, 0) if x % 2 == 0 else (0, x))
 
     cover = ((basis_vector(field, 2, 0),), (basis_vector(field, 2, 1),))
     return Instance(

@@ -31,12 +31,12 @@ from .exactalg import (
     _int_columns,
     _int_row,
     _line_point,
+    _rows_zero_mask,
     _unit_lead,
     dot,
     in_span,
     nullspace_basis,
     projective_normalize,
-    zero_mask,
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
@@ -219,7 +219,8 @@ def linearly_independent(
     Success returns those points.  If the scan ends with image rank
     r < d, the nullspace of the accumulated span gives a candidate
     annihilator, which is re-verified against every streamed image
-    before the dependent verdict is issued.
+    before the dependent verdict is issued.  Only the distinct int rows
+    of the streamed images are kept for that check.
     """
     inst = instance
     if budget < inst.d:
@@ -227,12 +228,14 @@ def linearly_independent(
     span = Span()
     basis: list = []
     basis_points: list = []
-    streamed: list = []
+    rows: set = set()
+    scanned = 0
     exhausted = True
     stream = inst.stream()
     for point in islice(stream, budget):
         v = inst.image(point)
-        streamed.append(v)
+        scanned += 1
+        rows.add(_int_row(v))
         if span.add(v):
             basis.append(v)
             basis_points.append(point)
@@ -241,19 +244,19 @@ def linearly_independent(
                     kind="independent",
                     witness_points=tuple(basis_points),
                     witness_coeffs=None,
-                    scanned=len(streamed),
+                    scanned=scanned,
                     rank=inst.d,
                     stream_exhausted=False,
                 )
     else:
         exhausted = next(stream, None) is None  # islice stopped: budget or end?
-    if len(streamed) < inst.d:
+    if scanned < inst.d:
         raise StreamExhaustedError(
-            f"stream of {inst.name} yielded {len(streamed)} points, fewer than d={inst.d}"
+            f"stream of {inst.name} yielded {scanned} points, fewer than d={inst.d}"
         )
     kernel = nullspace_basis(inst.field, inst.d, basis)
     witness = projective_normalize(kernel[0])
-    if zero_mask(witness, streamed) == (1 << len(streamed)) - 1:
+    if _rows_zero_mask(witness, rows) == (1 << len(rows)) - 1:
         kind = "dependent"
     else:
         kind = "inconclusive"
@@ -261,7 +264,7 @@ def linearly_independent(
         kind=kind,
         witness_points=None,
         witness_coeffs=witness,
-        scanned=len(streamed),
+        scanned=scanned,
         rank=len(basis),
         stream_exhausted=exhausted,
     )

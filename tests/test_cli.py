@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,37 @@ def test_analyze_instance_spec_file(tmp_path, capsys):
     assert report["sample"]["kind"] == "spec"
     assert report["sample"]["points"] == [0, 1, 2]
     assert report["vcdim"] == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"field": "rational", "d": 2, "family": {"builtin": "two_lines"}, "sample": {"points": []}},
+        {"field": {"prime": 3}, "d": 3, "family": {"builtin": "moment_curve"}, "sample": {"points": [1]}},
+    ],
+    ids=["two_lines-empty", "moment_curve-f3-one-point"],
+)
+def test_spec_sample_too_small_to_shatter_is_no_failed_claim(tmp_path, capsys, spec):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "analyze", "--instance", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["sample"]["kind"] == "spec"
+    assert all("dual-point" not in a["assertion"] for a in report["assertions"])
+
+
+def test_huge_powers_over_a_prime_field_are_reduced_as_taken(tmp_path, capsys):
+    # 12^10000000 as a plain int has 36 million bits; mod 13 it is 12^4 = 1
+    family = {"polynomials": ["1", "x^10000000"]}
+    spec = {"field": {"prime": 13}, "d": 2, "family": family, "sample": {"points": [2, 12]}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "--instance", str(path))
+    assert code == 0
+    assert time.perf_counter() - start < 3.0
+    assert json.loads(out)["independence"]["kind"] == "independent"
 
 
 def test_non_utf8_config_and_spec_are_invalid_input(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Constructive machinery: dual bases, d-wise sequences, the plane grid."""
 
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
 
+from zerotrace import exactalg
 from zerotrace.constructions import (
     MAX_SUBSETS,
     binom_le,
@@ -21,10 +23,10 @@ from zerotrace.constructions import (
 )
 from zerotrace.errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
 from zerotrace.exactalg import QQ, PrimeField, Vector, dot, rank
-from zerotrace.instances import high_vcden, moment_curve, two_lines
+from zerotrace.instances import high_vcden, integer_spiral, moment_curve, polynomial_instance, two_lines
 from zerotrace.littlestone import count_well_labeled
 from zerotrace.setsystem import shatters, vcdim
-from zerotrace.zerosets import Sample, enumerate_family_flats
+from zerotrace.zerosets import Instance, Sample, enumerate_family_flats, linearly_independent
 
 
 def test_binom_le_table():
@@ -182,3 +184,44 @@ def test_grid_max_tree_counts():
 def test_grid_max_tree_respects_dimension_guard():
     with pytest.raises(InvalidInputError):
         grid_max_tree(moment_curve(3), 3)  # no grid structure on this instance
+
+
+def _boxed(name, d, values):
+    """An instance whose evaluator builds its images from boxed entries."""
+    return Instance(
+        name=name,
+        field=QQ,
+        d=d,
+        evaluate=lambda x: Vector.make(QQ, values(x)),
+        stream=integer_spiral,
+    )
+
+
+def test_each_image_is_converted_to_ints_at_most_once(monkeypatch):
+    converted = Counter()
+    original = exactalg._over_common_denominator
+
+    def counting(entries):
+        converted[tuple(entries)] += 1
+        return original(entries)
+
+    monkeypatch.setattr(exactalg, "_over_common_denominator", counting)
+    budget = 300
+    boxed_curve = _boxed("boxed_curve", 3, lambda x: (1, x, x * x))
+    boxed_pair = _boxed("boxed_pair", 2, lambda x: (x, 2 * x))
+    assert len(independence_sequence(boxed_curve, 9)) == 9
+    assert linearly_independent(boxed_pair, budget=budget).kind == "dependent"
+    images = {boxed_curve.image(x).entries for x in islice(integer_spiral(), 9)}
+    images |= {boxed_pair.image(x).entries for x in islice(integer_spiral(), budget)}
+    assert max(converted.values()) == 1
+    assert sum(converted[e] for e in images) == len(images)
+
+    # images built from ints carry their rows: none is converted at all
+    converted.clear()
+    int_curve = moment_curve(3)
+    int_pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    independence_sequence(int_curve, 9)
+    linearly_independent(int_pair, budget=budget)
+    images = {int_curve.image(x).entries for x in islice(integer_spiral(), 9)}
+    images |= {int_pair.image(x).entries for x in islice(integer_spiral(), budget)}
+    assert not images & set(converted)

@@ -91,7 +91,7 @@ def test_vector_arithmetic():
     w = Vector.make(QQ, (4, 5, 6))
     assert (v + w).entries == Vector.make(QQ, (5, 7, 9)).entries
     assert (w - v).entries == Vector.make(QQ, (3, 3, 3)).entries
-    assert v.scale(QQ.from_int(2)).entries == Vector.make(QQ, (2, 4, 6)).entries
+    assert v.scale(QQ.element(2)).entries == Vector.make(QQ, (2, 4, 6)).entries
     assert basis_vector(QQ, 3, 1).entries == Vector.make(QQ, (0, 1, 0)).entries
 
 
@@ -112,8 +112,8 @@ def test_vector_field_mismatch():
 )
 def test_dot_is_bilinear(a, b, c):
     va, vb = Vector.make(QQ, a), Vector.make(QQ, b)
-    scaled = dot(va.scale(QQ.from_int(c)), vb)
-    assert scaled == QQ.from_int(c) * dot(va, vb)
+    scaled = dot(va.scale(QQ.element(c)), vb)
+    assert scaled == QQ.element(c) * dot(va, vb)
     assert dot(va + vb, vb) == dot(va, vb) + dot(vb, vb)
 
 
@@ -320,7 +320,7 @@ def _wide_system(rng, field, width):
     shape = rng.randrange(4)
     if shape == 0 and rows:
         rows.append(rows[rng.randrange(len(rows))])
-        rows.append(rows[rng.randrange(len(rows))].scale(field.from_int(-1)))
+        rows.append(rows[rng.randrange(len(rows))].scale(field.element(-1)))
     elif shape == 1:
         rows.insert(rng.randint(0, len(rows)), Vector(field, (field.zero,) * width))
     elif shape == 2:  # triangular with a nonzero diagonal: full rank

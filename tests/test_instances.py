@@ -1,11 +1,13 @@
 """Built-in instances, polynomial compiler, spec round trips."""
 
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
+from zerotrace.constructions import grid_point, index_growth
 from zerotrace.errors import InvalidInputError
-from zerotrace.exactalg import QQ, PrimeField, Vector, rank
+from zerotrace.exactalg import QQ, PrimeField, Vector, _int_row, basis_vector, rank
 from zerotrace.instances import (
     builtin_help,
     builtin_names,
@@ -23,7 +25,7 @@ from zerotrace.instances import (
     sample_from_spec,
     two_lines,
 )
-from zerotrace.zerosets import Sample
+from zerotrace.zerosets import distinct_image_points
 
 F3 = PrimeField(3)
 
@@ -40,8 +42,8 @@ def test_integer_shells_cover_small_box():
 
 def test_compile_polynomial_evaluates_exactly():
     f = compile_polynomial("x^2 - 2*x + 1", ["x"])
-    env = {"x": QQ.from_int(3)}
-    assert f(env) == QQ.from_int(4)
+    env = {"x": QQ.element(3)}
+    assert f(env) == QQ.element(4)
     g = compile_polynomial("x*y + y**2", ["x", "y"])
     assert g({"x": F3.element(2), "y": F3.element(2)}) == F3.element(2)
 
@@ -122,6 +124,12 @@ def test_evaluators_reject_descriptors_of_the_wrong_shape():
     for point in ((1, 2), "a", 1.5, True):
         with pytest.raises(InvalidInputError):
             two_lines().image(point)
+    for point in ((1, 2), "a", 1.5, True, QQ.element(1, 2)):
+        with pytest.raises(InvalidInputError):
+            moment_curve(3).image(point)
+    for point in ((1,), (1, 2, 3), (1, 1.5), (True, 1), (1, F3.element(1))):
+        with pytest.raises(InvalidInputError):
+            conics().image(point)
 
 
 def test_conics_and_ellipse_shapes():
@@ -199,3 +207,114 @@ def test_sample_from_spec_forms():
     assert got.points == (5, -5)
     with pytest.raises(InvalidInputError):
         sample_from_spec(inst, {**spec, "sample": {}}, default_prefix=3)
+
+
+# ---------------------------------------------------------------------------
+# The int evaluators against boxed reference evaluators
+# ---------------------------------------------------------------------------
+
+FIELDS = [QQ, PrimeField(2), F3, PrimeField(13)]
+#: Two variables, a constant term in every polynomial but one, negative
+#: coefficients and a power past every test modulus.
+POLYNOMIALS = ["3 - x^2*y", "x*y - 2", "-(y^3) + x^14", "-5"]
+
+
+def _boxed_polynomials(field, texts, variables):
+    """Reference: the polynomials evaluated on field elements."""
+    evaluators = [compile_polynomial(t, variables) for t in texts]
+
+    def evaluate(point):
+        coords = point if isinstance(point, tuple) else (point,)
+        env = {v: field.element(c) for v, c in zip(variables, coords)}
+        return Vector.make(field, [e(env) for e in evaluators])
+
+    return evaluate
+
+
+def _boxed_moment_curve(field, d):
+    def evaluate(x):
+        e = field.element(x)
+        entries = [field.one]
+        for _ in range(d - 1):
+            entries.append(entries[-1] * e)
+        return Vector(field, tuple(entries))
+
+    return evaluate
+
+
+def _boxed_high_vcden(field, d):
+    def evaluate(point):
+        i, s, t = point
+        return basis_vector(field, d, 0).scale(field.element(s)) + basis_vector(
+            field, d, i + 1
+        ).scale(field.element(t))
+
+    return evaluate
+
+
+def _boxed_two_lines(x):
+    return Vector.make(QQ, (x, 0) if x % 2 == 0 else (0, x))
+
+
+def _cases(field):
+    """(instance, boxed reference evaluator, extra points) per evaluator kind."""
+    out = [
+        (moment_curve(4, field), _boxed_moment_curve(field, 4), [-1, -7, 29, 10**20 + 3]),
+        (
+            high_vcden(4, field),
+            _boxed_high_vcden(field, 4),
+            [(0, -3, 5), (2, 4, -1), (1, -(10**20), 13)],
+        ),
+        (
+            polynomial_instance(field, 4, POLYNOMIALS, ["x", "y"], name="mixed"),
+            _boxed_polynomials(field, POLYNOMIALS, ["x", "y"]),
+            [(-1, -1), (-3, 2), (5, -13), (10**20, -7)],
+        ),
+    ]
+    if field == QQ:
+        for inst in (conics(), ellipse_carrier()):
+            reference = _boxed_polynomials(QQ, inst.spec["family"]["polynomials"], ["x", "y"])
+            out.append((inst, reference, [(-2, 3), (-5, -5)]))
+        out.append((two_lines(), _boxed_two_lines, [-4, -3]))
+    return out
+
+
+def _assert_same_vector(got, want):
+    assert got.entries == want.entries
+    assert got == want and hash(got) == hash(want)
+    assert _int_row(got) == _int_row(Vector(got.field, got.entries))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_int_evaluators_match_boxed_references(field):
+    for inst, reference, extra in _cases(field):
+        for point in list(islice(inst.stream(), 40)) + extra:
+            _assert_same_vector(inst.image(point), reference(point))
+        boxed = replace(inst, evaluate=reference)
+        budget = 200
+        assert distinct_image_points(inst, 6, budget=budget) == distinct_image_points(
+            boxed, 6, budget=budget
+        ), inst.name
+        for bad in (
+            lambda point: reference(point).entries,
+            lambda point: Vector.make(PrimeField(5) if field == QQ else QQ, [1] * inst.d),
+            lambda point: Vector.make(field, [1] * (inst.d + 1)),
+        ):
+            with pytest.raises(InvalidInputError):
+                replace(inst, evaluate=bad).image(next(inst.stream()))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_grid_points_match_boxed_reference(field):
+    d = 4
+    p = field.p if isinstance(field, PrimeField) else 0
+    for i in range(d - 1):
+        for j in range(15):
+            if p and (j + 1) % p == 0:
+                with pytest.raises(InvalidInputError):
+                    grid_point(field, d, i, j)
+                continue
+            want = basis_vector(field, d, 0) + basis_vector(field, d, i + 1).scale(
+                index_growth(j, field)
+            )
+            _assert_same_vector(grid_point(field, d, i, j), want)
