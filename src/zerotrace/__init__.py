@@ -8,226 +8,4 @@ both shatter profiles), constructs the extremal witnesses, and checks
 every structural claim with an independent brute-force oracle.
 """
 
-from .errors import (
-    BudgetExhaustedError,
-    DimensionMismatchError,
-    FieldMismatchError,
-    InvalidInputError,
-    MalformedTreeError,
-    ResourceLimitError,
-    StreamExhaustedError,
-    ZerotraceError,
-)
-from .exactalg import (
-    QQ,
-    Field,
-    FpElement,
-    PrimeField,
-    RationalField,
-    Vector,
-    basis_vector,
-    dot,
-    in_span,
-    independent,
-    nullspace_basis,
-    projective_normalize,
-    rank,
-    row_space_canonical,
-)
-from .setsystem import (
-    NEG_INF,
-    GroundSet,
-    SetFamily,
-    as_mask,
-    family_from_json,
-    family_to_json,
-    mask_to_indices,
-    pi,
-    restrict,
-    shatters,
-    vcdim,
-    vcdim_via_trees,
-)
-from .littlestone import (
-    LabeledTree,
-    ShatterProfile,
-    count_well_labeled,
-    ldim,
-    ldim_witness,
-    leaf_well_labeled,
-    level_balanced_tree,
-    littlestone_profile,
-    rho,
-    rho_via_trees,
-    tree_from_json,
-    tree_to_json,
-    vc_profile,
-)
-from .zerosets import (
-    Instance,
-    IndependenceVerdict,
-    LinePartitionReport,
-    Sample,
-    ZeroSet,
-    ZeroSetFamily,
-    density_zero_partition,
-    enumerate_family_bruteforce,
-    enumerate_family_flats,
-    family_bundle,
-    linearly_independent,
-    point_from_json,
-    point_to_json,
-    verify_bundle,
-    zero_set,
-)
-from .constructions import (
-    DualBasis,
-    GridTreeResult,
-    IndependenceSequence,
-    ShatteredSet,
-    binom_le,
-    dual_basis,
-    grid_max_tree,
-    grid_membership,
-    grid_point,
-    grid_witness,
-    independence_sequence,
-    max_vc_trace,
-    shattered_set,
-    subset_witness,
-)
-from .maximality import (
-    BoundCheckReport,
-    CoverCertificate,
-    NonMaximalityReport,
-    SpanFamily,
-    SpanInjectivityReport,
-    cover_from_instance,
-    cover_from_json,
-    cover_to_json,
-    image_family,
-    maximal_profile_check,
-    minimal_spanning_reduction,
-    non_maximality_certificate,
-    not_maximal_bound_check,
-    span_injective,
-)
-from .instances import (
-    builtin_help,
-    builtin_names,
-    conics,
-    ellipse_carrier,
-    high_vcden,
-    instance_from_spec,
-    make_builtin,
-    moment_curve,
-    parse_instance_name,
-    polynomial_instance,
-    two_lines,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundCheckReport",
-    "BudgetExhaustedError",
-    "CoverCertificate",
-    "DimensionMismatchError",
-    "DualBasis",
-    "Field",
-    "FieldMismatchError",
-    "FpElement",
-    "GridTreeResult",
-    "GroundSet",
-    "IndependenceSequence",
-    "IndependenceVerdict",
-    "Instance",
-    "InvalidInputError",
-    "LabeledTree",
-    "LinePartitionReport",
-    "MalformedTreeError",
-    "NEG_INF",
-    "NonMaximalityReport",
-    "PrimeField",
-    "QQ",
-    "RationalField",
-    "ResourceLimitError",
-    "Sample",
-    "SetFamily",
-    "ShatterProfile",
-    "ShatteredSet",
-    "SpanFamily",
-    "SpanInjectivityReport",
-    "StreamExhaustedError",
-    "Vector",
-    "ZeroSet",
-    "ZeroSetFamily",
-    "ZerotraceError",
-    "as_mask",
-    "basis_vector",
-    "binom_le",
-    "builtin_help",
-    "builtin_names",
-    "conics",
-    "count_well_labeled",
-    "cover_from_instance",
-    "cover_from_json",
-    "cover_to_json",
-    "density_zero_partition",
-    "dot",
-    "dual_basis",
-    "ellipse_carrier",
-    "enumerate_family_bruteforce",
-    "enumerate_family_flats",
-    "family_bundle",
-    "family_from_json",
-    "family_to_json",
-    "grid_max_tree",
-    "grid_membership",
-    "grid_point",
-    "grid_witness",
-    "high_vcden",
-    "image_family",
-    "in_span",
-    "independence_sequence",
-    "independent",
-    "instance_from_spec",
-    "ldim",
-    "ldim_witness",
-    "leaf_well_labeled",
-    "level_balanced_tree",
-    "linearly_independent",
-    "littlestone_profile",
-    "make_builtin",
-    "mask_to_indices",
-    "max_vc_trace",
-    "maximal_profile_check",
-    "minimal_spanning_reduction",
-    "moment_curve",
-    "non_maximality_certificate",
-    "not_maximal_bound_check",
-    "nullspace_basis",
-    "parse_instance_name",
-    "pi",
-    "point_from_json",
-    "point_to_json",
-    "polynomial_instance",
-    "projective_normalize",
-    "rank",
-    "restrict",
-    "rho",
-    "rho_via_trees",
-    "row_space_canonical",
-    "shatters",
-    "shattered_set",
-    "span_injective",
-    "subset_witness",
-    "tree_from_json",
-    "tree_to_json",
-    "verify_bundle",
-    "two_lines",
-    "vc_profile",
-    "vcdim",
-    "vcdim_via_trees",
-    "zero_set",
-]

@@ -58,6 +58,7 @@ from .littlestone import (
 )
 from .maximality import (
     CoverCertificate,
+    SpanFamily,
     cover_from_instance,
     image_family,
     maximal_profile_check,
@@ -480,8 +481,6 @@ def check_strict_bound_under_cover(ctx: CheckContext) -> dict:
     v = Vector.make(QQ, (1, 0))
     w = Vector.make(QQ, (2, 0))
     cover = CoverCertificate(field=QQ, d=2, subspaces=((v,),))
-    from .maximality import SpanFamily
-
     # Over two collinear vectors only two spans exist (trivial and the
     # line), so span-injective families top out at 2 < C(2,<2) = 3.
     fam = SpanFamily.create(2, [(), (v, w)])

@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -231,15 +231,12 @@ def _shatter_rows(inst, cfg: RunConfig):
         # A table longer than depth_cap or MAX_POINTS exits 2, so one
         # point past the tighter cap is as far as sampling need go.
         table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
-        want = table + (d - 1 if d >= 2 else 0)
         sampling = "independent-prefix"
         try:
-            seq = independence_sequence(inst, want, budget=cfg.budget)
-            points = list(seq.points)
+            points = list(independence_sequence(inst, table, budget=cfg.budget).points)
         except (BudgetExhaustedError, StreamExhaustedError):
             sampling = "stream-prefix"
             points = distinct_image_points(inst, table, budget=cfg.budget)
-        points = points[:table]
     top = min(cfg.n_max, len(points))
     if top > cfg.depth_cap:
         raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")
@@ -411,28 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The keys a --config file may set, each overridden by its flag.
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise InvalidInputError("config file must hold a JSON object")
-        unknown = set(loaded) - {
-            "instance",
-            "n_max",
-            "depth_cap",
-            "budget",
-            "out",
-            "format",
-            "seed",
-            "checks",
-        }
+        unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for key in ("instance", "n_max", "depth_cap", "budget", "out", "format", "seed"):
+    for key in _CONFIG_KEYS:
         given = getattr(args, key, None)
-        if given is not None:
+        if given is not None and key != "checks":
             values[key] = given
     checks = getattr(args, "checks", None)
     if checks is not None:

@@ -190,6 +190,7 @@ class RationalField:
 
     Fraction already normalizes to lowest terms with a positive
     denominator, which is exactly the canonical form required here.
+    QQ is the one instance, so fields over Q compare by identity.
     """
 
     @property
@@ -213,12 +214,6 @@ class RationalField:
     @property
     def name(self) -> str:
         return "Q"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash(RationalField)
 
     def __repr__(self) -> str:
         return "RationalField()"
@@ -295,8 +290,10 @@ class Vector:
             raise FieldMismatchError(f"expected Vector, got {other!r}")
         if other.field != self.field:
             raise FieldMismatchError(f"mixed fields: {self.field.name} vs {other.field.name}")
-        if len(other) != len(self):
-            raise DimensionMismatchError(f"widths differ: {len(self)} vs {len(other)}")
+        if len(other.entries) != len(self.entries):
+            raise DimensionMismatchError(
+                f"widths differ: {len(self.entries)} vs {len(other.entries)}"
+            )
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
@@ -505,7 +502,7 @@ class Span:
         if self.field is not None:
             if v.field != self.field:
                 raise FieldMismatchError("vectors over different fields")
-            if len(v) != self.width:
+            if len(v.entries) != self.width:
                 raise DimensionMismatchError("vectors of different widths")
         return _int_row(v)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import _kernels
 from .errors import InvalidInputError, MalformedTreeError, ResourceLimitError
-from .setsystem import NEG_INF, SetFamily
+from .setsystem import NEG_INF, SetFamily, pi
 
 #: Default depth cap for rho; the state space grows with 3^depth.
 MAX_DEPTH = 16
@@ -225,10 +225,8 @@ class ShatterProfile:
 
 def vc_profile(fam: SetFamily, n_max: int) -> ShatterProfile:
     """pi(0..n_max); n_max is clamped to the ground-set size."""
-    from .setsystem import pi as _pi
-
     top = min(n_max, fam.ground.size)
-    return ShatterProfile("vc", tuple(_pi(fam, n) for n in range(top + 1)))
+    return ShatterProfile("vc", tuple(pi(fam, n) for n in range(top + 1)))
 
 
 def littlestone_profile(

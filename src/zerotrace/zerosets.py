@@ -37,6 +37,8 @@ from .exactalg import (
     in_span,
     nullspace_basis,
     projective_normalize,
+    scalar_from_str,
+    scalar_to_str,
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
@@ -81,7 +83,7 @@ class Instance:
 
     def image(self, point) -> Vector:
         v = self.evaluate(point)
-        if not isinstance(v, Vector) or v.field != self.field or len(v) != self.d:
+        if not isinstance(v, Vector) or v.field != self.field or len(v.entries) != self.d:
             raise InvalidInputError(
                 f"evaluator returned a bad image for {point!r}: {v!r}"
             )
@@ -564,8 +566,6 @@ def family_bundle(zfam: ZeroSetFamily) -> dict:
     Every membership bit is re-derivable from the bundle alone, which
     verify_bundle does.
     """
-    from .exactalg import scalar_to_str
-
     inst = zfam.sample.instance
     if inst.spec is None:
         raise InvalidInputError(
@@ -593,7 +593,6 @@ def verify_bundle(bundle: dict, instance: Optional[Instance] = None) -> ZeroSetF
     passed in.  Each stored witness is re-evaluated against each sample
     image; any bit out of place raises.
     """
-    from .exactalg import scalar_from_str
     from .instances import instance_from_spec
 
     inst = instance if instance is not None else instance_from_spec(bundle["instance"])

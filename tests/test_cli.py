@@ -545,9 +545,9 @@ def test_shatter_fn_bounds_sampling_by_the_depth_cap():
 @pytest.mark.parametrize(
     "argv",
     [
-        # C(17 + 11, 11) and C(8 + 9, 9) spans per accepted point
+        # a 17-point table needs C(17, 11) = 12,376 and C(17, 8) = 24,310 spans
         ("moment_curve:12", "--n-max", "100000"),
-        ("moment_curve:10", "--n-max", "8"),
+        ("moment_curve:9", "--n-max", "17"),
     ],
     ids=" ".join,
 )
@@ -563,6 +563,17 @@ def test_shatter_fn_caps_the_subset_count_before_sampling(argv):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("resource limit:")
     assert "over the cap 4096" in done.stderr
+
+
+def test_shatter_fn_samples_only_the_points_it_reports(capsys):
+    # 8 points stay under the subset cap; the d - 1 = 9 more points that
+    # shatter-fn once asked for would need C(17, 9) = 24,310 spans
+    code, out, _ = run(capsys, "shatter-fn", "--instance", "moment_curve:10,p=11", "--n-max", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["sampling"] == "independent-prefix"
+    assert len(report["points"]) == 8
+    assert [(r["pi"], r["rho"]) for r in report["rows"]] == [(2**n, 2**n) for n in range(1, 9)]
 
 
 def test_verify_budget_limit_exits_2_and_other_failures_exit_1(monkeypatch, capsys):

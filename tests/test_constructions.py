@@ -118,6 +118,14 @@ def test_independence_sequence_checks_subset_cap_before_scanning():
     assert len(independence_sequence(moment_curve(4), 11)) == 11
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["Q", "F13"])
+def test_independence_sequence_prefix_does_not_depend_on_length(field):
+    inst = moment_curve(4, field)
+    longest = independence_sequence(inst, 9).points
+    for k in range(1, 9):
+        assert independence_sequence(inst, k).points == longest[:k]
+
+
 def test_subset_witness_separation():
     seq = independence_sequence(moment_curve(3), 5)
     w = subset_witness(seq, (1, 3))
