@@ -5,9 +5,12 @@ Families are sequences of distinct integer bitmasks over ground points
 Littlestone recursion, the rho split search, works on subfamilies, each
 an int bitset over member indices (bit i set means member i is in it);
 with one column bitset per ground point a split is two bit operations,
-and (subfamily, depth) is the memo key.  ldim is read off that search
-as the deepest depth at which rho fills every leaf; littlestone reads
-the rho profile and the ldim witness tree off one search each.
+and (subfamily, depth) is the memo key.  A node stops at the most
+leaves its subfamily can fill, min(|s|, C(depth, <= L)), where L is an
+ldim bound that the search has proved from its own rho values.  ldim is
+read off that search as the deepest depth at which rho fills every
+leaf; littlestone reads the rho profile and the ldim witness tree off
+one search each.
 """
 
 from __future__ import annotations
@@ -77,19 +80,43 @@ def pi(masks: Sequence[int], n_points: int, k: int) -> int:
     return best
 
 
+def _leaf_caps(depth: int, limit: int | None) -> list:
+    """[C(k, <= limit) for k in 0..depth]: the most leaves a depth-k tree
+    can fill on a family of ldim at most limit (None: no bound, 2^k).
+
+    Steps by C(k+1, <= L) = 2 C(k, <= L) - C(k, L).
+    """
+    caps = [1]
+    top = 0  # C(k, limit)
+    for k in range(depth):
+        if limit is not None and k >= limit:
+            top = top * k // (k - limit) if k > limit else 1
+        caps.append(2 * caps[-1] - top)
+    return caps
+
+
 def _rho_search(cols: list):
     """rec(s, d): rho of the subfamily s at depth d, over one shared memo
     and the column bitsets cols of _columns.
 
     Recursion: at depth 0 a lone leaf is well-labeled iff the subfamily
     is nonempty; otherwise the best root point splits it and the two
-    subtrees contribute independently.  A subfamily of s members at
-    depth d has at most min(s, 2^d) such leaves, so a node stops once
-    it reaches that.
+    subtrees contribute independently.  A node stops once it fills
+    min(|s|, C(d, <= L)) leaves, the most any subfamily of ldim <= L
+    can: a split of such a family has one side of ldim <= L-1, so
+    rho(s, d) <= C(d-1, <= L) + C(d-1, <= L-1) (Bhaskar's Littlestone
+    analogue of Sauer-Shelah).  L is proved by the search itself: once
+    a call returns rho(t, k) < 2^k, ldim(t) <= k-1, and that bound caps
+    every later call on a subfamily of t.  With no bound yet the cap is
+    2^d.  A cap only ends a node that already reached it, so every value
+    returned and memoized is exact.
     """
     memo: dict = {}
+    root = limit = None  # ldim(subfamily of root) <= limit, once proved
+    caps = [1]  # caps[d] >= rho(t, d) for every t the current call visits
+    caps_limit = None  # the bound caps was built for
 
-    def rec(s: int, d: int) -> int:
+    def split(s: int, d: int) -> int:
         if not s:
             return 0
         if d == 0:
@@ -101,7 +128,9 @@ def _rho_search(cols: list):
         cached = memo.get(key)
         if cached is not None:
             return cached
-        cap = min(size, 1 << d)
+        cap = caps[d]
+        if size < cap:
+            cap = size
         best = 0
         tried = set()
         for col in cols:
@@ -113,11 +142,22 @@ def _rho_search(cols: list):
             neg = s ^ pos
             tried.add(pos)
             tried.add(neg)
-            value = rec(neg, d - 1) + rec(pos, d - 1)
+            value = split(neg, d - 1) + split(pos, d - 1)
             if value > best:
                 best = value
         memo[key] = best
         return best
+
+    def rec(s: int, d: int) -> int:
+        nonlocal root, limit, caps, caps_limit
+        bound = limit if limit is not None and not s & ~root else None
+        if bound != caps_limit or len(caps) <= d:
+            caps = _leaf_caps(max(d, len(caps) - 1), bound)
+            caps_limit = bound
+        value = split(s, d)
+        if d and value < 1 << d and (limit is None or d - 1 < limit and not root & ~s):
+            root, limit = s, d - 1
+        return value
 
     return rec
 

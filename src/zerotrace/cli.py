@@ -100,6 +100,8 @@ class RunConfig:
                 isinstance(c, str) for c in self.checks
             ):
                 raise InvalidInputError(f"checks must be a list of names, got {self.checks!r}")
+            if not self.checks:
+                raise InvalidInputError("no checks selected")
             for name in self.checks:
                 if name not in CHECKS:
                     raise InvalidInputError(f"unknown check {name!r}")

@@ -112,25 +112,27 @@ class _PowersModP(ast.NodeTransformer):
         return ast.copy_location(call, node)
 
 
-def compile_polynomial(text: str, variables: Sequence[str], p: int = 0):
-    """Compile one polynomial expression into an exact evaluator.
+def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int = 0):
+    """Compile polynomial expressions into one exact evaluator.
 
-    Returns a callable taking a dict of variable -> value: field elements
-    or ints.  With a prime p the values must be ints; powers are then
-    taken mod p, and the result is right mod p.
+    Returns a callable taking a dict of variable -> value (field elements
+    or ints) and returning the tuple of the polynomials' values, all from
+    one eval.  With a prime p the values must be ints; powers are then
+    taken mod p, and the results are right mod p.
     """
-    source = text.replace("^", "**")
-    try:
-        parsed = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
-    _validate_poly_ast(parsed, variables)
-    if p:
-        parsed = ast.fix_missing_locations(_PowersModP(p).visit(parsed))
-    code = compile(parsed, f"<poly {text!r}>", "eval")
+    bodies = []
+    for text in texts:
+        try:
+            parsed = ast.parse(text.replace("^", "**"), mode="eval")
+        except SyntaxError as exc:
+            raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
+        _validate_poly_ast(parsed, variables)
+        bodies.append(_PowersModP(p).visit(parsed.body) if p else parsed.body)
+    tree = ast.fix_missing_locations(ast.Expression(ast.Tuple(bodies, ast.Load())))
+    code = compile(tree, f"<polynomials {list(texts)!r}>", "eval")
     no_builtins = {"__builtins__": {}}
 
-    def evaluate(env: dict):
+    def evaluate(env: dict) -> tuple:
         return eval(code, no_builtins, env)  # noqa: S307 - AST whitelisted
 
     return evaluate
@@ -149,7 +151,7 @@ def polynomial_instance(
     if not variables or len(set(variables)) != len(variables):
         raise InvalidInputError("variables must be a nonempty list of distinct names")
     p = field.p if isinstance(field, PrimeField) else 0
-    evaluators = [compile_polynomial(text, variables, p) for text in polynomials]
+    evaluate_all = compile_polynomials(polynomials, variables, p)
     dims = len(variables)
 
     def evaluate(point):
@@ -159,7 +161,7 @@ def polynomial_instance(
         if not all(map(_is_int, coords)):
             raise InvalidInputError(f"point {point!r} has a non-integer coordinate")
         env = dict(zip(variables, [c % p for c in coords] if p else coords))
-        return _vector_of_ints(field, [e(env) for e in evaluators])
+        return _vector_of_ints(field, evaluate_all(env))
 
     def stream():
         if isinstance(field, PrimeField):

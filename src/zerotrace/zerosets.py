@@ -237,7 +237,10 @@ def linearly_independent(
     for point in islice(stream, budget):
         v = inst.image(point)
         scanned += 1
-        rows.add(_int_row(v))
+        row = _int_row(v)
+        if row in rows:
+            continue  # a repeated image already lies in the span
+        rows.add(row)
         if span.add(v):
             basis.append(v)
             basis_points.append(point)

@@ -152,6 +152,19 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_with_no_checks_selected_is_invalid_input(tmp_path, capsys):
+    # an empty selection runs nothing, so it must not read as a pass
+    for selection in ("", ",", " , "):
+        code, out, err = run(capsys, "verify", "--checks", selection)
+        assert (code, out) == (3, "")
+        assert "no checks selected" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"checks": []}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert "no checks selected" in err
+
+
 def test_config_file_merge_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"instance": "moment_curve:3", "n_max": 2, "format": "csv"}))
@@ -642,6 +655,8 @@ GOLDEN_DIGESTS = {
         "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
     ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"):
         "4e4998be4cc988f53dd6490504cf124710f093b8a66c07b3ad773f00bbc2184d",
+    ("shatter-fn", "--instance", "high_vcden:4", "--n-max", "5"):
+        "70643e26279430c75bdc09e255d1e30661a5e664c3a39ce7c9324d458a560967",
     # every check at the default seed, exact details included
     ("verify",):
         "eedd5c644aaa6edd9b0a400c5cc54e4823cee7ae4a3e339f70dd8d428b615f1d",

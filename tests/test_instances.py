@@ -11,7 +11,7 @@ from zerotrace.exactalg import QQ, PrimeField, Vector, _int_row, basis_vector, r
 from zerotrace.instances import (
     builtin_help,
     builtin_names,
-    compile_polynomial,
+    compile_polynomials,
     conics,
     ellipse_carrier,
     high_vcden,
@@ -41,11 +41,13 @@ def test_integer_shells_cover_small_box():
 
 
 def test_compile_polynomial_evaluates_exactly():
-    f = compile_polynomial("x^2 - 2*x + 1", ["x"])
+    f = compile_polynomials(["x^2 - 2*x + 1"], ["x"])
     env = {"x": QQ.element(3)}
-    assert f(env) == QQ.element(4)
-    g = compile_polynomial("x*y + y**2", ["x", "y"])
-    assert g({"x": F3.element(2), "y": F3.element(2)}) == F3.element(2)
+    assert f(env) == (QQ.element(4),)
+    g = compile_polynomials(["x*y + y**2", "x", "-y^3", "7"], ["x", "y"])
+    two = F3.element(2)
+    assert g({"x": two, "y": two}) == (two, two, F3.element(1), F3.element(1))
+    assert compile_polynomials(["x^5", "2*x^5 - 1"], ["x"], 3)({"x": 2}) == (2, 3)
 
 
 def test_compile_polynomial_rejects_non_polynomials():
@@ -61,7 +63,7 @@ def test_compile_polynomial_rejects_non_polynomials():
         "f(x)",
     ):
         with pytest.raises(InvalidInputError):
-            compile_polynomial(bad, ["x", "y"])
+            compile_polynomials(["x", bad], ["x", "y"])
 
 
 def test_polynomial_instance_guards():
@@ -221,12 +223,12 @@ POLYNOMIALS = ["3 - x^2*y", "x*y - 2", "-(y^3) + x^14", "-5"]
 
 def _boxed_polynomials(field, texts, variables):
     """Reference: the polynomials evaluated on field elements."""
-    evaluators = [compile_polynomial(t, variables) for t in texts]
+    evaluators = [compile_polynomials([t], variables) for t in texts]
 
     def evaluate(point):
         coords = point if isinstance(point, tuple) else (point,)
         env = {v: field.element(c) for v, c in zip(variables, coords)}
-        return Vector.make(field, [e(env) for e in evaluators])
+        return Vector.make(field, [e(env)[0] for e in evaluators])
 
     return evaluate
 

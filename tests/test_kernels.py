@@ -87,6 +87,12 @@ def ref_rho(masks, n_points, depth):
     return rec(tuple(sorted(masks)), depth)
 
 
+def _grid_masks(d, n):
+    inst = high_vcden(d)
+    fam = enumerate_family_flats(Sample.take(inst, inst.profile_points(n))).to_set_family()
+    return list(fam.masks), fam.ground.size
+
+
 def assert_matches_reference(masks, n, max_depth):
     if masks:
         assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n), masks
@@ -117,18 +123,13 @@ def test_kernels_match_reference_on_edge_families():
 
 
 def test_kernels_match_reference_on_designed_grid():
-    inst = high_vcden(3)
-    sample = Sample.take(inst, inst.profile_points(5))
-    fam = enumerate_family_flats(sample).to_set_family()
-    masks, n = list(fam.masks), fam.ground.size
+    masks, n = _grid_masks(3, 5)
     assert_matches_reference(masks, n, 5)
     assert [_kernels.rho(masks, n, depth) for depth in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
 def test_ldim_is_deepest_full_rho_depth(rng):
-    inst = high_vcden(3)
-    grid = enumerate_family_flats(Sample.take(inst, inst.profile_points(5))).to_set_family()
-    cases = [(list(grid.masks), grid.ground.size)]
+    cases = [_grid_masks(3, 5)]
     for _ in range(200):
         n = rng.randint(0, 7)
         cases.append((random_mask_family(rng, n, rng.randint(1, 30)), n))
@@ -139,6 +140,83 @@ def test_ldim_is_deepest_full_rho_depth(rng):
         # rho is full exactly up to ldim, also past the 2^r <= len(masks) guard
         for r in range(n + 2):
             assert (_kernels.rho(masks, n, r) == 1 << r) == (r <= ld), (masks, n, r)
+
+
+def _depth_orders(rng, top):
+    """Depth orders for one search: deepest first, descending, shuffled,
+    each asked twice, so bounds proved by deep calls meet shallow ones."""
+    shuffled = list(range(top + 1))
+    rng.shuffle(shuffled)
+    return [
+        [top, *range(top + 1)],
+        list(range(top, -1, -1)) * 2,
+        shuffled + shuffled[::-1],
+    ]
+
+
+def _rho_search_cases(rng):
+    """(masks, n_points, deepest depth): seeded random families, the
+    designed grid at n = 5 and 6, and high_vcden:4."""
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        cases.append((random_mask_family(rng, n, rng.randint(1, 30)), n, min(n + 1, 6)))
+    cases.append((*_grid_masks(3, 5), 6))
+    cases.append((*_grid_masks(3, 6), 6))
+    cases.append((*_grid_masks(4, 4), 5))
+    return cases
+
+
+def test_one_search_matches_reference_at_shuffled_depths(rng):
+    for masks, n, top in _rho_search_cases(rng):
+        ref = [ref_rho(masks, n, depth) for depth in range(top + 1)]
+        cols = _kernels._columns(masks, n)
+        full = (1 << len(masks)) - 1
+        for order in _depth_orders(rng, top):
+            rec = _kernels._rho_search(cols)
+            assert [rec(full, depth) for depth in order] == [ref[depth] for depth in order], (
+                masks, n, order
+            )
+
+
+def test_bound_proved_on_a_subfamily_never_caps_the_family(rng):
+    # a small subfamily proves a low ldim bound first; the whole family,
+    # of higher ldim, must still get its exact rho from the same search
+    for masks, n, top in _rho_search_cases(rng)[::4]:
+        members = len(masks)
+        cols = _kernels._columns(masks, n)
+        rec = _kernels._rho_search(cols)
+        assert rec(1, 1) == 1  # member 0 alone: ldim 0
+        for _ in range(3):
+            sub = rng.sample(range(members), rng.randint(1, members))
+            s = sum(1 << i for i in sub)
+            depth = rng.randint(0, top)
+            assert rec(s, depth) == ref_rho([masks[i] for i in sub], n, depth), (masks, sub)
+        for depth in rng.sample(range(top + 1), top + 1):
+            assert rec((1 << members) - 1, depth) == ref_rho(masks, n, depth), (masks, depth)
+
+
+def test_rho_matches_reference_when_ldim_is_below_log_family_size(rng):
+    # the sets of size <= k: ldim k, far below log2 |F|, so C(depth, <= ldim)
+    # caps the search well before min(|F|, 2^depth) does
+    cases = [([m for m in range(1 << n) if m.bit_count() <= k], n) for n, k in ((5, 1), (6, 2), (7, 1))]
+    for n in (5, 6, 7):
+        small = [m for m in range(1 << n) if m.bit_count() <= 2]
+        cases.append((rng.sample(small, len(small) * 2 // 3), n))
+    cases.append(_grid_masks(3, 5))
+    for masks, n in cases:
+        ld = _kernels.ldim(masks, n)
+        assert (1 << (ld + 1)) <= len(masks), (masks, ld)
+        top = min(n, 6)
+        ref = [ref_rho(masks, n, depth) for depth in range(top + 1)]
+        assert all(r <= binom_le(depth, ld) for depth, r in enumerate(ref))
+        cols = _kernels._columns(masks, n)
+        full = (1 << len(masks)) - 1
+        for order in _depth_orders(rng, top):
+            rec = _kernels._rho_search(cols)
+            assert [rec(full, depth) for depth in order] == [ref[depth] for depth in order], (
+                masks, order
+            )
 
 
 masks_strategy = st.integers(1, 5).flatmap(
