@@ -11,6 +11,14 @@ ldim bound that the search has proved from its own rho values.  ldim is
 read off that search as the deepest depth at which rho fills every
 leaf; littlestone reads the rho profile and the ldim witness tree off
 one search each.
+
+The VC side has one search too: pi(lo..hi) comes from one depth-first
+search over increasing point subsets that refines the restriction
+classes, as member bitsets, by the same column bitsets.  Each depth k
+stops at min(|F|, C(k, <= V)), the Sauer-Shelah cap, with V from
+vcdim; pi(k) is that search at lo = hi = k, and littlestone's VC
+profile reads pi(0..n) off one search.  vcdim and shatters count
+restrictions per subset with count_restrictions.
 """
 
 from __future__ import annotations
@@ -69,20 +77,80 @@ def vcdim(masks: Sequence[int], n_points: int) -> int:
 
 def pi(masks: Sequence[int], n_points: int, k: int) -> int:
     """Max number of distinct traces over any k-point subset."""
+    return _pi_search(masks, n_points, k, k)[0]
+
+
+def _pi_search(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
+    """[pi(k) for k in lo..hi], read off one search over point subsets.
+
+    A depth-first search adds points in increasing order and carries the
+    restriction classes of the current subset as member bitsets; adding
+    point x refines each class by the column bitset of x.  pi(k) is the
+    most classes seen at depth k.  A class of one member never splits,
+    so only a count of those is kept.  A subset with c classes and depth
+    j can reach at most c * 2^(k-j) classes at depth k, and no depth-k
+    subset has more than min(|F|, C(k, <= V)) (Sauer-Shelah), with V
+    the family's VC dimension from vcdim.  The search expands a node
+    only while some asked depth within its reach could still beat its
+    best count, so every value returned is exact.  Before building
+    columns or calling vcdim it counts the prefixes: if the first k
+    points already give min(|F|, 2^k) traces at every asked k, those
+    counts are the answer.  Depths past the ground size give 0.
+    """
     if not masks:
-        return 0
-    cap = min(len(masks), 1 << k)
-    best = 0
-    for sub in _submasks_of_size(n_points, k):
-        best = max(best, count_restrictions(masks, sub))
-        if best == cap:
-            break
-    return best
+        return [0] * (hi - lo + 1)
+    members = len(masks)
+    top = min(hi, n_points)
+    best = [0] * (hi + 1)
+    for k in range(lo, top + 1):
+        best[k] = len({m & ((1 << k) - 1) for m in masks})
+    if all(best[k] == min(members, 1 << k) for k in range(lo, top + 1)):
+        return best[lo:]
+    cols = _columns(masks, n_points)
+    cap = [min(members, c) for c in _leaf_caps(top, vcdim(masks, n_points))]
+
+    def visit(start: int, classes: list, singles: int, depth: int) -> None:
+        count = len(classes) + singles
+        child = depth + 1
+        for x in range(start, n_points):
+            # expand while an asked depth within reach could beat its best
+            for k in range(max(lo, child), min(top, depth + n_points - x) + 1):
+                if best[k] < cap[k] and best[k] < count << (k - depth):
+                    break
+            else:
+                return
+            col = cols[x]
+            if child == top:  # a leaf: count the classes x splits
+                grown = count
+                for c in classes:
+                    part = c & col
+                    if part and part != c:
+                        grown += 1
+                if grown > best[child]:
+                    best[child] = grown
+                continue
+            split = []
+            alone = singles
+            for c in classes:
+                part = c & col
+                for side in (part, c ^ part):
+                    if side & (side - 1):
+                        split.append(side)
+                    elif side:
+                        alone += 1
+            if len(split) + alone > best[child]:
+                best[child] = len(split) + alone
+            visit(x + 1, split, alone, child)
+
+    visit(0, [(1 << members) - 1], 0, 0)  # a lone member fills every prefix
+    return best[lo:]
 
 
 def _leaf_caps(depth: int, limit: int | None) -> list:
     """[C(k, <= limit) for k in 0..depth]: the most leaves a depth-k tree
-    can fill on a family of ldim at most limit (None: no bound, 2^k).
+    can fill on a family of ldim at most limit (None: no bound, 2^k),
+    and the most traces k points carry for a family of VC dimension at
+    most limit.
 
     Steps by C(k+1, <= L) = 2 C(k, <= L) - C(k, L).
     """

@@ -51,10 +51,12 @@ from .littlestone import (
     ldim,
     ldim_witness,
     level_balanced_tree,
+    littlestone_profile,
     rho,
     rho_via_trees,
     tree_from_json,
     tree_to_json,
+    vc_profile,
 )
 from .maximality import (
     CoverCertificate,
@@ -595,9 +597,10 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
         assert vc <= ld
         vc_cap = vc if fam.masks else -1
         ld_cap = ld if fam.masks else -1
-        for n in range(fam.ground.size + 1):
-            p = pi(fam, n)
-            r = rho(fam, n, depth_cap=ctx.depth_cap)
+        top = fam.ground.size
+        pis = vc_profile(fam, top).values
+        rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap).values
+        for n, (p, r) in enumerate(zip(pis, rhos)):
             assert p <= r, f"pi {p} > rho {r}"
             assert p <= binom_le(n, max(vc_cap, 0)) if fam.masks else p == 0
             assert r <= binom_le(n, max(ld_cap, 0)) if fam.masks else r == 0

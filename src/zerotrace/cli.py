@@ -246,12 +246,15 @@ def _shatter_rows(inst, cfg: RunConfig):
     # restrictions of the traces on the whole sample.
     full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
     if designed:
+        pis = vc_profile(full, top).values
         rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap).values
     rows = []
     for n in range(1, top + 1):
-        fam = full if designed else restrict(full, range(n))
-        p_n = pi(fam, n)
-        r_n = rhos[n] if designed else rho(fam, n, depth_cap=cfg.depth_cap)
+        if designed:
+            p_n, r_n = pis[n], rhos[n]
+        else:
+            fam = restrict(full, range(n))
+            p_n, r_n = pi(fam, n), rho(fam, n, depth_cap=cfg.depth_cap)
         ref = binom_le(n, d - 1)
         rows.append(
             {

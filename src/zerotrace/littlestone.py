@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import _kernels
 from .errors import InvalidInputError, MalformedTreeError, ResourceLimitError
-from .setsystem import NEG_INF, SetFamily, pi
+from .setsystem import NEG_INF, SetFamily
 
 #: Default depth cap for rho; the state space grows with 3^depth.
 MAX_DEPTH = 16
@@ -182,8 +182,10 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
     flag for a path that names one point on both branches.  A leaf is
     well-labeled iff the path has no clash and some member m has
     m & care == value; subtree choices are independent, so the walk
-    maximizes them separately.  No memoization, no family splitting and
-    no pruning: every one of the (2 * ground size)^n leaves is reached.
+    maximizes them separately.  The two leaves under a last-level node
+    share their care mask, so they are tested by lookups in one set of
+    the traces {m & care}.  No memoization, no family splitting and no
+    pruning: every one of the (2 * ground size)^n leaves is tested.
     This is deliberately redundant with rho for cross-checking, and
     exponential (feasible for n <= ~4 on tiny families only).
     """
@@ -193,20 +195,23 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
     bits = [1 << p for p in range(fam.ground.size)]
 
     def best(care: int, value: int, clash: bool, remaining: int) -> int:
-        if remaining == 0:
-            return 0 if clash else int(any(m & care == value for m in masks))
         top = 0
         for bit in bits:
             # value is within care, so care ^ value holds the left-branch points
             left_clash = clash or bool(value & bit)
             right_clash = clash or bool((care ^ value) & bit)
-            left = best(care | bit, value, left_clash, remaining - 1)
-            right = best(care | bit, value | bit, right_clash, remaining - 1)
+            if remaining == 1:
+                traces = {m & (care | bit) for m in masks}
+                left = value in traces and not left_clash
+                right = value | bit in traces and not right_clash
+            else:
+                left = best(care | bit, value, left_clash, remaining - 1)
+                right = best(care | bit, value | bit, right_clash, remaining - 1)
             if left + right > top:
                 top = left + right
         return top
 
-    return best(0, 0, False, n)
+    return best(0, 0, False, n) if n else 1
 
 
 @dataclass(frozen=True)
@@ -224,9 +229,10 @@ class ShatterProfile:
 
 
 def vc_profile(fam: SetFamily, n_max: int) -> ShatterProfile:
-    """pi(0..n_max); n_max is clamped to the ground-set size."""
+    """pi(0..n_max), read off one subset search; n_max is clamped to the
+    ground-set size."""
     top = min(n_max, fam.ground.size)
-    return ShatterProfile("vc", tuple(pi(fam, n) for n in range(top + 1)))
+    return ShatterProfile("vc", tuple(_kernels._pi_search(fam.masks, fam.ground.size, 0, top)))
 
 
 def littlestone_profile(

@@ -655,6 +655,9 @@ GOLDEN_DIGESTS = {
         "f5a5d8275f8df97c5fdc3aa031592172a164a77fbd84464e83f1475ac150cedb",
     ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"):
         "4e4998be4cc988f53dd6490504cf124710f093b8a66c07b3ad773f00bbc2184d",
+    # pi(n) < C(n, <= 2) for n >= 5, so those depths never stop at their cap
+    ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "8"):
+        "294d1e125273125ed8678c4a4cb9229bce479b324c201085e5996c9595cde75d",
     ("shatter-fn", "--instance", "high_vcden:4", "--n-max", "5"):
         "70643e26279430c75bdc09e255d1e30661a5e664c3a39ce7c9324d458a560967",
     # every check at the default seed, exact details included

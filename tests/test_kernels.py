@@ -2,15 +2,22 @@
 
 The reference below is the straightforward form of each recursion:
 subfamilies are sorted tuples of masks, split point by point with no
-pruning beyond the ldim depth cap.  The kernels must return the same
-values on every input.
+pruning beyond the ldim depth cap.  The pi reference counts the traces
+on every k-point subset, so it shares neither the subset search nor its
+Sauer-Shelah cap.  The kernels must return the same values on every
+input.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zerotrace
 from conftest import random_mask_family
 from zerotrace import _kernels
 from zerotrace.constructions import binom_le
@@ -40,6 +47,11 @@ def ref_pi(masks, n_points, k):
     if not masks:
         return 0
     return max(_ref_count(masks, sub) for sub in _ref_submasks(n_points, k))
+
+
+def ref_pi_range(masks, n_points, lo, hi):
+    """[pi(k) for k in lo..hi]; no k-point subset exists past the ground."""
+    return [ref_pi(masks, n_points, k) if k <= n_points else 0 for k in range(lo, hi + 1)]
 
 
 def ref_ldim(masks, n_points):
@@ -93,12 +105,21 @@ def _grid_masks(d, n):
     return list(fam.masks), fam.ground.size
 
 
+def assert_pi_search_matches_reference(masks, n):
+    for lo in range(n + 2):
+        for hi in range(lo, n + 2):
+            assert _kernels._pi_search(masks, n, lo, hi) == ref_pi_range(masks, n, lo, hi), (
+                masks, n, lo, hi
+            )
+
+
 def assert_matches_reference(masks, n, max_depth):
     if masks:
         assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n), masks
         assert _kernels.ldim(masks, n) == ref_ldim(masks, n), masks
     for k in range(n + 1):
         assert _kernels.pi(masks, n, k) == ref_pi(masks, n, k), (masks, k)
+    assert_pi_search_matches_reference(masks, n)
     for depth in range(max_depth + 1):
         assert _kernels.rho(masks, n, depth) == ref_rho(masks, n, depth), (masks, depth)
 
@@ -114,8 +135,13 @@ def test_kernels_match_reference_on_seeded_families(rng):
 def test_kernels_match_reference_on_edge_families():
     assert_matches_reference([], 3, 3)  # the empty family
     assert _kernels.rho([], 3, 0) == 0
+    assert_matches_reference([0], 0, 3)  # ground 0
     for n in range(4):
         assert_matches_reference([0b101 & ((1 << n) - 1)], n, 3)  # a single set
+    for n in range(6):
+        powerset = list(range(1 << n))
+        assert_matches_reference(powerset, n, min(n, 3))
+        assert _kernels._pi_search(powerset, n, 0, n) == [1 << k for k in range(n + 1)]
     for depth in (1, 2, 3):
         assert _kernels.rho([0], 0, depth) == ref_rho([0], 0, depth) == 0
     assert _kernels.rho([0], 0, 0) == 1
@@ -126,6 +152,11 @@ def test_kernels_match_reference_on_designed_grid():
     masks, n = _grid_masks(3, 5)
     assert_matches_reference(masks, n, 5)
     assert [_kernels.rho(masks, n, depth) for depth in range(6)] == [1, 2, 4, 7, 11, 16]
+    masks, n = _grid_masks(3, 7)
+    assert (n, len(masks)) == (15, 74)
+    profile = [1, 2, 4, 7, 11, 14, 18, 22]
+    assert _kernels._pi_search(masks, n, 0, 7) == profile
+    assert [_kernels.pi(masks, n, k) for k in range(8)] == profile
 
 
 def test_ldim_is_deepest_full_rho_depth(rng):
@@ -140,6 +171,35 @@ def test_ldim_is_deepest_full_rho_depth(rng):
         # rho is full exactly up to ldim, also past the 2^r <= len(masks) guard
         for r in range(n + 2):
             assert (_kernels.rho(masks, n, r) == 1 << r) == (r <= ld), (masks, n, r)
+
+
+def test_pi_search_matches_reference_at_every_depth_range(rng):
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        masks = random_mask_family(rng, n, rng.randint(1, 24))
+        rng.shuffle(masks)
+        assert_pi_search_matches_reference(masks, n)
+
+
+def test_pi_search_meets_the_sauer_shelah_cap_without_scanning_every_subset():
+    # The 20-point moment curve d=4 family: every set of at most 3 points,
+    # so pi(k) = C(k, <= 3) and no prefix fills 2^k past k = 3.  Scanning
+    # all C(20, k) subsets per depth takes tens of seconds; the capped
+    # search is done once vcdim has proved V = 3.
+    script = (
+        "from zerotrace.instances import moment_curve\n"
+        "from zerotrace.littlestone import vc_profile\n"
+        "from zerotrace.zerosets import Sample, enumerate_family_flats\n"
+        "sample = Sample.take(moment_curve(4), range(-10, 10))\n"
+        "fam = enumerate_family_flats(sample).to_set_family()\n"
+        "print(len(fam.masks), *vc_profile(fam, 8).values)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(v) for v in (1351, *(binom_le(k, 3) for k in range(9)))]
 
 
 def _depth_orders(rng, top):

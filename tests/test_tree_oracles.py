@@ -1,9 +1,11 @@
 """The exhaustive tree oracles against list-path references.
 
-`vcdim_via_trees` and `rho_via_trees` test each leaf with one mask
-comparison per member.  The references below walk the same trees but
-carry the path as a list of (point, branch) pairs and test every step
-of it, as the definitions read; both must agree on every family.
+`vcdim_via_trees` tests each membership pattern with one mask
+comparison per member.  `rho_via_trees` tests each leaf with one lookup
+in the set of traces {m & care} that the two leaves under a last-level
+node share.  The references below walk the same trees but carry the
+path as a list of (point, branch) pairs and test every step of it, as
+the definitions read; both must agree on every family.
 """
 
 import random
