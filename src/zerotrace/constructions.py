@@ -9,7 +9,8 @@ exact verification:
 * shattered_set sums dual rows over index sets, so membership of c_i in
   the zero set of a_S is equivalent to i not in S;
 * independence_sequence greedily extends a point list every d of whose
-  images are linearly independent;
+  images are linearly independent, testing each candidate image against
+  one integer normal per (d-1)-subset of the chosen images;
 * subset_witness and max_vc_trace realize, for every index set I of
   size < d, the trace exactly I on the first n sequence points (padding
   I with indices past n when it is smaller than d-1);
@@ -32,6 +33,8 @@ from .exactalg import (
     Field,
     Span,
     Vector,
+    _int_row,
+    _rows_zero_mask,
     _vector_of_ints,
     basis_vector,
     dot,
@@ -45,7 +48,7 @@ from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
 
 #: Largest C(n, d-1) that independence_sequence accepts: it keeps one
-#: span per (d-1)-subset of the chosen images and tests every candidate
+#: normal per (d-1)-subset of the chosen images and tests every candidate
 #: against all of them.
 MAX_SUBSETS = 4096
 
@@ -188,13 +191,19 @@ def independence_sequence(
 
     A candidate image is accepted iff it avoids the span of every
     (d-1)-element subset of the chosen images (smaller subsets are
-    covered by monotonicity).  Budget exhaustion raises with the
-    blocking spans attached: evidence, not proof, that the image is
-    covered by finitely many proper subspaces.  A request for which
-    C(n, d-1) exceeds MAX_SUBSETS raises ResourceLimitError before the
-    scan.
+    covered by monotonicity).  While fewer than d-1 images are chosen
+    that is one span, of all of them.  From then on each span is a
+    hyperplane, kept as its int normal (the kernel line subset_witness
+    takes), and the candidate's int row must have a nonzero dot product
+    with every normal.  A subset's normal is built once, when its last
+    point is accepted, so the k-th point adds C(k-1, d-2) of them.
+    Budget exhaustion raises with the blocking spans attached: evidence,
+    not proof, that the image is covered by finitely many proper
+    subspaces.  A request for which C(n, d-1) exceeds MAX_SUBSETS
+    raises ResourceLimitError before the scan.
     """
     inst = instance
+    field = inst.field
     d = inst.d
     if comb(n, d - 1) > MAX_SUBSETS:
         raise ResourceLimitError(
@@ -203,7 +212,8 @@ def independence_sequence(
         )
     points: list = []
     images: list = []
-    spans = [Span()]  # one per min(d-1, len(images))-subset of images
+    span = Span()  # of the chosen images, while fewer than d-1
+    normals = [] if d > 1 else [_int_row(nullspace_basis(field, 1, [])[0])]
 
     stream = inst.stream()
     scanned = 0
@@ -212,11 +222,19 @@ def independence_sequence(
         for point in stream:
             scanned += 1
             v = inst.image(point)
-            if not any(in_span(v, span) for span in spans):
+            if len(images) < d - 1:
+                fresh = not in_span(v, span)
+            else:
+                fresh = not _rows_zero_mask(v, normals)
+            if fresh:
                 points.append(point)
                 images.append(v)
-                take = min(d - 1, len(images))
-                spans = [Span(subset) for subset in combinations(images, take)]
+                if len(images) < d - 1:
+                    span.add(v)
+                elif d > 1:
+                    for rest in combinations(images[:-1], d - 2):
+                        kernel = nullspace_basis(field, d, (*rest, v))
+                        normals.append(_int_row(kernel[0]))
                 advanced = True
                 break
             if scanned >= budget:

@@ -14,12 +14,15 @@ vectors, so witnesses built from them are stable.
 
 ``Span`` rows, ``dot`` sums and ``zero_mask`` tests are plain ints:
 residues over F_p, integer multiples over Q.  Each ``Vector`` carries its
-int row, built at most once: alongside the entries when the vector is
-made from ints (``_vector_of_ints``, as the instance evaluators do), or
-from the entries on first use.  ``Fraction`` and ``FpElement`` values
-appear only at the API boundary, where a canonical row, kernel vector,
-normalized witness or inner product is built once on exit.  No other
-module reads the ints behind a field element.
+int row, built at most once: from the ints when the vector is made from
+them (``_vector_of_ints``, as the instance evaluators do), or from the
+entries on first use.  A vector made from ints boxes its entries into
+``Fraction`` or ``FpElement`` values only when ``.entries`` is first
+read, so a stream scan that only tests images never boxes them.
+Elsewhere field elements appear only at the API boundary, where a
+canonical row, kernel vector, normalized witness or inner product is
+built once on exit.  No other module reads the ints behind a field
+element.
 """
 
 from __future__ import annotations
@@ -262,8 +265,12 @@ def scalar_from_str(field: Field, text: str) -> Scalar:
 class Vector:
     """Immutable fixed-width vector with a field tag.
 
-    _row caches the vector's int row (see _int_row); it takes no part in
-    equality, hashing or repr.
+    _row caches the vector's int row (see _int_row).  _ints holds the
+    entries as plain ints when the vector was made from them
+    (_vector_of_ints): residues over F_p, the integers themselves over
+    Q.  Such a vector leaves entries unset until it is first read, and
+    __getattr__ boxes it then, once.  Neither slot takes part in
+    equality, hashing or repr, which read entries.
     """
 
     field: Field
@@ -271,10 +278,25 @@ class Vector:
     _row: Optional[tuple] = dataclasses.field(
         default=None, init=False, compare=False, repr=False
     )
+    _ints: Optional[tuple] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @staticmethod
     def make(field: Field, values: Iterable) -> "Vector":
         return Vector(field, tuple(field.coerce(v) for v in values))
+
+    def __getattr__(self, name):
+        # Reached only when a slot is unset: entries of a vector made from ints.
+        if name != "entries":
+            raise AttributeError(f"'Vector' object has no attribute {name!r}")
+        field = self.field
+        if isinstance(field, PrimeField):
+            entries = tuple([FpElement(field, x) for x in self._ints])
+        else:
+            entries = tuple(map(Fraction, self._ints))
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -290,10 +312,9 @@ class Vector:
             raise FieldMismatchError(f"expected Vector, got {other!r}")
         if other.field != self.field:
             raise FieldMismatchError(f"mixed fields: {self.field.name} vs {other.field.name}")
-        if len(other.entries) != len(self.entries):
-            raise DimensionMismatchError(
-                f"widths differ: {len(self.entries)} vs {len(other.entries)}"
-            )
+        width, other_width = len(self._row or self.entries), len(other._row or other.entries)
+        if other_width != width:
+            raise DimensionMismatchError(f"widths differ: {width} vs {other_width}")
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
@@ -335,12 +356,19 @@ def dot(a: Vector, b: Vector) -> Scalar:
     """Exact inner product; errors on width or field mismatch."""
     a._check(b)
     if isinstance(a.field, PrimeField):
-        total = sum([x.value * y.value for x, y in zip(a.entries, b.entries)])
+        total = sum(map(mul, _int_row(a), _int_row(b)))
         return FpElement(a.field, total % a.field.p)
-    na, da = _over_common_denominator(a.entries)
-    nb, db = _over_common_denominator(b.entries)
+    na, da = _over_denominator(a)
+    nb, db = _over_denominator(b)
     total = sum(map(mul, na, nb))
     return Fraction(total) if da == db == 1 else Fraction(total, da * db)
+
+
+def _over_denominator(v: Vector) -> tuple:
+    """(nums, den) with v's entries == nums[i] / den over Q, read from
+    the ints v was made from when there are some."""
+    ints = v._ints
+    return (ints, 1) if ints is not None else _over_common_denominator(v.entries)
 
 
 def projective_normalize(v: Vector) -> Vector:
@@ -349,9 +377,10 @@ def projective_normalize(v: Vector) -> Vector:
     This is the canonical representative of the line through v, used
     for witness vectors so that reports and JSON exports are stable.
     """
-    if v.is_zero():
+    row = _int_row(v)
+    if not any(row):
         raise InvalidInputError("cannot normalize the zero vector")
-    return _unit_lead(v.field, _int_row(v))
+    return _unit_lead(v.field, row)
 
 
 def _int_row(v: Vector) -> tuple:
@@ -376,17 +405,19 @@ def _primitive(nums) -> tuple:
 
 
 def _vector_of_ints(field: Field, ints) -> Vector:
-    """The vector with these integer entries, read mod p over F_p.  Its
-    int row is built from the ints at the same time, so it is never read
-    back from the entries."""
+    """The vector with these integer entries, read mod p over F_p.  It
+    keeps the ints and builds its int row from them; its entries are
+    boxed only if read (see Vector)."""
     if isinstance(field, PrimeField):
         p = field.p
-        row = tuple([x % p for x in ints])
-        v = Vector(field, tuple([FpElement(field, x) for x in row]))
+        ints = row = tuple([x % p for x in ints])
     else:
-        v = Vector(field, tuple(map(Fraction, ints)))
+        ints = tuple(ints)
         row = _primitive(ints)
+    v = object.__new__(Vector)
+    object.__setattr__(v, "field", field)
     object.__setattr__(v, "_row", row)
+    object.__setattr__(v, "_ints", ints)
     return v
 
 
@@ -502,7 +533,7 @@ class Span:
         if self.field is not None:
             if v.field != self.field:
                 raise FieldMismatchError("vectors over different fields")
-            if len(v.entries) != self.width:
+            if len(v._row or v.entries) != self.width:
                 raise DimensionMismatchError("vectors of different widths")
         return _int_row(v)
 
@@ -510,7 +541,7 @@ class Span:
         """Extend the span by v; True iff v was not in it already."""
         residual = self._reduce(self._row_of(v))
         if self.field is None:
-            self.field, self.width = v.field, len(v)
+            self.field, self.width = v.field, len(residual)
             self._p = v.field.p if isinstance(v.field, PrimeField) else 0
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
@@ -587,7 +618,7 @@ def nullspace_basis(field: Field, width: int, vectors: Sequence[Vector]) -> list
     for v in vectors:
         if v.field != field:
             raise FieldMismatchError("row field differs from the requested field")
-        if len(v) != width:
+        if len(v._row or v.entries) != width:
             raise DimensionMismatchError("row width differs from the requested width")
     span = Span(vectors)
     rows = span._reduced_rows()

@@ -83,7 +83,7 @@ class Instance:
 
     def image(self, point) -> Vector:
         v = self.evaluate(point)
-        if not isinstance(v, Vector) or v.field != self.field or len(v.entries) != self.d:
+        if not isinstance(v, Vector) or v.field != self.field or len(v._row or v.entries) != self.d:
             raise InvalidInputError(
                 f"evaluator returned a bad image for {point!r}: {v!r}"
             )

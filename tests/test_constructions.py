@@ -22,8 +22,16 @@ from zerotrace.constructions import (
     subset_witness,
 )
 from zerotrace.errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
-from zerotrace.exactalg import QQ, PrimeField, Vector, dot, rank
-from zerotrace.instances import high_vcden, integer_spiral, moment_curve, polynomial_instance, two_lines
+from zerotrace.exactalg import QQ, PrimeField, Span, Vector, dot, in_span, rank
+from zerotrace.instances import (
+    conics,
+    ellipse_carrier,
+    high_vcden,
+    integer_spiral,
+    moment_curve,
+    polynomial_instance,
+    two_lines,
+)
 from zerotrace.littlestone import count_well_labeled
 from zerotrace.setsystem import shatters, vcdim
 from zerotrace.zerosets import Instance, Sample, enumerate_family_flats, linearly_independent
@@ -124,6 +132,92 @@ def test_independence_sequence_prefix_does_not_depend_on_length(field):
     longest = independence_sequence(inst, 9).points
     for k in range(1, 9):
         assert independence_sequence(inst, k).points == longest[:k]
+
+
+def _span_per_subset_sequence(inst, n, *, budget):
+    """Reference greedy sequence: one Span per min(d-1, k)-subset of the k
+    chosen images, rebuilt after each accepted point; (points, images)."""
+    d = inst.d
+    points, images, spans = [], [], [Span()]
+    stream = inst.stream()
+    scanned = 0
+    while len(points) < n:
+        advanced = False
+        for point in stream:
+            scanned += 1
+            v = inst.image(point)
+            if not any(in_span(v, span) for span in spans):
+                points.append(point)
+                images.append(v)
+                take = min(d - 1, len(images))
+                spans = [Span(subset) for subset in combinations(images, take)]
+                advanced = True
+                break
+            if scanned >= budget:
+                break
+        if not advanced:
+            take = min(d - 1, len(images))
+            raise BudgetExhaustedError(
+                f"sequence stalled at {len(points)} of {n} points after scanning "
+                f"{scanned} stream points",
+                partial={
+                    "points": tuple(points),
+                    "images": tuple(images),
+                    "blocking_spans": tuple(combinations(images, take)),
+                },
+            )
+    return tuple(points), tuple(images)
+
+
+@pytest.mark.parametrize(
+    "inst, n",
+    [(moment_curve(d, field), 10) for field in (QQ, PrimeField(13)) for d in range(1, 7)]
+    + [
+        (conics(), 12),
+        (ellipse_carrier(), 12),
+        (polynomial_instance(QQ, 1, ["x"], ["x"]), 5),  # the zero image comes first
+    ],
+    ids=lambda x: x.name if isinstance(x, Instance) else str(x),
+)
+def test_independence_sequence_matches_span_per_subset(inst, n):
+    seq = independence_sequence(inst, n)
+    assert (seq.points, seq.images) == _span_per_subset_sequence(inst, n, budget=10_000)
+
+
+@pytest.mark.parametrize(
+    "inst, n", [(two_lines(), 3), (high_vcden(3), 6)], ids=["two_lines", "high_vcden3"]
+)
+def test_independence_sequence_stalls_like_span_per_subset(inst, n):
+    with pytest.raises(BudgetExhaustedError) as got:
+        independence_sequence(inst, n, budget=300)
+    with pytest.raises(BudgetExhaustedError) as expected:
+        _span_per_subset_sequence(inst, n, budget=300)
+    assert str(got.value) == str(expected.value)
+    assert got.value.partial == expected.value.partial
+    assert got.value.partial["blocking_spans"]
+
+
+def test_scans_leave_the_images_they_only_test_unboxed(monkeypatch):
+    boxed = []
+    original = Vector.__getattr__
+
+    def counting(self, name):
+        if name == "entries":
+            boxed.append(self)
+        return original(self, name)
+
+    monkeypatch.setattr(Vector, "__getattr__", counting)
+    pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    verdict = linearly_independent(pair, budget=300)
+    assert (verdict.kind, verdict.scanned) == ("dependent", 300)
+    assert boxed == []
+    with pytest.raises(BudgetExhaustedError) as info:
+        independence_sequence(two_lines(), 3, budget=300)
+    kept = info.value.partial["images"]
+    assert all(any(v is k for k in kept) for v in boxed)
+    read = pair.image(5)
+    read.entries  # noqa: B018 - reading the entries is what gets counted
+    assert boxed[-1] is read
 
 
 def test_subset_witness_separation():

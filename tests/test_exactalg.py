@@ -1,6 +1,7 @@
 """Exact arithmetic and linear algebra unit tests."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from zerotrace.exactalg import (
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F13 = PrimeField(13)
 
 
 def test_prime_field_rejects_composites():
@@ -489,3 +491,85 @@ def test_projective_normalize_matches_scale_by_inverse(field):
         assert got == expected
         assert [scalar_to_str(x) for x in got] == [scalar_to_str(x) for x in expected]
         assert all(type(x) is entry_type for x in got)
+
+
+# -- vectors made from ints box their entries on first read -----------------
+
+INT_ROWS = [(0, 0, 0), (3, -6, 9), (-2, 0, 5), (4, 8, -12), (0, -7, 0), (6, 3, 0), (-1, 2, -3)]
+
+
+@pytest.mark.parametrize("field", [QQ, F13], ids=["Q", "F13"])
+def test_vector_made_from_ints_behaves_like_an_eager_one(field):
+    def lazy():  # a fresh vector each time, so no read below sees boxed entries
+        return exactalg._vector_of_ints(field, ints)
+
+    for ints in INT_ROWS:
+        eager = Vector.make(field, ints)
+        assert lazy() == eager and eager == lazy()
+        assert lazy() != Vector.make(field, (1, 1, 1))
+        assert hash(lazy()) == hash(eager)
+        assert lazy() in {eager} and eager in {lazy()}
+        assert {lazy(): "x"}[eager] == "x" and {eager: "x"}[lazy()] == "x"
+        assert repr(lazy()) == repr(eager)
+        assert [type(x) for x in lazy()] == [type(x) for x in eager]
+        v = lazy()
+        for name, value in (("entries", eager.entries), ("field", field), ("_row", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, name, value)
+        assert v.entries is v.entries  # boxed once, then a plain slot read
+        assert v == eager
+
+
+@pytest.mark.parametrize("field", [QQ, F13], ids=["Q", "F13"])
+def test_vectors_made_from_ints_give_the_same_algebra(field):
+    def lazy():
+        return [exactalg._vector_of_ints(field, r) for r in INT_ROWS]
+
+    eager = [Vector.make(field, r) for r in INT_ROWS]
+    for i, a in enumerate(eager):
+        for j, b in enumerate(eager):
+            got = [dot(lazy()[i], lazy()[j]), dot(lazy()[i], b), dot(a, lazy()[j])]
+            assert got == [dot(a, b)] * 3
+            assert {type(x) for x in got} == {type(dot(a, b))}
+        assert zero_mask(lazy()[i], lazy()) == zero_mask(a, eager)
+        if a.is_zero():
+            with pytest.raises(InvalidInputError):
+                projective_normalize(lazy()[i])
+        else:
+            assert projective_normalize(lazy()[i]) == projective_normalize(a)
+    for k in range(len(INT_ROWS) + 1):
+        lazy_span, eager_span = Span(), Span()
+        assert [lazy_span.add(v) for v in lazy()[:k]] == [eager_span.add(v) for v in eager[:k]]
+        assert [in_span(v, lazy_span) for v in lazy()] == [in_span(v, eager_span) for v in eager]
+        assert [in_span(v, lazy()[:k]) for v in lazy()] == [in_span(v, eager[:k]) for v in eager]
+        assert rank(lazy()[:k]) == rank(eager[:k])
+        assert nullspace_basis(field, 3, lazy()[:k]) == nullspace_basis(field, 3, eager[:k])
+        assert row_space_canonical(lazy()[:k]) == row_space_canonical(eager[:k])
+
+
+def test_int_rules_leave_vectors_made_from_ints_unboxed(monkeypatch):
+    boxed = []
+    original = Vector.__getattr__
+
+    def counting(self, name):
+        if name == "entries":
+            boxed.append(self)
+        return original(self, name)
+
+    monkeypatch.setattr(Vector, "__getattr__", counting)
+    for field in (QQ, F13):
+        vectors = [exactalg._vector_of_ints(field, r) for r in INT_ROWS]
+        for a in vectors:
+            for b in vectors:
+                dot(a, b)
+            zero_mask(a, vectors)
+            if any(exactalg._int_row(a)):
+                projective_normalize(a)
+        span = Span()
+        for v in vectors:
+            span.add(v)
+            assert v in span
+        assert len(nullspace_basis(field, 3, vectors)) == 3 - rank(vectors)
+    assert boxed == []
+    vectors[0].entries  # noqa: B018 - reading the entries is what gets counted
+    assert boxed == [vectors[0]]
