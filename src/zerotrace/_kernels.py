@@ -12,18 +12,22 @@ read off that search as the deepest depth at which rho fills every
 leaf; littlestone reads the rho profile and the ldim witness tree off
 one search each.
 
-The VC side has one search too: pi(lo..hi) comes from one depth-first
-search over increasing point subsets that refines the restriction
-classes, as member bitsets, by the same column bitsets.  Each depth k
-stops at min(|F|, C(k, <= V)), the Sauer-Shelah cap, with V from
-vcdim; pi(k) is that search at lo = hi = k, and littlestone's VC
-profile reads pi(0..n) off one search.  vcdim and shatters count
-restrictions per subset with count_restrictions.
+The VC side has one search too: a depth-first search over increasing
+point subsets that refines the restriction classes, as member bitsets,
+by the same column bitsets, and raises the most classes seen at each
+depth toward a cap.  pi(lo..hi) is that search capped at
+min(|F|, C(k, <= V)) (Sauer-Shelah); pi(k) is lo = hi = k, and
+littlestone's VC profile reads pi(0..n) off one search.  vcdim, the V
+of that cap, is read off the same search as ldim is read off rho's:
+seeded one class short of 2^k at every depth, it expands only
+shattered subsets, and vcdim is the deepest depth that reaches 2^k.
+binom_le gives every C(k, <= L) the caps use.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from math import comb
 from typing import Sequence
 
 
@@ -32,12 +36,14 @@ def backend_name() -> str:
     return "pure"
 
 
-def _submasks_of_size(n_points: int, k: int):
-    for combo in combinations(range(n_points), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        yield mask
+@cache
+def binom_le(n: int, upper: int) -> int:
+    """C(n,0) + C(n,1) + ... + C(n,upper): 2^n once upper >= n.
+
+    Cached, since the rho search rebuilds its cap table whenever the
+    asked depth or its proved bound changes.
+    """
+    return sum(comb(n, k) for k in range(upper + 1))
 
 
 def _columns(masks: Sequence[int], n_points: int) -> list:
@@ -58,21 +64,28 @@ def count_restrictions(masks: Sequence[int], submask: int) -> int:
 def vcdim(masks: Sequence[int], n_points: int) -> int:
     """Largest k such that some k-point subset is shattered.
 
-    Search runs over increasing subset size; shattered subsets are
-    downward closed, so the first size with no shattered subset ends
-    the search.  masks must be nonempty.
+    masks must be nonempty.
     """
-    kmax = min(n_points, len(masks).bit_length() - 1)
-    best = 0
-    for k in range(1, kmax + 1):
-        target = 1 << k
-        if not any(
-            count_restrictions(masks, sub) == target
-            for sub in _submasks_of_size(n_points, k)
-        ):
-            return best
-        best = k
-    return best
+    return _shattered_depth(_columns(masks, n_points), len(masks))
+
+
+def _shattered_depth(cols: list, members: int) -> int:
+    """vcdim read off the subset search over a family of that many
+    members with column bitsets cols.
+
+    Seeded with best[k] = 2^k - 1 and cap[k] = 2^k, a node of depth j
+    with c classes expands only while c * 2^(k-j) > 2^k - 1 for some
+    unfilled k, that is while its subset is shattered.  Shattered
+    subsets are downward closed, so depth k reaches 2^k exactly when
+    some k-set is shattered.  No k with 2^k > members is tried.
+    """
+    top = min(len(cols), members.bit_length() - 1)
+    best = [(1 << k) - 1 for k in range(top + 1)]
+    _subset_search(cols, members, 1, best, [1 << k for k in range(top + 1)])
+    depth = 0
+    while depth < top and best[depth + 1] == 2 << depth:
+        depth += 1
+    return depth
 
 
 def pi(masks: Sequence[int], n_points: int, k: int) -> int:
@@ -81,21 +94,14 @@ def pi(masks: Sequence[int], n_points: int, k: int) -> int:
 
 
 def _pi_search(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
-    """[pi(k) for k in lo..hi], read off one search over point subsets.
+    """[pi(k) for k in lo..hi], read off one subset search.
 
-    A depth-first search adds points in increasing order and carries the
-    restriction classes of the current subset as member bitsets; adding
-    point x refines each class by the column bitset of x.  pi(k) is the
-    most classes seen at depth k.  A class of one member never splits,
-    so only a count of those is kept.  A subset with c classes and depth
-    j can reach at most c * 2^(k-j) classes at depth k, and no depth-k
-    subset has more than min(|F|, C(k, <= V)) (Sauer-Shelah), with V
-    the family's VC dimension from vcdim.  The search expands a node
-    only while some asked depth within its reach could still beat its
-    best count, so every value returned is exact.  Before building
-    columns or calling vcdim it counts the prefixes: if the first k
-    points already give min(|F|, 2^k) traces at every asked k, those
-    counts are the answer.  Depths past the ground size give 0.
+    No depth-k subset has more than min(|F|, C(k, <= V)) traces
+    (Sauer-Shelah), with V the family's VC dimension read off the same
+    columns, so that is the cap.  Before building columns it counts the
+    prefixes: if the first k points already give min(|F|, 2^k) traces
+    at every asked k, those counts are the answer.  Otherwise they seed
+    the search.  Depths past the ground size give 0.
     """
     if not masks:
         return [0] * (hi - lo + 1)
@@ -103,17 +109,36 @@ def _pi_search(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
     top = min(hi, n_points)
     best = [0] * (hi + 1)
     for k in range(lo, top + 1):
-        best[k] = len({m & ((1 << k) - 1) for m in masks})
+        best[k] = count_restrictions(masks, (1 << k) - 1)
     if all(best[k] == min(members, 1 << k) for k in range(lo, top + 1)):
         return best[lo:]
     cols = _columns(masks, n_points)
-    cap = [min(members, c) for c in _leaf_caps(top, vcdim(masks, n_points))]
+    vc = _shattered_depth(cols, members)
+    _subset_search(cols, members, lo, best, [min(members, binom_le(k, vc)) for k in range(top + 1)])
+    return best[lo:]
+
+
+def _subset_search(cols: list, members: int, lo: int, best: list, cap: list) -> None:
+    """Raise best[k] to the most restriction classes any k points carry,
+    for lo <= k < len(cap), unless best[k] reaches cap[k] first.
+
+    A depth-first search adds points in increasing order and carries the
+    restriction classes of the current subset as member bitsets; adding
+    point x refines each class by the column bitset cols[x].  A class of
+    one member never splits, so only a count of those is kept.  A subset
+    with c classes and depth j can reach at most c * 2^(k-j) classes at
+    depth k, so a node is expanded only while some depth k within its
+    reach has best[k] < cap[k] and best[k] < c * 2^(k-j).  With cap[k]
+    a true bound, every best[k] the search leaves is exact.
+    """
+    n_points = len(cols)
+    top = len(cap) - 1
 
     def visit(start: int, classes: list, singles: int, depth: int) -> None:
         count = len(classes) + singles
         child = depth + 1
         for x in range(start, n_points):
-            # expand while an asked depth within reach could beat its best
+            # expand while a depth within reach could beat its best
             for k in range(max(lo, child), min(top, depth + n_points - x) + 1):
                 if best[k] < cap[k] and best[k] < count << (k - depth):
                     break
@@ -142,25 +167,7 @@ def _pi_search(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
                 best[child] = len(split) + alone
             visit(x + 1, split, alone, child)
 
-    visit(0, [(1 << members) - 1], 0, 0)  # a lone member fills every prefix
-    return best[lo:]
-
-
-def _leaf_caps(depth: int, limit: int | None) -> list:
-    """[C(k, <= limit) for k in 0..depth]: the most leaves a depth-k tree
-    can fill on a family of ldim at most limit (None: no bound, 2^k),
-    and the most traces k points carry for a family of VC dimension at
-    most limit.
-
-    Steps by C(k+1, <= L) = 2 C(k, <= L) - C(k, L).
-    """
-    caps = [1]
-    top = 0  # C(k, limit)
-    for k in range(depth):
-        if limit is not None and k >= limit:
-            top = top * k // (k - limit) if k > limit else 1
-        caps.append(2 * caps[-1] - top)
-    return caps
+    visit(0, [(1 << members) - 1], 0, 0)
 
 
 def _rho_search(cols: list):
@@ -220,7 +227,8 @@ def _rho_search(cols: list):
         nonlocal root, limit, caps, caps_limit
         bound = limit if limit is not None and not s & ~root else None
         if bound != caps_limit or len(caps) <= d:
-            caps = _leaf_caps(max(d, len(caps) - 1), bound)
+            top = max(d + 1, len(caps))
+            caps = [binom_le(k, k if bound is None else bound) for k in range(top)]
             caps_limit = bound
         value = split(s, d)
         if d and value < 1 << d and (limit is None or d - 1 < limit and not root & ~s):

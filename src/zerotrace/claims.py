@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Callable, Optional
 
+from ._kernels import binom_le
 from .constructions import (
-    binom_le,
     dual_basis,
     grid_max_tree,
     grid_membership,
@@ -35,7 +35,7 @@ from .constructions import (
     max_vc_trace,
     shattered_set,
 )
-from .errors import BudgetExhaustedError, StreamExhaustedError, ZerotraceError
+from .errors import BudgetExhaustedError, InvalidInputError, StreamExhaustedError, ZerotraceError
 from .exactalg import QQ, PrimeField, Vector, basis_vector, dot, in_span, rank, zero_mask
 from .instances import (
     conics,
@@ -729,8 +729,12 @@ def run_checks(
 ) -> list:
     """Run the checklist (all of it by default) and collect results.
 
-    Each result carries its check's wall time in seconds (wall_s).
+    Each result carries its check's wall time in seconds (wall_s).  The
+    checks are assert statements, which python -O strips, so under -O
+    none runs: that is invalid input, not a list of passes.
     """
+    if not __debug__:
+        raise InvalidInputError("the checks are assert statements; run python without -O")
     ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)
     selected = list(CHECKS) if names is None else list(names)
     results = []

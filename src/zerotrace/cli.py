@@ -28,8 +28,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from ._kernels import binom_le
 from .claims import CHECKS, DEFAULT_SEED, run_checks
-from .constructions import binom_le, dual_basis, independence_sequence
+from .constructions import dual_basis, independence_sequence
 from .errors import (
     BudgetExhaustedError,
     InvalidInputError,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
+from . import _kernels
 from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
 from .exactalg import (
     Field,
@@ -74,9 +75,6 @@ class DualBasis:
     instance: Instance
     points: tuple
     rows: tuple  # d coefficient Vectors of width d
-
-    def evaluate_row(self, j: int, point) -> object:
-        return dot(self.rows[j], self.instance.image(point))
 
     def verify(self) -> None:
         """Recheck the Kronecker property by exact evaluation."""
@@ -142,7 +140,7 @@ def dual_basis(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> DualBasis
 class ShatteredSet:
     """The first d-1 dual points with one witness per index subset.
 
-    witness_for maps a frozenset S of row indices (nonempty subsets of
+    witnesses maps a frozenset S of row indices (nonempty subsets of
     0..d-1) to a_S = sum of the dual rows over S; the zero set of a_S
     meets the points exactly in the complement of S.  Realizing the
     trace A over points 0..d-2 therefore uses S = {0..d-1} minus A.
@@ -444,10 +442,5 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
         [z.witness for z in family_sets],
         enforce_limits=ground.size <= MAX_POINTS,
     )
-    target = binom_le(n, d - 1)
+    target = _kernels.binom_le(n, d - 1)
     return GridTreeResult(tree=tree, family=family, sample=sample, well_labeled_target=target)
-
-
-def binom_le(n: int, upper: int) -> int:
-    """C(n,0) + C(n,1) + ... + C(n,upper)."""
-    return sum(comb(n, k) for k in range(upper + 1))

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructions import binom_le, independence_sequence, max_vc_trace
+from ._kernels import binom_le
+from .constructions import independence_sequence, max_vc_trace
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,

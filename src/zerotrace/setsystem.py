@@ -144,12 +144,6 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def members(self) -> list:
-        return [frozenset(mask_to_indices(m)) for m in self.masks]
-
-    def witness_for(self, index: int):
-        return self.witnesses[index] if self.witnesses else None
-
 
 def restrict(fam: SetFamily, subset: SubsetLike) -> SetFamily:
     """Trace family on the selected points, re-indexed to 0..k-1.

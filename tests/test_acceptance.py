@@ -11,9 +11,9 @@ from itertools import combinations
 
 import pytest
 
+from zerotrace._kernels import binom_le
 from zerotrace.claims import DEFAULT_SEED, random_family
 from zerotrace.constructions import (
-    binom_le,
     dual_basis,
     grid_max_tree,
     grid_membership,

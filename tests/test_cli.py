@@ -165,6 +165,23 @@ def test_verify_with_no_checks_selected_is_invalid_input(tmp_path, capsys):
     assert "no checks selected" in err
 
 
+def test_verify_under_python_O_is_invalid_input():
+    # -O strips the checks' assert statements, so none of them would run
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "zerotrace.cli", "verify", "--checks", "dimensions_match"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "PASS" not in done.stdout + done.stderr
+    assert done.stderr.startswith("invalid input:")
+
+
 def test_config_file_merge_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"instance": "moment_curve:3", "n_max": 2, "format": "csv"}))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import zerotrace
 from conftest import random_mask_family
 from zerotrace import _kernels
-from zerotrace.constructions import binom_le
+from zerotrace._kernels import binom_le
 from zerotrace.instances import high_vcden
 from zerotrace.zerosets import Sample, enumerate_family_flats
 
@@ -185,21 +185,24 @@ def test_pi_search_meets_the_sauer_shelah_cap_without_scanning_every_subset():
     # The 20-point moment curve d=4 family: every set of at most 3 points,
     # so pi(k) = C(k, <= 3) and no prefix fills 2^k past k = 3.  Scanning
     # all C(20, k) subsets per depth takes tens of seconds; the capped
-    # search is done once vcdim has proved V = 3.
+    # search is done once vcdim has proved V = 3, and vcdim itself only
+    # expands the C(20, <= 3) shattered subsets.
     script = (
+        "from zerotrace import _kernels\n"
         "from zerotrace.instances import moment_curve\n"
         "from zerotrace.littlestone import vc_profile\n"
         "from zerotrace.zerosets import Sample, enumerate_family_flats\n"
         "sample = Sample.take(moment_curve(4), range(-10, 10))\n"
         "fam = enumerate_family_flats(sample).to_set_family()\n"
-        "print(len(fam.masks), *vc_profile(fam, 8).values)\n"
+        "vc = _kernels.vcdim(fam.masks, fam.ground.size)\n"
+        "print(len(fam.masks), vc, *vc_profile(fam, 8).values)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(v) for v in (1351, *(binom_le(k, 3) for k in range(9)))]
+    assert done.stdout.split() == [str(v) for v in (1351, 3, *(binom_le(k, 3) for k in range(9)))]
 
 
 def _depth_orders(rng, top):
@@ -267,6 +270,7 @@ def test_rho_matches_reference_when_ldim_is_below_log_family_size(rng):
     for masks, n in cases:
         ld = _kernels.ldim(masks, n)
         assert (1 << (ld + 1)) <= len(masks), (masks, ld)
+        assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n) <= ld, (masks, n)
         top = min(n, 6)
         ref = [ref_rho(masks, n, depth) for depth in range(top + 1)]
         assert all(r <= binom_le(depth, ld) for depth, r in enumerate(ref))

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_mask_family
 from zerotrace import _kernels
-from zerotrace.constructions import binom_le
+from zerotrace._kernels import binom_le
 from zerotrace.errors import (
     InvalidInputError,
     MalformedTreeError,

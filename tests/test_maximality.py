@@ -2,7 +2,7 @@
 
 import pytest
 
-from zerotrace.constructions import binom_le
+from zerotrace._kernels import binom_le
 from zerotrace.errors import DimensionMismatchError, InvalidInputError
 from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, independent, rank, row_space_canonical
 from zerotrace.instances import conics, high_vcden, moment_curve, two_lines

@@ -332,8 +332,9 @@ def test_family_to_set_family_keeps_witnesses():
     zfam = enumerate_family_flats(s)
     fam = zfam.to_set_family()
     assert fam.masks == zfam.masks()
+    assert len(fam.witnesses) == len(fam.masks)
     for i, z in enumerate(zfam.sets):
-        assert fam.witness_for(i) is z.witness
+        assert fam.witnesses[i] is z.witness
 
 
 def test_independence_verdicts():
