@@ -151,16 +151,25 @@ def _default_sample(inst, spec, cfg: RunConfig, verdict):
     return Sample.prefix(inst, inst.d), "stream-prefix"
 
 
+def _dimension(profile: list, search, fam) -> int:
+    """vcdim off a pi profile, or ldim off a rho profile: both fill all
+    2^k exactly up to the dimension, so once some k falls short the
+    dimension is k-1.  search answers when no k does, or when k = 0
+    (the empty family)."""
+    short = next((k for k, value in enumerate(profile) if value < 1 << k), None)
+    return short - 1 if short else search(fam)
+
+
 def cmd_analyze(cfg: RunConfig) -> dict:
     inst, spec = _load_instance(cfg)
     verdict = linearly_independent(inst, budget=cfg.budget)
     sample, sample_kind = _default_sample(inst, spec, cfg, verdict)
     zfam = enumerate_family_flats(sample)
     fam = zfam.to_set_family()
-    vc, ld = vcdim(fam), ldim(fam)
     rho_top = min(cfg.n_max, cfg.depth_cap)
     pis = list(vc_profile(fam, cfg.n_max).values)
     rhos = list(littlestone_profile(fam, rho_top, depth_cap=cfg.depth_cap).values)
+    vc, ld = _dimension(pis, vcdim, fam), _dimension(rhos, ldim, fam)
     assertions = [
         {
             "assertion": "littlestone.ldim(fam) <= d-1",

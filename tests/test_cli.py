@@ -693,6 +693,76 @@ def test_report_matches_golden_digest(capsys, argv):
     assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
+def _moment_curve_spec(tmp_path, d):
+    """The 20-point moment curve spec of dimension d, on points -10..9."""
+    path = tmp_path / f"moment_curve_{d}.json"
+    spec = {"field": "rational", "d": d, "family": {"builtin": "moment_curve"},
+            "sample": {"points": list(range(-10, 10))}}
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_deep_analyze_profile_matches_golden_digest(tmp_path, capsys):
+    # rho(0..12) of the 20-point d=3 family, a search that was exhaustive
+    # until each side of a split got its own ldim bound
+    code, out, _ = run(capsys, "analyze", "--instance", str(_moment_curve_spec(tmp_path, 3)),
+                       "--n-max", "12")
+    assert code == 0
+    report = json.loads(out)
+    del report["timings"], report["config"]["instance"]
+    canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "f5ff529be2dc0ee8532777ebdca0883f9cd421a9339c4eee36fd849141a70fe6"
+    )
+
+
+def test_deep_analyze_profile_finishes_in_seconds(tmp_path):
+    path = _moment_curve_spec(tmp_path, 4)
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "analyze", "--instance", str(path), "--n-max", "12"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["vcdim"], report["ldim"]) == (3, 3)
+
+
+def test_analyze_runs_one_vc_search_and_one_split_search(tmp_path, capsys, monkeypatch):
+    # vcdim and ldim are read off the pi and rho profiles, which fall
+    # short of 2^k at k = 4, so neither dimension gets a search of its own
+    from zerotrace import _kernels
+
+    calls = {"_shattered_depth": 0, "_rho_search": 0}
+    for name in calls:
+        search = getattr(_kernels, name)
+
+        def counted(*args, _search=search, _name=name):
+            calls[_name] += 1
+            return _search(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    code, out, _ = run(capsys, "analyze", "--instance", str(_moment_curve_spec(tmp_path, 4)),
+                       "--n-max", "8")
+    assert code == 0
+    assert calls == {"_shattered_depth": 1, "_rho_search": 1}
+    report = json.loads(out)
+    assert (report["vcdim"], report["ldim"]) == (3, 3)
+
+
+def test_analyze_searches_a_dimension_its_profile_leaves_open(capsys):
+    # moment_curve:4 has vcdim = ldim = 3; profiles up to n = 2 or 3 fill
+    # every 2^k, so the dimensions come from their own searches
+    for n_max in ("2", "3", "4"):
+        code, out, _ = run(capsys, "analyze", "--instance", "moment_curve:4", "--n-max", n_max)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["vcdim"], report["ldim"]) == (3, 3), n_max
+
+
 #: sha256 of the designed-grid files that `export --instance high_vcden:3`
 #: writes: the witness tree and the rho column read off the grid family.
 GOLDEN_EXPORT_DIGESTS = {

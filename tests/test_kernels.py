@@ -11,7 +11,7 @@ input.
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import given
@@ -281,6 +281,224 @@ def test_rho_matches_reference_when_ldim_is_below_log_family_size(rng):
             assert [rec(full, depth) for depth in order] == [ref[depth] for depth in order], (
                 masks, order
             )
+
+
+def _traced(name, run):
+    """Run run() and return one (args, caller_args, value) per call of the
+    _kernels closure `name`: its arguments, its caller's locals when the
+    caller is the same closure (else None), and what it returned."""
+    calls, stack = [], []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code.co_name != name or frame.f_globals is not vars(_kernels):
+            return
+        if event == "call":
+            parent = frame.f_back
+            stack.append((dict(frame.f_locals), dict(parent.f_locals) if parent.f_code is code else None))
+        elif event == "return":
+            calls.append((*stack.pop(), arg))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _profile_calls(masks, n, top):
+    """The split calls of one search asked rho(0..top) in ascending order,
+    the order of littlestone_profile, so the root bound is proved early."""
+    rec = _kernels._rho_search(_kernels._columns(masks, n))
+    full = (1 << len(masks)) - 1
+    values = []
+    calls = _traced("split", lambda: values.extend(rec(full, depth) for depth in range(top + 1)))
+    return values, calls
+
+
+def _lowered_bound_stops(calls):
+    """Split calls ended by the L-1 bound their parent passed down: the
+    node stopped at C(d, <= L-1), which its parent's L would not allow."""
+    stops = 0
+    for args, caller, value in calls:
+        if caller is None or args["bound"] != caller["bound"] - 1:
+            continue
+        s, d, bound = args["s"], args["d"], args["bound"]
+        if value == binom_le(d, bound) < min(s.bit_count(), binom_le(d, bound + 1)):
+            stops += 1
+    return stops
+
+
+def _child_bound_cases(rng):
+    """Seeded families whose rho values rest on a child's L-1 bound:
+    random subfamilies of the sets of size <= k (ldim <= k, far below
+    log2 |F|, so a side can meet C(d-1, <= L-1) exactly), and the
+    designed grid."""
+    cases = []
+    for _ in range(24):
+        n, k = rng.choice(((6, 2), (7, 2), (7, 3)))
+        small = [m for m in range(1 << n) if m.bit_count() <= k]
+        cases.append((sorted(rng.sample(small, rng.randint(len(small) // 2, len(small)))), n))
+    cases.append(_grid_masks(3, 6))
+    return cases
+
+
+def test_child_bound_matches_reference_where_it_decides(rng):
+    decided = 0
+    for masks, n in _child_bound_cases(rng):
+        top = min(n, 6)
+        values, calls = _profile_calls(masks, n, top)
+        assert values == [ref_rho(masks, n, depth) for depth in range(top + 1)], (masks, n)
+        stops = _lowered_bound_stops(calls)
+        decided += stops > 0
+        if stops:  # the same values asked deepest first, with no root bound yet
+            rec = _kernels._rho_search(_kernels._columns(masks, n))
+            full = (1 << len(masks)) - 1
+            assert [rec(full, depth) for depth in range(top, -1, -1)] == values[::-1]
+    assert decided >= 20, decided  # the bound ends nodes on most of these families
+
+
+def _relabeled(rng, masks, n):
+    perm = rng.sample(range(n), n)
+    return [sum(1 << perm[x] for x in range(n) if m >> x & 1) for m in masks]
+
+
+def _two_part_family(rng):
+    """Point x with the sets {x} and {x, a} for a in a group A (ldim 1),
+    beside fewer sets of size <= 2 on a group B of 4 points (ldim 2), on
+    points relabeled at random: splitting on x leaves a larger side of
+    ldim 1 that never exceeds C(d-1, <= 1), and a smaller side that
+    needs its full bound."""
+    a = rng.randint(6, 7)
+    n = a + 5
+    group_a = [1 << (1 + i) for i in range(a)]
+    group_b = [1 << (1 + a + i) for i in range(4)]
+    larger = [1] + [1 | m for m in group_a]
+    smaller = [sum(c) for r in range(3) for c in combinations(group_b, r)]
+    masks = larger + rng.sample(smaller, rng.randint(4, len(larger) - 1))
+    return sorted(_relabeled(rng, masks, n)), n
+
+
+def test_other_side_keeps_its_bound_until_the_larger_side_exceeds(rng):
+    needed = 0
+    for _ in range(30):
+        masks, n = _two_part_family(rng)
+        values, calls = _profile_calls(masks, n, 4)
+        assert values == [ref_rho(masks, n, depth) for depth in range(5)], (masks, n)
+        for args, caller, value in calls:
+            # the smaller side, searched under L because the larger side
+            # did not exceed C(d, <= L-1), fills more than L-1 allows
+            if caller is not None and args["s"] == caller["neg"] != caller["pos"]:
+                bound = args["bound"]
+                needed += bound == caller["bound"] and value > binom_le(args["d"], bound - 1)
+    assert needed >= 100, needed
+
+
+def test_split_search_never_tries_a_trivial_split(rng):
+    for masks, n in _child_bound_cases(rng)[::3]:
+        _, calls = _profile_calls(masks, n, min(n, 6))
+        for args, caller, _ in calls:
+            if caller is not None:
+                # a child is a nonempty proper part of its parent
+                assert args["s"] and args["s"] & ~caller["s"] == 0 and args["s"] != caller["s"], (
+                    masks, n
+                )
+
+
+def ref_blocks(masks, n_points):
+    """Points x < y in one block iff swapping x and y maps the family onto
+    itself, tested on every pair."""
+    family = set(masks)
+
+    def swapped(m, x, y):
+        return m ^ (1 << x | 1 << y) if (m >> x ^ m >> y) & 1 else m
+
+    blocks = []
+    for x in range(n_points):
+        for block in blocks:
+            if all({swapped(m, x, y) for m in masks} == family for y in block):
+                block.append(x)
+                break
+        else:
+            blocks.append([x])
+    return blocks
+
+
+def planted_family(rng, sizes):
+    """A family invariant under any permutation of the points within each
+    block: a union of random orbits, each orbit the sets with given counts
+    in every block, on blocks of the given sizes scattered over the points."""
+    n = sum(sizes)
+    order = rng.sample(range(n), n)
+    blocks = []
+    for size in sizes:
+        blocks.append(sorted(order[:size]))
+        order = order[size:]
+    counts = list(product(*(range(size + 1) for size in sizes)))
+    kept = set(rng.sample(counts, rng.randint(1, len(counts))))
+    masks = [m for m in range(1 << n) if tuple(sum(m >> x & 1 for x in b) for b in blocks) in kept]
+    return masks, n
+
+
+def _planted_cases(rng):
+    cases = []
+    for _ in range(40):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        while sum(sizes) > 8:
+            sizes.pop()
+        masks, n = planted_family(rng, sizes)
+        if rng.random() < 0.3:  # one extra set breaks some of the symmetry
+            masks = sorted(set(masks) | {rng.randrange(1 << n)})
+        cases.append((masks, n))
+    return cases
+
+
+def test_blocks_are_the_interchangeable_points(rng):
+    cases = _planted_cases(rng)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        cases.append((random_mask_family(rng, n, rng.randint(1, 30)), n))
+    cases += [([m for m in range(1 << 6) if m.bit_count() <= 2], 6), _grid_masks(3, 6)]
+    merged = 0
+    for masks, n in cases:
+        blocks = _kernels._blocks(masks, _kernels._columns(masks, n))
+        assert blocks == ref_blocks(masks, n), (masks, n)
+        merged += len(blocks) < n
+    assert merged >= 40  # most cases have symmetry to find
+
+
+def test_pi_and_vcdim_match_reference_and_ignore_relabeling(rng):
+    for masks, n in _planted_cases(rng):
+        profile = ref_pi_range(masks, n, 0, n)
+        vc = ref_vcdim(masks, n)
+        for relabeled in (masks, *(_relabeled(rng, masks, n) for _ in range(3))):
+            assert _kernels._pi_search(relabeled, n, 0, n) == profile, (masks, n)
+            assert _kernels.vcdim(relabeled, n) == vc, (masks, n)
+        assert_pi_search_matches_reference(masks, n)
+
+
+def test_subset_search_visits_block_prefixes_only(rng):
+    cases = _planted_cases(rng)[:15] + [_grid_masks(3, 6)]
+    for masks, n in cases:
+        blocks = ref_blocks(masks, n)
+        for run in (lambda: _kernels._pi_search(masks, n, 0, n), lambda: _kernels.vcdim(masks, n)):
+            for args, _, _ in _traced("visit", run):
+                chosen = args["chosen"]
+                for block in blocks:
+                    taken = [x for x in block if chosen >> x & 1]
+                    assert taken == block[: len(taken)], (masks, n, block, chosen)
+
+
+def test_grid_pi_search_visits_one_subset_per_block_count():
+    # the 15 grid points fall into two blocks of interchangeable points,
+    # so the search visits at most one subset per pair of counts taken
+    # from them, not the C(15, <= 6) subsets of the ground
+    masks, n = _grid_masks(3, 7)
+    blocks = _kernels._blocks(masks, _kernels._columns(masks, n))
+    assert sorted(len(block) for block in blocks) == [7, 8]
+    visits = _traced("visit", lambda: _kernels._pi_search(masks, n, 0, 7))
+    assert len(visits) <= 8 * 9
 
 
 masks_strategy = st.integers(1, 5).flatmap(
