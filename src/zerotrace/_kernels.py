@@ -1,31 +1,34 @@
 """Bitmask kernels for the combinatorial searches.
 
 Families are sequences of distinct integer bitmasks over ground points
-0..n_points-1 (bit i set means point i belongs to the set).  The one
-Littlestone recursion, the rho split search, works on subfamilies, each
-an int bitset over member indices (bit i set means member i is in it);
-with one column bitset per ground point a split is two bit operations,
-and (subfamily, depth) is the memo key.  Each call carries an ldim
-bound L proved for its own subfamily, and a node stops at the most
-leaves such a subfamily can fill, min(|s|, C(depth, <= L)).  The root
-L is read off the search's own rho values; a split passes L to its
-larger side and, once that side fills more than C(depth-1, <= L-1)
-leaves, L-1 to the other.  ldim is read off that search as the deepest
-depth at which rho fills every leaf; littlestone reads the rho profile
-and the ldim witness tree off one search each.
+0..n_points-1 (bit i set means point i belongs to the set).  This is the
+only module that knows the search representation: column bitsets, one
+per ground point, and subfamilies or restriction classes as member
+bitsets (bit i set means member i is in it).  Callers pass masks and
+get values back.
+
+The one Littlestone recursion, the rho split search, works on
+subfamilies; with the column bitsets a split is two bit operations, and
+(subfamily, depth) is the memo key.  Each call carries an ldim bound L
+proved for its own subfamily, and a node stops at the most leaves such
+a subfamily can fill, min(|s|, C(depth, <= L)).  The root L is read off
+the search's own rho values; a split passes L to its larger side and,
+once that side fills more than C(depth-1, <= L-1) leaves, L-1 to the
+other.  rho(lo..hi) is one search asked depth by depth; ldim is read
+off one search as the deepest depth at which rho fills every leaf, and
+ldim_tree walks that same search down to a witness tree.
 
 The VC side has one search too: a depth-first search over increasing
-point subsets that refines the restriction classes, as member bitsets,
-by the same column bitsets, and raises the most classes seen at each
-depth toward a cap.  Points that the family cannot tell apart, those
-whose swap maps it onto itself, form blocks, and the search only takes
-a prefix of each block, one subset per symmetry class.  pi(lo..hi) is
-that search capped at min(|F|, C(k, <= V)) (Sauer-Shelah); pi(k) is
-lo = hi = k, and littlestone's VC profile reads pi(0..n) off one
-search.  vcdim, the V of that cap, is read off the same search as ldim
-is read off rho's: seeded one class short of 2^k at every depth, it
-expands only shattered subsets, and vcdim is the deepest depth that
-reaches 2^k.  binom_le gives every C(k, <= L) the caps use.
+point subsets that refines the restriction classes by the same column
+bitsets, and raises the most classes seen at each depth toward a cap.
+Points that the family cannot tell apart, those whose swap maps it onto
+itself, form blocks, and the search only takes a prefix of each block,
+one subset per symmetry class.  pi(lo..hi) is that search capped at
+min(|F|, C(k, <= V)) (Sauer-Shelah).  vcdim, the V of that cap, is read
+off the same search as ldim is read off rho's: seeded one class short
+of 2^k at every depth, it expands only shattered subsets, and vcdim is
+the deepest depth that reaches 2^k.  binom_le gives every C(k, <= L)
+the caps use.
 """
 
 from __future__ import annotations
@@ -126,13 +129,9 @@ def _shattered_depth(cols: list, blocks: list, members: int) -> int:
     return depth
 
 
-def pi(masks: Sequence[int], n_points: int, k: int) -> int:
-    """Max number of distinct traces over any k-point subset."""
-    return _pi_search(masks, n_points, k, k)[0]
-
-
-def _pi_search(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
-    """[pi(k) for k in lo..hi], read off one subset search.
+def pi(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
+    """[pi(k) for k in lo..hi]: the most distinct traces over any k-point
+    subset, read off one subset search.
 
     No depth-k subset has more than min(|F|, C(k, <= V)) traces
     (Sauer-Shelah), with V the family's VC dimension read off the same
@@ -313,6 +312,45 @@ def _full_depth(rec, members: int) -> int:
     return depth
 
 
-def rho(masks: Sequence[int], n_points: int, depth: int) -> int:
-    """Max number of well-labeled leaves over depth-`depth` trees."""
-    return _rho_search(_columns(masks, n_points))((1 << len(masks)) - 1, depth)
+def ldim_tree(masks: Sequence[int], n_points: int) -> tuple:
+    """(depth, node_labels, leaf_labels) of a fully well-labeled tree of
+    depth ldim, in littlestone.LabeledTree's labeling; masks must be
+    nonempty.
+
+    Walks one split search: a node with subfamily s and r levels left
+    takes the lowest point whose two sides both have rho(r-1) = 2^(r-1),
+    i.e. ldim at least r-1, and each leaf names the lowest member index
+    consistent with its path.
+    """
+    cols = _columns(masks, n_points)
+    rec = _rho_search(cols)
+    depth = _full_depth(rec, len(masks))
+    nodes: dict = {}
+    leaves: dict = {}
+
+    def build(prefix: str, s: int, r: int) -> None:
+        if r == 0:
+            leaves[prefix] = (s & -s).bit_length() - 1
+            return
+        full = 1 << (r - 1)
+        for x, col in enumerate(cols):
+            pos = s & col
+            neg = s ^ pos
+            if rec(neg, r - 1) == full and rec(pos, r - 1) == full:
+                nodes[prefix] = x
+                build(prefix + "0", neg, r - 1)
+                build(prefix + "1", pos, r - 1)
+                return
+        raise AssertionError("split recursion invariant violated")
+
+    build("", (1 << len(masks)) - 1, depth)
+    return depth, nodes, leaves
+
+
+def rho(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
+    """[rho(d) for d in lo..hi]: the most well-labeled leaves over
+    depth-d trees, asked of one split search in ascending order, so the
+    ldim bound the shallow depths prove caps the deep ones."""
+    rec = _rho_search(_columns(masks, n_points))
+    full = (1 << len(masks)) - 1
+    return [rec(full, depth) for depth in range(lo, hi + 1)]

@@ -400,7 +400,7 @@ def check_grid_tree_counts(ctx: CheckContext) -> dict:
     tau = "001001"
     path = [res6.sample.points[res6.tree.node_labels[tau[:k]]] for k in range(6)]
     assert path == [(0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 1, 4), (1, 1, 5), (1, 1, 6)]
-    leaf_witness = res6.family.witnesses[res6.tree.leaf_labels[tau]]
+    leaf_witness = res6.witnesses[res6.tree.leaf_labels[tau]]
     assert leaf_witness.entries == grid_witness(QQ, 3, (2, 5)).entries
     details["figure_path"] = {"tau": tau, "nodes": [str(p) for p in path]}
     return details
@@ -598,8 +598,8 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
         vc_cap = vc if fam.masks else -1
         ld_cap = ld if fam.masks else -1
         top = fam.ground.size
-        pis = vc_profile(fam, top).values
-        rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap).values
+        pis = vc_profile(fam, top)
+        rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap)
         for n, (p, r) in enumerate(zip(pis, rhos)):
             assert p <= r, f"pi {p} > rho {r}"
             assert p <= binom_le(n, max(vc_cap, 0)) if fam.masks else p == 0

@@ -112,6 +112,8 @@ class RunConfig:
             raise InvalidInputError("budgets and caps must be positive")
         if self.format not in ("json", "csv"):
             raise InvalidInputError(f"unknown format {self.format!r}")
+        if self.format == "csv" and self.command != "shatter-fn":
+            raise InvalidInputError(f"{self.command} has no CSV table")
 
 
 def _canonical(data) -> str:
@@ -167,8 +169,8 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     zfam = enumerate_family_flats(sample)
     fam = zfam.to_set_family()
     rho_top = min(cfg.n_max, cfg.depth_cap)
-    pis = list(vc_profile(fam, cfg.n_max).values)
-    rhos = list(littlestone_profile(fam, rho_top, depth_cap=cfg.depth_cap).values)
+    pis = list(vc_profile(fam, cfg.n_max))
+    rhos = list(littlestone_profile(fam, rho_top, depth_cap=cfg.depth_cap))
     vc, ld = _dimension(pis, vcdim, fam), _dimension(rhos, ldim, fam)
     assertions = [
         {
@@ -256,8 +258,8 @@ def _shatter_rows(inst, cfg: RunConfig):
     # restrictions of the traces on the whole sample.
     full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
     if designed:
-        pis = vc_profile(full, top).values
-        rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap).values
+        pis = vc_profile(full, top)
+        rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap)
     rows = []
     for n in range(1, top + 1):
         if designed:
@@ -454,8 +456,6 @@ def _emit(report: dict, cfg: RunConfig, elapsed: float) -> None:
     report = dict(report)
     timings = report.pop("timings", {})
     if cfg.format == "csv":
-        if "rows" not in report:
-            raise InvalidInputError(f"{report['command']} has no CSV table")
         sys.stdout.write(_rows_to_csv(report["rows"]))
     else:
         payload = dict(report, timings={"wall_s": round(elapsed, 3), **timings})

@@ -44,7 +44,7 @@ from .exactalg import (
     zero_mask,
 )
 from .littlestone import MAX_DEPTH, LabeledTree
-from .setsystem import MAX_POINTS, GroundSet, SetFamily
+from .setsystem import SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
 
@@ -368,6 +368,7 @@ class GridTreeResult:
 
     tree: LabeledTree
     family: SetFamily
+    witnesses: tuple  # witnesses[i]: the coefficient vector of family member i
     sample: Sample
     well_labeled_target: int  # C(n,0) + ... + C(n,d-1)
 
@@ -435,12 +436,10 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
             key = (ones, k) if ones < d - 1 else (0, n)
             tree.node_labels[sigma] = position[key]
 
-    ground = sample.ground_set()
-    family = SetFamily.create(
-        ground,
-        [z.mask for z in family_sets],
-        [z.witness for z in family_sets],
-        enforce_limits=ground.size <= MAX_POINTS,
+    return GridTreeResult(
+        tree=tree,
+        family=SetFamily(sample.ground_set(), tuple(z.mask for z in family_sets)),
+        witnesses=tuple(z.witness for z in family_sets),
+        sample=sample,
+        well_labeled_target=_kernels.binom_le(n, d - 1),
     )
-    target = _kernels.binom_le(n, d - 1)
-    return GridTreeResult(tree=tree, family=family, sample=sample, well_labeled_target=target)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidInputError
 
@@ -52,6 +52,18 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def residue_tuples(p: int, r: int) -> Iterator[tuple]:
+    """Every r-tuple over 0..p-1, in lexicographic order, made one at a
+    time: itertools.product would first build range(p) as a tuple,
+    which does not fit in memory for p near 2^31."""
+    if not r:
+        yield ()
+        return
+    for head in residue_tuples(p, r - 1):
+        for last in range(p):
+            yield (*head, last)
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,12 @@ class RationalField:
 
     Fraction already normalizes to lowest terms with a positive
     denominator, which is exactly the canonical form required here.
-    QQ is the one instance, so fields over Q compare by identity.
+    QQ is the one instance, so fields over Q compare by identity.  Its
+    characteristic p is 0, so int arithmetic reduces mod p only when p
+    is nonzero.
     """
+
+    p = 0
 
     @property
     def zero(self) -> Fraction:
@@ -470,7 +486,7 @@ def _rows_zero_mask(a: Vector, rows: Iterable) -> int:
     """Bit i set iff a . rows[i] == 0, for int rows (see _int_row) of
     vectors over a's field and of a's width."""
     row = _int_row(a)
-    p = a.field.p if isinstance(a.field, PrimeField) else 0
+    p = a.field.p
     mask = 0
     for i, r in enumerate(rows):
         total = sum(map(mul, row, r))
@@ -542,7 +558,7 @@ class Span:
         residual = self._reduce(self._row_of(v))
         if self.field is None:
             self.field, self.width = v.field, len(residual)
-            self._p = v.field.p if isinstance(v.field, PrimeField) else 0
+            self._p = v.field.p
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False

@@ -33,6 +33,7 @@ from .exactalg import (
     basis_vector,
     field_from_json,
     field_to_json,
+    residue_tuples,
 )
 from .setsystem import MAX_POINTS
 from .zerosets import Instance, Sample, point_from_json
@@ -150,7 +151,7 @@ def polynomial_instance(
         raise InvalidInputError(f"need exactly d={d} polynomials, got {len(polynomials)}")
     if not variables or len(set(variables)) != len(variables):
         raise InvalidInputError("variables must be a nonempty list of distinct names")
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     evaluate_all = compile_polynomials(polynomials, variables, p)
     dims = len(variables)
 
@@ -165,7 +166,7 @@ def polynomial_instance(
 
     def stream():
         if isinstance(field, PrimeField):
-            pts = product(range(field.p), repeat=dims)
+            pts = residue_tuples(field.p, dims)
         elif dims == 1:
             pts = integer_spiral()
         else:
@@ -200,7 +201,7 @@ def moment_curve(d: int, field: Field = QQ) -> Instance:
     if d < 1:
         raise InvalidInputError("moment curve needs d >= 1")
 
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
 
     def evaluate(x):
         if not _is_int(x):
@@ -263,7 +264,7 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
 
     def stream():
         if isinstance(field, PrimeField):
-            pairs: Iterator = product(range(field.p), repeat=2)
+            pairs: Iterator = residue_tuples(field.p, 2)
         else:
             pairs = integer_shells(2)
         for s, t in pairs:

@@ -9,13 +9,13 @@ the leaf's set.
 
 ldim is the largest depth of a tree whose every leaf is well-labeled;
 rho(n) is the largest number of well-labeled leaves over all depth-n
-trees.  rho is computed by a split recursion on the family (choosing a
-root point partitions the members by whether they contain it), which
-the exhaustive tree-search oracle rho_via_trees validates on small
-inputs.  ldim is read off the same recursion as the largest n with
+trees.  rho is computed by the kernels' split recursion on the family
+(choosing a root point partitions the members by whether they contain
+it), which the exhaustive tree-search oracle rho_via_trees validates on
+small inputs.  ldim is read off the same recursion as the largest n with
 rho(n) = 2^n.  The whole profile rho(0..n) and the ldim witness tree
-are each read off one such search, sharing its memo across depths and
-subfamilies.
+are each read off one such search in _kernels (rho over a depth range,
+ldim_tree); this module builds and checks the trees.
 """
 
 from __future__ import annotations
@@ -99,36 +99,12 @@ def ldim(fam: SetFamily):
 
 
 def ldim_witness(fam: SetFamily) -> LabeledTree:
-    """A fully well-labeled tree of depth ldim(fam).
-
-    Walks the split search over member bitsets: a node with subfamily s
-    and r levels left takes the lowest point whose two sides both have
-    rho(r-1) = 2^(r-1), i.e. ldim at least r-1, and each leaf names the
-    lowest member index consistent with its path.
-    """
+    """A fully well-labeled tree of depth ldim(fam), from the kernels'
+    split search (see _kernels.ldim_tree)."""
     if not fam.masks:
         raise InvalidInputError("empty family has no witness tree")
-    cols = _kernels._columns(fam.masks, fam.ground.size)
-    rec = _kernels._rho_search(cols)
-    depth = _kernels._full_depth(rec, len(fam.masks))
-    tree = LabeledTree(depth=depth)
-
-    def build(prefix: str, s: int, r: int) -> None:
-        if r == 0:
-            tree.leaf_labels[prefix] = (s & -s).bit_length() - 1
-            return
-        full = 1 << (r - 1)
-        for x, col in enumerate(cols):
-            pos = s & col
-            neg = s ^ pos
-            if rec(neg, r - 1) == full and rec(pos, r - 1) == full:
-                tree.node_labels[prefix] = x
-                build(prefix + "0", neg, r - 1)
-                build(prefix + "1", pos, r - 1)
-                return
-        raise AssertionError("split recursion invariant violated")
-
-    build("", (1 << len(fam.masks)) - 1, depth)
+    depth, nodes, leaves = _kernels.ldim_tree(fam.masks, fam.ground.size)
+    tree = LabeledTree(depth=depth, node_labels=nodes, leaf_labels=leaves)
     tree.validate(fam)
     return tree
 
@@ -168,9 +144,7 @@ def rho(fam: SetFamily, n: int, *, depth_cap: int = MAX_DEPTH) -> int:
         raise InvalidInputError("rho depth must be >= 0")
     if n > depth_cap:
         raise ResourceLimitError(f"rho depth {n} exceeds cap {depth_cap}")
-    if not fam.masks:
-        return 0
-    return _kernels.rho(fam.masks, fam.ground.size, n)
+    return _kernels.rho(fam.masks, fam.ground.size, n, n)[0]
 
 
 def rho_via_trees(fam: SetFamily, n: int) -> int:
@@ -214,38 +188,17 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
     return best(0, 0, False, n) if n else 1
 
 
-@dataclass(frozen=True)
-class ShatterProfile:
-    """An exact growth sequence, one value per sample size / tree depth."""
-
-    kind: str  # "vc" or "littlestone"
-    values: tuple  # values[n] is pi(n) or rho(n)
-
-    def __post_init__(self):
-        if self.kind not in ("vc", "littlestone"):
-            raise InvalidInputError(f"unknown profile kind {self.kind!r}")
-        if self.values and self.values[0] not in (0, 1):
-            raise InvalidInputError("a growth sequence starts at 0 or 1")
-
-
-def vc_profile(fam: SetFamily, n_max: int) -> ShatterProfile:
+def vc_profile(fam: SetFamily, n_max: int) -> tuple:
     """pi(0..n_max), read off one subset search; n_max is clamped to the
     ground-set size."""
-    top = min(n_max, fam.ground.size)
-    return ShatterProfile("vc", tuple(_kernels._pi_search(fam.masks, fam.ground.size, 0, top)))
+    return tuple(_kernels.pi(fam.masks, fam.ground.size, 0, min(n_max, fam.ground.size)))
 
 
-def littlestone_profile(
-    fam: SetFamily, n_max: int, *, depth_cap: int = MAX_DEPTH
-) -> ShatterProfile:
+def littlestone_profile(fam: SetFamily, n_max: int, *, depth_cap: int = MAX_DEPTH) -> tuple:
     """rho(0..n_max), read off one split search; the cap is checked first."""
     if n_max > depth_cap:
         raise ResourceLimitError(f"rho depth {depth_cap + 1} exceeds cap {depth_cap}")
-    if not fam.masks:
-        return ShatterProfile("littlestone", (0,) * (n_max + 1))
-    rec = _kernels._rho_search(_kernels._columns(fam.masks, fam.ground.size))
-    full = (1 << len(fam.masks)) - 1
-    return ShatterProfile("littlestone", tuple(rec(full, n) for n in range(n_max + 1)))
+    return tuple(_kernels.rho(fam.masks, fam.ground.size, 0, n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,9 @@ from .errors import DimensionMismatchError, InvalidInputError, ResourceLimitErro
 #: every input.
 NEG_INF = float("-inf")
 
-#: Soft resource limits; constructors raise ResourceLimitError beyond
-#: these unless explicitly overridden.
+#: Resource limits; SetFamily.create raises ResourceLimitError beyond these.
 MAX_POINTS = 20
 MAX_SETS = 4096
-
-#: Hard cap on the ground set, kept even when enforce_limits is off.
-_HARD_MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -85,20 +81,12 @@ def mask_to_indices(mask: int) -> list:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Distinct subsets of a ground set, each optionally carrying a witness.
-
-    Witnesses are opaque to this module (zero-set families store the
-    coefficient vector that realized each trace).  Order of members is
-    preserved: merge operations keep the witness of the first contributor.
-    """
+    """Distinct subsets of a ground set, as bitmasks in member order."""
 
     ground: GroundSet
     masks: tuple
-    witnesses: tuple = ()
 
     def __post_init__(self):
-        if self.witnesses and len(self.witnesses) != len(self.masks):
-            raise InvalidInputError("witness count differs from set count")
         seen = set()
         for m in self.masks:
             if not isinstance(m, int) or m < 0 or m >> self.ground.size:
@@ -110,36 +98,21 @@ class SetFamily:
             seen.add(m)
 
     @staticmethod
-    def create(
-        ground: GroundSet,
-        masks: Sequence[int],
-        witnesses: Sequence = (),
-        *,
-        enforce_limits: bool = True,
-    ) -> "SetFamily":
-        if ground.size > _HARD_MAX_POINTS:
-            raise ResourceLimitError(
-                f"ground set of {ground.size} points exceeds the hard cap {_HARD_MAX_POINTS}"
-            )
-        if enforce_limits and ground.size > MAX_POINTS:
+    def create(ground: GroundSet, masks: Sequence[int]) -> "SetFamily":
+        """The family, checked against MAX_POINTS and MAX_SETS."""
+        if ground.size > MAX_POINTS:
             raise ResourceLimitError(
                 f"ground set of {ground.size} points exceeds the soft limit {MAX_POINTS}"
             )
-        if enforce_limits and len(masks) > MAX_SETS:
+        if len(masks) > MAX_SETS:
             raise ResourceLimitError(
                 f"family of {len(masks)} sets exceeds the soft limit {MAX_SETS}"
             )
-        return SetFamily(ground, tuple(masks), tuple(witnesses))
+        return SetFamily(ground, tuple(masks))
 
     @staticmethod
-    def from_index_sets(
-        ground: GroundSet,
-        sets: Sequence[Iterable[int]],
-        witnesses: Sequence = (),
-        **kwargs,
-    ) -> "SetFamily":
-        masks = [as_mask(tuple(s), ground.size) for s in sets]
-        return SetFamily.create(ground, masks, witnesses, **kwargs)
+    def from_index_sets(ground: GroundSet, sets: Sequence[Iterable[int]]) -> "SetFamily":
+        return SetFamily.create(ground, [as_mask(tuple(s), ground.size) for s in sets])
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -148,8 +121,8 @@ class SetFamily:
 def restrict(fam: SetFamily, subset: SubsetLike) -> SetFamily:
     """Trace family on the selected points, re-indexed to 0..k-1.
 
-    Members that collapse to the same trace are merged; the surviving
-    trace keeps the witness of its first contributor in input order.
+    Members that collapse to the same trace are merged, in order of
+    first appearance.
     """
     mask = as_mask(subset, fam.ground.size)
     selected = mask_to_indices(mask)
@@ -157,21 +130,13 @@ def restrict(fam: SetFamily, subset: SubsetLike) -> SetFamily:
     # back to the original sample.
     new_ground = GroundSet(len(selected), tuple(fam.ground.label(i) for i in selected))
     position = {p: j for j, p in enumerate(selected)}
-    seen = {}
-    new_masks = []
-    new_witnesses = []
-    for idx, m in enumerate(fam.masks):
+    new_masks = {}
+    for m in fam.masks:
         compressed = 0
-        remaining = m & mask
-        for p in mask_to_indices(remaining):
+        for p in mask_to_indices(m & mask):
             compressed |= 1 << position[p]
-        if compressed in seen:
-            continue
-        seen[compressed] = idx
-        new_masks.append(compressed)
-        if fam.witnesses:
-            new_witnesses.append(fam.witnesses[idx])
-    return SetFamily(new_ground, tuple(new_masks), tuple(new_witnesses))
+        new_masks[compressed] = None
+    return SetFamily(new_ground, tuple(new_masks))
 
 
 def shatters(fam: SetFamily, subset: SubsetLike) -> bool:
@@ -198,9 +163,7 @@ def pi(fam: SetFamily, n: int) -> int:
         raise DimensionMismatchError(
             f"pi argument {n} outside 0..{fam.ground.size} (ground set size)"
         )
-    if not fam.masks:
-        return 0
-    return _kernels.pi(fam.masks, fam.ground.size, n)
+    return _kernels.pi(fam.masks, fam.ground.size, n, n)[0]
 
 
 def vcdim_via_trees(fam: SetFamily):

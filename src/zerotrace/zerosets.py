@@ -37,6 +37,7 @@ from .exactalg import (
     in_span,
     nullspace_basis,
     projective_normalize,
+    residue_tuples,
     scalar_from_str,
     scalar_to_str,
 )
@@ -45,7 +46,8 @@ from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 #: Default number of stream points a scan may consume.
 DEFAULT_BUDGET = 10_000
 
-#: Brute-force enumeration requires p**d at most this.
+#: Brute-force enumeration requires p**d at most this, and the F_p
+#: witness search gives up after this many tries.
 BRUTEFORCE_SPACE_LIMIT = 2_000_000
 
 #: Flat-lattice enumeration aborts beyond this many closure classes.
@@ -168,11 +170,7 @@ class ZeroSetFamily:
         return len(self.sets)
 
     def to_set_family(self) -> SetFamily:
-        return SetFamily.create(
-            self.sample.ground_set(),
-            [z.mask for z in self.sets],
-            [z.witness for z in self.sets],
-        )
+        return SetFamily.create(self.sample.ground_set(), self.masks())
 
 
 def zero_set(sample: Sample, a: Vector) -> ZeroSet:
@@ -379,14 +377,22 @@ def _search_coefficients(p: int, r: int, rows) -> Optional[tuple]:
 
     Over F_p the r-dimensional span is searched exhaustively and
     projectively, and None means the candidate trace is not realizable.
+    That is at most p^r <= p^d tries, so the cap of BRUTEFORCE_SPACE_LIMIT
+    tries binds only where brute-force enumeration is refused too.
     Over Q (p == 0) a witness always exists (a vector space over an
     infinite field is not a finite union of proper subspaces); it is
     found by walking integer tuples outward by max-norm.
     """
     if p:
+        tried = 0
         for lead in range(r):
             head = (0,) * lead + (1,)
-            for tail in product(range(p), repeat=r - lead - 1):
+            for tail in residue_tuples(p, r - lead - 1):
+                tried += 1
+                if tried > BRUTEFORCE_SPACE_LIMIT:
+                    raise ResourceLimitError(
+                        f"F_{p} witness search exceeded {BRUTEFORCE_SPACE_LIMIT} tries"
+                    )
                 c = head + tail
                 if all(sum(map(mul, c, row)) % p for row in rows):
                     return c
@@ -429,7 +435,7 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     images = sample.images
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     ints = [_int_row(v) for v in images]
     found: dict = {}
     visited = 0

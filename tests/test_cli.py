@@ -65,6 +65,20 @@ def test_analyze_rejects_csv(capsys):
     assert "CSV" in err
 
 
+def test_csv_is_refused_before_any_work(tmp_path, capsys):
+    # only shatter-fn has a CSV table; the other commands exit 3 up front
+    out_dir = tmp_path / "csv"
+    code, out, err = run(
+        capsys, "export", "--instance", "two_lines", "--out", str(out_dir), "--format", "csv"
+    )
+    assert (code, out) == (3, "")
+    assert "export has no CSV table" in err
+    assert not out_dir.exists()
+    code, out, err = run(capsys, "verify", "--checks", "dimensions_match", "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == "invalid input: verify has no CSV table\n"
+
+
 def test_analyze_unknown_instance(capsys):
     code, _, err = run(capsys, "analyze", "--instance", "mystery")
     assert code == 3
@@ -495,6 +509,106 @@ def test_fuzzed_family_and_sample_specs_end_in_an_exit_code(tmp_path, capsys):
         code, _, _ = run(capsys, "analyze", "--instance", str(path), "--budget", "200", "--n-max", "2")
         assert code in (0, 1, 2, 3), spec
         codes.add(code)
+    assert {0, 3} <= codes
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("moment_curve:3,p=2147483647", 0),
+        ("high_vcden:3,p=2147483647", 2),  # the F_p witness search reaches its try cap
+    ],
+)
+def test_prime_at_the_modulus_cap_ends_in_an_exit_code(capsys, name, code):
+    got, _, err = run(capsys, "analyze", "--instance", name)
+    assert got == code, err
+
+
+_FUZZ_NAMES = (
+    "moment_curve",
+    "high_vcden",
+    "two_lines",
+    "conics",
+    "ellipse_carrier",
+    "",
+    "mystery",
+    "moment_curve:",
+    ":3",
+    "moment_curve:x",
+    "moment_curve:3,q=2",
+    "high_vcden:3,p=",
+    "moment_curve:3,p=7,d=2",
+)
+_FUZZ_PRIMES = (0, 1, 4, 3, 13, 2**31 - 1, 2**31)
+
+#: Seconds any one fuzzed request may take; the slowest legitimate ones,
+#: F_p witness searches at p = 2^31 - 1 that stop at their try cap, take
+#: a few seconds.
+_FUZZ_CASE_SECONDS = 20
+
+
+def _fuzz_instance_name(rng) -> str:
+    """A built-in or junk name, with d in 0..6 and p from _FUZZ_PRIMES, each maybe left out."""
+    name = rng.choice(_FUZZ_NAMES)
+    params = []
+    if rng.random() < 0.8:
+        params.append(str(rng.randint(0, 6)))
+    if rng.random() < 0.6:
+        params.append(f"p={rng.choice(_FUZZ_PRIMES)}")
+    return f"{name}:{','.join(params)}" if params and ":" not in name else name
+
+
+def _timed_exit(capsys, *argv) -> int:
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert elapsed < _FUZZ_CASE_SECONDS, (argv, elapsed)
+    return code
+
+
+def test_fuzzed_instance_names_end_in_an_exit_code(capsys):
+    rng = random.Random(20261019)
+    codes = set()
+    for _ in range(300):
+        command = rng.choice(("analyze", "shatter-fn"))
+        name = _fuzz_instance_name(rng)
+        codes.add(_timed_exit(capsys, command, "--instance", name, "--n-max", "2", "--budget", "200"))
+    assert {0, 2, 3} <= codes
+
+
+def _fuzz_config(rng, out: str) -> dict:
+    """Some RunConfig keys, each mostly set to a value the key accepts
+    and otherwise to a value of any type."""
+    valid = {
+        "instance": ("moment_curve:3", "high_vcden:3", "two_lines", "moment_curve:2,p=3"),
+        "n_max": (1, 2, 3, 17),
+        "depth_cap": (1, 2, 16),
+        "budget": (1, 20, 200),
+        "out": (out, ""),
+        "format": ("json", "csv"),
+        "seed": (0, 7, -1, 2**40),
+        "checks": (["dimensions_match"], ["grid_trace_count", "shattered_set"]),
+    }
+    assert set(valid) == set(cli._CONFIG_KEYS)
+    junk = ("mystery", "", "2", 0, -3, 2.5, True, None, [], [1, 2], {"dir": "x"}, ["nope"])
+    return {
+        key: rng.choice(values) if rng.random() < 0.85 else rng.choice(junk)
+        for key, values in valid.items()
+        if rng.random() < 0.5
+    }
+
+
+def test_fuzzed_config_values_end_in_an_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a junk string as `out` is a relative directory
+    rng = random.Random(20261020)
+    path = tmp_path / "run.json"
+    codes = set()
+    for i in range(150):
+        path.write_text(json.dumps(_fuzz_config(rng, str(tmp_path / f"out{i}"))))
+        command = rng.choice(("analyze", "shatter-fn", "verify", "export"))
+        codes.add(_timed_exit(capsys, command, "--config", str(path)))
     assert {0, 3} <= codes
 
 

@@ -3,6 +3,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from zerotrace.exactalg import (
     nullspace_basis,
     projective_normalize,
     rank,
+    residue_tuples,
     row_space_canonical,
     scalar_from_str,
     scalar_to_str,
@@ -45,6 +47,14 @@ def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 6, 9, 15):
         with pytest.raises(InvalidInputError):
             PrimeField(bad)
+
+
+def test_residue_tuples_are_lexicographic_and_lazy():
+    for p, r in ((2, 0), (3, 1), (3, 3), (5, 2)):
+        assert list(residue_tuples(p, r)) == list(product(range(p), repeat=r))
+    # the largest modulus: no range(p) is ever built
+    assert list(islice(residue_tuples(2**31 - 1, 3), 3)) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    assert QQ.p == 0 and F13.p == 13
 
 
 def test_fp_inverse_exhaustive():

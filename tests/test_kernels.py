@@ -108,7 +108,7 @@ def _grid_masks(d, n):
 def assert_pi_search_matches_reference(masks, n):
     for lo in range(n + 2):
         for hi in range(lo, n + 2):
-            assert _kernels._pi_search(masks, n, lo, hi) == ref_pi_range(masks, n, lo, hi), (
+            assert _kernels.pi(masks, n, lo, hi) == ref_pi_range(masks, n, lo, hi), (
                 masks, n, lo, hi
             )
 
@@ -117,11 +117,11 @@ def assert_matches_reference(masks, n, max_depth):
     if masks:
         assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n), masks
         assert _kernels.ldim(masks, n) == ref_ldim(masks, n), masks
-    for k in range(n + 1):
-        assert _kernels.pi(masks, n, k) == ref_pi(masks, n, k), (masks, k)
     assert_pi_search_matches_reference(masks, n)
-    for depth in range(max_depth + 1):
-        assert _kernels.rho(masks, n, depth) == ref_rho(masks, n, depth), (masks, depth)
+    ref = [ref_rho(masks, n, depth) for depth in range(max_depth + 1)]
+    for lo in range(max_depth + 1):
+        assert _kernels.rho(masks, n, lo, max_depth) == ref[lo:], (masks, lo)
+        assert _kernels.rho(masks, n, lo, lo) == [ref[lo]], (masks, lo)
 
 
 def test_kernels_match_reference_on_seeded_families(rng):
@@ -134,29 +134,27 @@ def test_kernels_match_reference_on_seeded_families(rng):
 
 def test_kernels_match_reference_on_edge_families():
     assert_matches_reference([], 3, 3)  # the empty family
-    assert _kernels.rho([], 3, 0) == 0
+    assert _kernels.rho([], 3, 0, 3) == [0] * 4
     assert_matches_reference([0], 0, 3)  # ground 0
     for n in range(4):
         assert_matches_reference([0b101 & ((1 << n) - 1)], n, 3)  # a single set
     for n in range(6):
         powerset = list(range(1 << n))
         assert_matches_reference(powerset, n, min(n, 3))
-        assert _kernels._pi_search(powerset, n, 0, n) == [1 << k for k in range(n + 1)]
-    for depth in (1, 2, 3):
-        assert _kernels.rho([0], 0, depth) == ref_rho([0], 0, depth) == 0
-    assert _kernels.rho([0], 0, 0) == 1
+        assert _kernels.pi(powerset, n, 0, n) == [1 << k for k in range(n + 1)]
+    assert _kernels.rho([0], 0, 0, 3) == [ref_rho([0], 0, d) for d in range(4)] == [1, 0, 0, 0]
     assert _kernels.ldim([0], 0) == ref_ldim([0], 0) == 0
 
 
 def test_kernels_match_reference_on_designed_grid():
     masks, n = _grid_masks(3, 5)
     assert_matches_reference(masks, n, 5)
-    assert [_kernels.rho(masks, n, depth) for depth in range(6)] == [1, 2, 4, 7, 11, 16]
+    assert _kernels.rho(masks, n, 0, 5) == [1, 2, 4, 7, 11, 16]
     masks, n = _grid_masks(3, 7)
     assert (n, len(masks)) == (15, 74)
     profile = [1, 2, 4, 7, 11, 14, 18, 22]
-    assert _kernels._pi_search(masks, n, 0, 7) == profile
-    assert [_kernels.pi(masks, n, k) for k in range(8)] == profile
+    assert _kernels.pi(masks, n, 0, 7) == profile
+    assert [_kernels.pi(masks, n, k, k)[0] for k in range(8)] == profile
 
 
 def test_ldim_is_deepest_full_rho_depth(rng):
@@ -166,11 +164,12 @@ def test_ldim_is_deepest_full_rho_depth(rng):
         cases.append((random_mask_family(rng, n, rng.randint(1, 30)), n))
     for masks, n in cases:
         ld = _kernels.ldim(masks, n)
-        full = [r for r in range(len(masks).bit_length()) if _kernels.rho(masks, n, r) == 1 << r]
+        rhos = _kernels.rho(masks, n, 0, n + 1)
+        full = [r for r in range(len(masks).bit_length()) if rhos[r] == 1 << r]
         assert ld == max(full), (masks, n)
         # rho is full exactly up to ldim, also past the 2^r <= len(masks) guard
         for r in range(n + 2):
-            assert (_kernels.rho(masks, n, r) == 1 << r) == (r <= ld), (masks, n, r)
+            assert (rhos[r] == 1 << r) == (r <= ld), (masks, n, r)
 
 
 def test_pi_search_matches_reference_at_every_depth_range(rng):
@@ -195,7 +194,7 @@ def test_pi_search_meets_the_sauer_shelah_cap_without_scanning_every_subset():
         "sample = Sample.take(moment_curve(4), range(-10, 10))\n"
         "fam = enumerate_family_flats(sample).to_set_family()\n"
         "vc = _kernels.vcdim(fam.masks, fam.ground.size)\n"
-        "print(len(fam.masks), vc, *vc_profile(fam, 8).values)\n"
+        "print(len(fam.masks), vc, *vc_profile(fam, 8))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
     done = subprocess.run(
@@ -473,7 +472,7 @@ def test_pi_and_vcdim_match_reference_and_ignore_relabeling(rng):
         profile = ref_pi_range(masks, n, 0, n)
         vc = ref_vcdim(masks, n)
         for relabeled in (masks, *(_relabeled(rng, masks, n) for _ in range(3))):
-            assert _kernels._pi_search(relabeled, n, 0, n) == profile, (masks, n)
+            assert _kernels.pi(relabeled, n, 0, n) == profile, (masks, n)
             assert _kernels.vcdim(relabeled, n) == vc, (masks, n)
         assert_pi_search_matches_reference(masks, n)
 
@@ -482,7 +481,7 @@ def test_subset_search_visits_block_prefixes_only(rng):
     cases = _planted_cases(rng)[:15] + [_grid_masks(3, 6)]
     for masks, n in cases:
         blocks = ref_blocks(masks, n)
-        for run in (lambda: _kernels._pi_search(masks, n, 0, n), lambda: _kernels.vcdim(masks, n)):
+        for run in (lambda: _kernels.pi(masks, n, 0, n), lambda: _kernels.vcdim(masks, n)):
             for args, _, _ in _traced("visit", run):
                 chosen = args["chosen"]
                 for block in blocks:
@@ -497,7 +496,7 @@ def test_grid_pi_search_visits_one_subset_per_block_count():
     masks, n = _grid_masks(3, 7)
     blocks = _kernels._blocks(masks, _kernels._columns(masks, n))
     assert sorted(len(block) for block in blocks) == [7, 8]
-    visits = _traced("visit", lambda: _kernels._pi_search(masks, n, 0, 7))
+    visits = _traced("visit", lambda: _kernels.pi(masks, n, 0, 7))
     assert len(visits) <= 8 * 9
 
 
@@ -523,7 +522,7 @@ def test_vcdim_bounded_by_log_family_size(case):
 def test_pi_monotone_and_sauer(case):
     n, masks = case
     d = _kernels.vcdim(masks, n)
-    values = [_kernels.pi(masks, n, k) for k in range(n + 1)]
+    values = _kernels.pi(masks, n, 0, n)
     assert values[0] == 1
     assert all(a <= b for a, b in zip(values, values[1:]))
     for k, v in enumerate(values):
@@ -534,11 +533,11 @@ def test_pi_monotone_and_sauer(case):
 def test_rho_monotone_and_dominates_pi(case):
     n, masks = case
     ld = _kernels.ldim(masks, n)
-    rhos = [_kernels.rho(masks, n, depth) for depth in range(n + 1)]
+    rhos = _kernels.rho(masks, n, 0, n)
     assert all(a <= b for a, b in zip(rhos, rhos[1:]))
     assert all(r <= len(masks) for r in rhos)
-    for k in range(n + 1):
-        assert _kernels.pi(masks, n, k) <= rhos[k]
+    for k, p in enumerate(_kernels.pi(masks, n, 0, n)):
+        assert p <= rhos[k]
         assert rhos[k] <= binom_le(k, ld)
 
 
@@ -559,8 +558,8 @@ def test_powerset_dimensions():
     masks = list(range(1 << n))
     assert _kernels.vcdim(masks, n) == n
     assert _kernels.ldim(masks, n) == n
-    assert _kernels.pi(masks, n, n) == 1 << n
-    assert _kernels.rho(masks, n, n) == 1 << n
+    assert _kernels.pi(masks, n, n, n) == [1 << n]
+    assert _kernels.rho(masks, n, n, n) == [1 << n]
 
 
 def test_backend_name_is_pure():

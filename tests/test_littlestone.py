@@ -12,7 +12,6 @@ from zerotrace.errors import (
 )
 from zerotrace.littlestone import (
     LabeledTree,
-    ShatterProfile,
     count_well_labeled,
     ldim,
     ldim_witness,
@@ -169,7 +168,7 @@ def test_level_balanced_tree_counts_members(rng):
 
 
 def test_level_balanced_tree_depth_cap():
-    fam = SetFamily.create(GroundSet(17), (0b1,), enforce_limits=False)
+    fam = SetFamily(GroundSet(17), (0b1,))
     with pytest.raises(ResourceLimitError):
         level_balanced_tree(fam)
 
@@ -207,13 +206,8 @@ def test_tree_growth_dominates_trace_growth(rng):
 
 def test_profiles():
     fam = powerset_family(3)
-    vp = vc_profile(fam, 5)
-    lp = littlestone_profile(fam, 5)
-    assert vp.kind == "vc" and lp.kind == "littlestone"
-    assert vp.values == (1, 2, 4, 8)  # clamped at ground size
-    assert lp.values == (1, 2, 4, 8, 8, 8)
-    with pytest.raises(InvalidInputError):
-        ShatterProfile(kind="vc", values=(7,))
+    assert vc_profile(fam, 5) == (1, 2, 4, 8)  # clamped at ground size
+    assert littlestone_profile(fam, 5) == (1, 2, 4, 8, 8, 8)
 
 
 def test_littlestone_profile_matches_per_depth_rho(rng):
@@ -224,16 +218,16 @@ def test_littlestone_profile_matches_per_depth_rho(rng):
             SetFamily.create(GroundSet(n), tuple(random_mask_family(rng, n, rng.randint(1, 12))))
         )
     for fam in families:
-        values = littlestone_profile(fam, 6).values
+        values = littlestone_profile(fam, 6)
         assert values == tuple(rho(fam, n) for n in range(7)), fam.masks
-    assert littlestone_profile(families[0], 6).values == (0,) * 7
+    assert littlestone_profile(families[0], 6) == (0,) * 7
 
 
 def test_littlestone_profile_checks_depth_cap_before_any_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("rho search started")
 
-    monkeypatch.setattr(_kernels, "_rho_search", no_search)
+    monkeypatch.setattr(_kernels, "rho", no_search)
     with pytest.raises(ResourceLimitError, match="rho depth 5 exceeds cap 4"):
         littlestone_profile(powerset_family(2), 5, depth_cap=4)
 

@@ -1,5 +1,7 @@
 """Finite set system layer: masks, restriction, VC side."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,36 +61,31 @@ def test_family_rejects_duplicates_and_wide_masks():
         SetFamily.create(g, (1, 1))
     with pytest.raises(DimensionMismatchError):
         SetFamily.create(g, (4,))
-    with pytest.raises(InvalidInputError):
-        SetFamily(g, (1, 2), witnesses=("only-one",))
 
 
 def test_family_limits():
     with pytest.raises(ResourceLimitError):
         SetFamily.create(GroundSet(21), (0,))
-    big = SetFamily.create(GroundSet(21), (0,), enforce_limits=False)
-    assert big.ground.size == 21
     with pytest.raises(ResourceLimitError):
-        SetFamily.create(GroundSet(65), (0,), enforce_limits=False)
+        SetFamily.create(GroundSet(13), range(4097))
+    # the limits are create's; a family built directly is checked for shape only
+    assert SetFamily(GroundSet(21), (0,)).ground.size == 21
 
 
 def test_from_index_sets_and_members():
     fam = SetFamily.from_index_sets(GroundSet(3), [(0, 2), (), (1,)])
     assert fam.masks == (0b101, 0, 0b010)
     assert [set(mask_to_indices(m)) for m in fam.masks] == [{0, 2}, set(), {1}]
-    assert fam.witnesses == ()
+    assert [f.name for f in fields(fam)] == ["ground", "masks"]
 
 
-def test_restrict_merges_and_keeps_first_witness():
-    fam = SetFamily.create(GroundSet(3), (0b101, 0b001, 0b110), witnesses=("a", "b", "c"))
-    r = restrict(fam, (0,))
-    assert r.ground.size == 1
-    assert set(r.masks) == {0b1, 0b0}
-    # 0b101 and 0b001 both trace to {0}: first witness survives
-    by_mask = dict(zip(r.masks, r.witnesses))
-    assert by_mask[0b1] == "a"
-    assert by_mask[0b0] == "c"
-    assert r.ground.all_labels() == ["0"]
+def test_restrict_merges_traces_in_first_order():
+    fam = SetFamily.create(GroundSet(3), (0b110, 0b101, 0b001, 0b011))
+    r = restrict(fam, (0, 2))
+    assert r.ground.all_labels() == ["0", "2"]
+    # 0b001 and 0b011 both trace to {0}, which keeps the place of the first
+    assert r.masks == (0b10, 0b11, 0b01)
+    assert restrict(fam, (1,)).masks == (0b1, 0b0)
 
 
 def test_shatters_and_vcdim_hand_cases():

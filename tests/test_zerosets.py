@@ -315,6 +315,16 @@ def test_flats_stop_at_the_family_cap(monkeypatch):
     assert len(calls) == 6  # over Q every flat is a trace; the sixth overflows
 
 
+def test_prime_witness_search_stops_at_its_try_cap(monkeypatch):
+    # every c with c_1 = 0 misses row (0, 1, 0): over F_p that is p tries
+    # before c_1 moves, which the cap stops
+    rows = [(0, 1, 0), (0, 0, 1)]
+    monkeypatch.setattr(zerosets, "BRUTEFORCE_SPACE_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError, match="exceeded 1000 tries"):
+        zerosets._search_coefficients(2**31 - 1, 3, rows)
+    assert zerosets._search_coefficients(5, 3, rows) == (1, 1, 1)
+
+
 def test_bruteforce_needs_prime_field():
     s = Sample.take(moment_curve(2), [0, 1])
     with pytest.raises(InvalidInputError):
@@ -327,14 +337,12 @@ def test_bruteforce_space_limit():
         enumerate_family_bruteforce(s)
 
 
-def test_family_to_set_family_keeps_witnesses():
+def test_family_to_set_family_keeps_masks_in_order():
     s = Sample.take(moment_curve(2), [0, 1, 2])
     zfam = enumerate_family_flats(s)
     fam = zfam.to_set_family()
     assert fam.masks == zfam.masks()
-    assert len(fam.witnesses) == len(fam.masks)
-    for i, z in enumerate(zfam.sets):
-        assert fam.witnesses[i] is z.witness
+    assert fam.ground.all_labels() == ["0", "1", "2"]
 
 
 def test_independence_verdicts():
