@@ -34,7 +34,6 @@ from .exactalg import (
     Field,
     Span,
     Vector,
-    _int_row,
     _rows_zero_mask,
     _vector_of_ints,
     basis_vector,
@@ -211,7 +210,7 @@ def independence_sequence(
     points: list = []
     images: list = []
     span = Span()  # of the chosen images, while fewer than d-1
-    normals = [] if d > 1 else [_int_row(nullspace_basis(field, 1, [])[0])]
+    normals = [] if d > 1 else [nullspace_basis(field, 1, [])[0]._ints]
 
     stream = inst.stream()
     scanned = 0
@@ -232,7 +231,7 @@ def independence_sequence(
                 elif d > 1:
                     for rest in combinations(images[:-1], d - 2):
                         kernel = nullspace_basis(field, d, (*rest, v))
-                        normals.append(_int_row(kernel[0]))
+                        normals.append(kernel[0]._ints)
                 advanced = True
                 break
             if scanned >= budget:
@@ -402,7 +401,7 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
     descriptors.append((0, 1, n + 1))
     sample = Sample.take(inst, descriptors)
     for idx, (i, _, col) in enumerate(descriptors):
-        if sample.images[idx].entries != grid_point(field, d, i, col - 1).entries:
+        if sample.images[idx] != grid_point(field, d, i, col - 1):
             raise InvalidInputError(
                 f"descriptor {descriptors[idx]!r} does not evaluate to its grid point"
             )

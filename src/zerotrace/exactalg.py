@@ -12,28 +12,25 @@ answered by one echelon form, ``Span``.  Its canonical basis and
 nullspace depend only on the subspace, never on the order of the input
 vectors, so witnesses built from them are stable.
 
-``Span`` rows, ``dot`` sums and ``zero_mask`` tests are plain ints:
-residues over F_p, integer multiples over Q.  Each ``Vector`` carries its
-int row, built at most once: from the ints when the vector is made from
-them (``_vector_of_ints``, as the instance evaluators do), or from the
-entries on first use.  A vector made from ints boxes its entries into
-``Fraction`` or ``FpElement`` values only when ``.entries`` is first
-read, so a stream scan that only tests images never boxes them.
-Elsewhere field elements appear only at the API boundary, where a
-canonical row, kernel vector, normalized witness or inner product is
-built once on exit.  No other module reads the ints behind a field
-element.
+Each ``Vector`` is held as plain ints over one positive denominator:
+residues over F_p, integers over Q.  ``Span`` rows, ``dot`` sums,
+``zero_mask`` tests, equality and hashing all read those ints, and a
+vector boxes its entries into ``Fraction`` or ``FpElement`` values
+only when ``.entries`` is first read, so a stream scan that only tests
+images never boxes them.  The instance evaluators build images straight
+from ints (``_vector_of_ints``); ``zerosets`` and ``constructions``
+read the ints of images and kernel vectors (``Vector._ints``) for
+their zero tests.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidInputError
 
@@ -277,45 +274,63 @@ def scalar_from_str(field: Field, text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Vector:
-    """Immutable fixed-width vector with a field tag.
+    """Immutable fixed-width vector with a field tag, held in one int form.
 
-    _row caches the vector's int row (see _int_row).  _ints holds the
-    entries as plain ints when the vector was made from them
-    (_vector_of_ints): residues over F_p, the integers themselves over
-    Q.  Such a vector leaves entries unset until it is first read, and
-    __getattr__ boxes it then, once.  Neither slot takes part in
-    equality, hashing or repr, which read entries.
+    _ints over the positive int _den gives the entries: entries[i] ==
+    _ints[i] / _den.  Over F_p _den is 1 and _ints holds residues; over
+    Q gcd(*_ints, _den) == 1.  That form is canonical, so equality and
+    hashing read it; the Fraction or FpElement entries are boxed once,
+    on the first read of .entries.  Vector(field, entries), Vector.make
+    and _vector_of_ints are the constructors.
     """
 
-    field: Field
-    entries: tuple
-    _row: Optional[tuple] = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _ints: Optional[tuple] = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
-    )
+    __slots__ = ("field", "_ints", "_den", "_entries")
+
+    def __init__(self, field: Field, entries: Iterable):
+        if field.p:
+            ints, den = [x.value for x in entries], 1
+        else:
+            entries = tuple(entries)
+            dens = [x.denominator for x in entries]
+            den = lcm(*dens)
+            ints = [x.numerator * (den // d) for x, d in zip(entries, dens)]
+        _fill(self, field, ints, den)
 
     @staticmethod
     def make(field: Field, values: Iterable) -> "Vector":
         return Vector(field, tuple(field.coerce(v) for v in values))
 
-    def __getattr__(self, name):
-        # Reached only when a slot is unset: entries of a vector made from ints.
-        if name != "entries":
-            raise AttributeError(f"'Vector' object has no attribute {name!r}")
-        field = self.field
-        if isinstance(field, PrimeField):
-            entries = tuple([FpElement(field, x) for x in self._ints])
-        else:
-            entries = tuple(map(Fraction, self._ints))
-        object.__setattr__(self, "entries", entries)
+    @property
+    def entries(self) -> tuple:
+        entries = self._entries
+        if entries is None:
+            field, den = self.field, self._den
+            if field.p:
+                entries = tuple([FpElement(field, x) for x in self._ints])
+            else:
+                entries = tuple([Fraction(x, den) for x in self._ints])
+            object.__setattr__(self, "_entries", entries)
         return entries
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Vector):
+            return NotImplemented
+        return (
+            self._ints == other._ints and self._den == other._den and self.field == other.field
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._ints, self._den))
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ints)
 
     def __iter__(self):
         return iter(self.entries)
@@ -328,28 +343,61 @@ class Vector:
             raise FieldMismatchError(f"expected Vector, got {other!r}")
         if other.field != self.field:
             raise FieldMismatchError(f"mixed fields: {self.field.name} vs {other.field.name}")
-        width, other_width = len(self._row or self.entries), len(other._row or other.entries)
+        width, other_width = len(self._ints), len(other._ints)
         if other_width != width:
             raise DimensionMismatchError(f"widths differ: {width} vs {other_width}")
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        da, db = self._den, other._den
+        ints = [a * db + b * da for a, b in zip(self._ints, other._ints)]
+        return _vector_of_ints(self.field, ints, da * db)
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(self.field, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        da, db = self._den, other._den
+        ints = [a * db - b * da for a, b in zip(self._ints, other._ints)]
+        return _vector_of_ints(self.field, ints, da * db)
 
     def scale(self, c) -> "Vector":
-        c = self.field.coerce(c)
-        return Vector(self.field, tuple(c * a for a in self.entries))
+        field = self.field
+        c = field.coerce(c)
+        num, den = (c.value, 1) if field.p else (c.numerator, c.denominator)
+        return _vector_of_ints(field, [num * a for a in self._ints], den * self._den)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(a == zero for a in self.entries)
+        return not any(self._ints)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(scalar_to_str(a) for a in self.entries) + ")"
+
+
+def _vector_of_ints(field: Field, ints, den: int = 1) -> Vector:
+    """The vector with entries ints[i] / den for a positive int den, read
+    mod p over F_p.  Its entries are boxed only if read (see Vector)."""
+    v = object.__new__(Vector)
+    _fill(v, field, ints, den)
+    return v
+
+
+def _fill(v: Vector, field: Field, ints, den: int) -> None:
+    """Set v to ints / den (den > 0) in its canonical form."""
+    p = field.p
+    if p:
+        if den != 1:
+            inv = pow(den, -1, p)
+            ints = [x * inv for x in ints]
+        ints, den = tuple([x % p for x in ints]), 1
+    else:
+        ints = tuple(ints)
+        if den != 1:
+            g = gcd(*ints, den)
+            if g > 1:
+                ints, den = tuple([x // g for x in ints]), den // g
+    object.__setattr__(v, "field", field)
+    object.__setattr__(v, "_ints", ints)
+    object.__setattr__(v, "_den", den)
+    object.__setattr__(v, "_entries", None)
 
 
 def basis_vector(field: Field, width: int, index: int) -> Vector:
@@ -358,33 +406,14 @@ def basis_vector(field: Field, width: int, index: int) -> Vector:
     return _vector_of_ints(field, [int(k == index) for k in range(width)])
 
 
-def _over_common_denominator(entries: tuple) -> tuple:
-    """(nums, den) with entries[i] == nums[i] / den for rationals, den
-    the least common denominator."""
-    dens = [x.denominator for x in entries]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in entries], 1
-    return [x.numerator * (den // d) for x, d in zip(entries, dens)], den
-
-
 def dot(a: Vector, b: Vector) -> Scalar:
     """Exact inner product; errors on width or field mismatch."""
     a._check(b)
-    if isinstance(a.field, PrimeField):
-        total = sum(map(mul, _int_row(a), _int_row(b)))
-        return FpElement(a.field, total % a.field.p)
-    na, da = _over_denominator(a)
-    nb, db = _over_denominator(b)
-    total = sum(map(mul, na, nb))
-    return Fraction(total) if da == db == 1 else Fraction(total, da * db)
-
-
-def _over_denominator(v: Vector) -> tuple:
-    """(nums, den) with v's entries == nums[i] / den over Q, read from
-    the ints v was made from when there are some."""
-    ints = v._ints
-    return (ints, 1) if ints is not None else _over_common_denominator(v.entries)
+    total = sum(map(mul, a._ints, b._ints))
+    field = a.field
+    if field.p:
+        return FpElement(field, total % field.p)
+    return Fraction(total, a._den * b._den)
 
 
 def projective_normalize(v: Vector) -> Vector:
@@ -393,59 +422,17 @@ def projective_normalize(v: Vector) -> Vector:
     This is the canonical representative of the line through v, used
     for witness vectors so that reports and JSON exports are stable.
     """
-    row = _int_row(v)
-    if not any(row):
+    if v.is_zero():
         raise InvalidInputError("cannot normalize the zero vector")
-    return _unit_lead(v.field, row)
-
-
-def _int_row(v: Vector) -> tuple:
-    """v as plain ints: its residues over F_p, or over Q its primitive
-    integer multiple.  Over Q that is a positive rescaling, so neither
-    the zero pattern nor the line through v changes.  Built once per
-    vector and cached on it."""
-    row = v._row
-    if row is None:
-        if isinstance(v.field, PrimeField):
-            row = tuple([x.value for x in v.entries])
-        else:
-            row = _primitive(_over_common_denominator(v.entries)[0])
-        object.__setattr__(v, "_row", row)
-    return row
-
-
-def _primitive(nums) -> tuple:
-    """Integers divided by their gcd (unchanged when it is 0 or 1)."""
-    g = gcd(*nums)
-    return tuple([n // g for n in nums] if g > 1 else nums)
-
-
-def _vector_of_ints(field: Field, ints) -> Vector:
-    """The vector with these integer entries, read mod p over F_p.  It
-    keeps the ints and builds its int row from them; its entries are
-    boxed only if read (see Vector)."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        ints = row = tuple([x % p for x in ints])
-    else:
-        ints = tuple(ints)
-        row = _primitive(ints)
-    v = object.__new__(Vector)
-    object.__setattr__(v, "field", field)
-    object.__setattr__(v, "_row", row)
-    object.__setattr__(v, "_ints", ints)
-    return v
+    return _unit_lead(v.field, v._ints)
 
 
 def _int_columns(vectors: Sequence[Vector]) -> list:
     """Vectors of one field and width as int tuples, all scaled by one
     positive constant: residues over F_p, or over Q the vectors times
     the least common denominator of all their entries."""
-    if isinstance(vectors[0].field, PrimeField):
-        return [tuple(x.value for x in v.entries) for v in vectors]
-    width = len(vectors[0])
-    nums, _ = _over_common_denominator([x for v in vectors for x in v.entries])
-    return [tuple(nums[i : i + width]) for i in range(0, len(nums), width)]
+    den = lcm(*(v._den for v in vectors))
+    return [tuple([x * (den // v._den) for x in v._ints]) for v in vectors]
 
 
 def _line_point(row, p: int) -> tuple:
@@ -462,30 +449,25 @@ def _line_point(row, p: int) -> tuple:
 
 def _unit_lead(field: Field, row) -> Vector:
     """The vector with first nonzero entry 1 on the line through a
-    nonzero int row, each entry built once.  Over F_p the entries are
-    read mod p; over Q the row may be any nonzero multiple."""
-    if isinstance(field, PrimeField):
-        return _vector_of_ints(field, _line_point([x % field.p for x in row], field.p))
-    lead = next(x for x in row if x)
-    v = Vector(field, tuple(Fraction(x, lead) for x in row))
-    object.__setattr__(v, "_row", _line_point(row, 0))
-    return v
+    nonzero int row (read mod p over F_p)."""
+    point = _line_point([x % field.p for x in row] if field.p else row, field.p)
+    return _vector_of_ints(field, point, next(x for x in point if x))
 
 
 def zero_mask(a: Vector, vectors: Iterable[Vector]) -> int:
     """Bit i set iff a . vectors[i] == 0.  Each vector is read as its int
-    row after the same field and width checks as in dot."""
+    form after the same field and width checks as in dot."""
     rows = []
     for v in vectors:
         a._check(v)
-        rows.append(_int_row(v))
+        rows.append(v._ints)
     return _rows_zero_mask(a, rows)
 
 
 def _rows_zero_mask(a: Vector, rows: Iterable) -> int:
-    """Bit i set iff a . rows[i] == 0, for int rows (see _int_row) of
-    vectors over a's field and of a's width."""
-    row = _int_row(a)
+    """Bit i set iff a . rows[i] == 0, for int rows (nonzero multiples of
+    vectors' _ints) over a's field and of a's width."""
+    row = a._ints
     p = a.field.p
     mask = 0
     for i, r in enumerate(rows):
@@ -549,9 +531,9 @@ class Span:
         if self.field is not None:
             if v.field != self.field:
                 raise FieldMismatchError("vectors over different fields")
-            if len(v._row or v.entries) != self.width:
+            if len(v._ints) != self.width:
                 raise DimensionMismatchError("vectors of different widths")
-        return _int_row(v)
+        return v._ints
 
     def add(self, v: Vector) -> bool:
         """Extend the span by v; True iff v was not in it already."""
@@ -586,13 +568,7 @@ class Span:
 
     def canonical(self) -> tuple:
         """Reduced row-echelon basis, in pivot order."""
-        field = self.field
-        if self._p:  # every pivot entry is already 1
-            return tuple(_vector_of_ints(field, row) for row, _ in self._reduced_rows())
-        return tuple(
-            Vector(field, tuple(Fraction(a, lead) for a in row))
-            for row, lead in self._reduced_rows()
-        )
+        return tuple(_vector_of_ints(self.field, row, lead) for row, lead in self._reduced_rows())
 
 
 def rank(vectors: Sequence[Vector]) -> int:
@@ -634,19 +610,18 @@ def nullspace_basis(field: Field, width: int, vectors: Sequence[Vector]) -> list
     for v in vectors:
         if v.field != field:
             raise FieldMismatchError("row field differs from the requested field")
-        if len(v._row or v.entries) != width:
+        if len(v._ints) != width:
             raise DimensionMismatchError("row width differs from the requested width")
     span = Span(vectors)
     rows = span._reduced_rows()
-    p = span._p
+    den = lcm(*(lead for _, lead in rows))
     basis = []
     for free_col in range(width):
         if free_col in span.pivots:
             continue
-        solution = [field.zero] * width
-        solution[free_col] = field.one
+        solution = [0] * width
+        solution[free_col] = den
         for col, (row, lead) in zip(span.pivots, rows):
-            a = row[free_col]
-            solution[col] = FpElement(field, -a % p) if p else Fraction(-a, lead)
-        basis.append(Vector(field, tuple(solution)))
+            solution[col] = -row[free_col] * (den // lead)
+        basis.append(_vector_of_ints(field, solution, den))
     return basis

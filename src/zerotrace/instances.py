@@ -14,8 +14,8 @@ the instance field.
 
 Every evaluator here takes integer point descriptors and computes in
 ints: exact integers over Q, residues over F_p (powers taken mod p).
-exactalg._vector_of_ints turns the result into the image vector and its
-int row at once.
+exactalg._vector_of_ints makes the image vector from those ints, which
+are its int form, without boxing an entry.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class SpanFamily:
                     raise DimensionMismatchError(
                         f"member vector of width {len(v)}, ambient is {self.d}"
                     )
-            key = frozenset(v.entries for v in member)
+            key = frozenset(member)
             if key in seen:
                 raise InvalidInputError("duplicate member vector set")
             seen.add(key)
@@ -86,12 +86,7 @@ class SpanFamily:
     def create(d: int, members: Sequence[Sequence[Vector]]) -> "SpanFamily":
         cleaned = []
         for member in members:
-            out, entries_seen = [], set()
-            for v in member:
-                if v.entries not in entries_seen:
-                    entries_seen.add(v.entries)
-                    out.append(v)
-            cleaned.append(tuple(out))
+            cleaned.append(tuple(dict.fromkeys(member)))
         return SpanFamily(d, tuple(cleaned))
 
     def __len__(self) -> int:
@@ -263,7 +258,6 @@ class BoundCheckReport:
 
     count: int
     bound: int  # C(|S|, 0) + ... + C(|S|, d-1)
-    strict: bool
     crowded_subspace: int  # cover index holding >= d vectors of S
     crowded_count: int
 
@@ -281,13 +275,13 @@ def not_maximal_bound_check(
     S = tuple(S)
     d = cover.d
     k = len(cover)
-    entry_set = set()
+    vectors = set()
     for v in S:
         if len(v) != d:
             raise DimensionMismatchError("sample vector of the wrong width")
-        if v.entries in entry_set:
+        if v in vectors:
             raise InvalidInputError("sample vectors must be pairwise distinct")
-        entry_set.add(v.entries)
+        vectors.add(v)
     if len(S) <= k * (d - 1):
         raise InvalidInputError(
             f"|S| = {len(S)} does not exceed k(d-1) = {k * (d - 1)}"
@@ -305,7 +299,7 @@ def not_maximal_bound_check(
         )
     for member in fam.members:
         for v in member:
-            if v.entries not in entry_set:
+            if v not in vectors:
                 raise InvalidInputError("family member uses a vector outside S")
 
     groups: dict = {}
@@ -322,7 +316,6 @@ def not_maximal_bound_check(
     return BoundCheckReport(
         count=count,
         bound=bound,
-        strict=True,
         crowded_subspace=crowded,
         crowded_count=len(groups[crowded]),
     )

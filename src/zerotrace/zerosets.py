@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
+from math import gcd
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .exactalg import (
     Span,
     Vector,
     _int_columns,
-    _int_row,
     _line_point,
     _rows_zero_mask,
     _unit_lead,
@@ -85,7 +85,7 @@ class Instance:
 
     def image(self, point) -> Vector:
         v = self.evaluate(point)
-        if not isinstance(v, Vector) or v.field != self.field or len(v._row or v.entries) != self.d:
+        if not isinstance(v, Vector) or v.field != self.field or len(v._ints) != self.d:
             raise InvalidInputError(
                 f"evaluator returned a bad image for {point!r}: {v!r}"
             )
@@ -219,12 +219,15 @@ def linearly_independent(
     Success returns those points.  If the scan ends with image rank
     r < d, the nullspace of the accumulated span gives a candidate
     annihilator, which is re-verified against every streamed image
-    before the dependent verdict is issued.  Only the distinct int rows
-    of the streamed images are kept for that check.
+    before the dependent verdict is issued.  Each image's int row is
+    divided by the gcd of its entries, which keeps its line (over F_p
+    that gcd is a unit), and only the distinct rows are added to the
+    span and kept for that check, so a stream of multiples of a few
+    lines adds few rows.
     """
     inst = instance
     if budget < inst.d:
-        raise InvalidInputError(f"budget {budget} cannot reach d={inst.d} points")
+        raise BudgetExhaustedError(f"budget {budget} cannot reach d={inst.d} points")
     span = Span()
     basis: list = []
     basis_points: list = []
@@ -235,9 +238,12 @@ def linearly_independent(
     for point in islice(stream, budget):
         v = inst.image(point)
         scanned += 1
-        row = _int_row(v)
+        row = v._ints
+        g = gcd(*row)
+        if g > 1:
+            row = tuple([x // g for x in row])
         if row in rows:
-            continue  # a repeated image already lies in the span
+            continue  # a row already seen lies in the span
         rows.add(row)
         if span.add(v):
             basis.append(v)
@@ -283,7 +289,7 @@ def distinct_image_points(instance: Instance, n: int, *, budget: int) -> list:
     seen: set = set()
     stream = instance.stream()
     for point in islice(stream, budget):
-        image = instance.image(point).entries
+        image = instance.image(point)
         if image not in seen:
             seen.add(image)
             points.append(point)
@@ -436,7 +442,7 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
     p = field.p
-    ints = [_int_row(v) for v in images]
+    ints = [v._ints for v in images]
     found: dict = {}
     visited = 0
     stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)

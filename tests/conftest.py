@@ -22,3 +22,21 @@ def random_mask_family(rng, n_points, n_sets):
     universe = list(range(1 << n_points))
     rng.shuffle(universe)
     return sorted(universe[: max(1, n_sets)])
+
+
+@pytest.fixture
+def boxed(monkeypatch):
+    """The vectors that box their entries while the test runs, in order:
+    the Vector.entries property is wrapped to record each first read."""
+    from zerotrace.exactalg import Vector
+
+    seen = []
+    read = Vector.entries.fget
+
+    def counting(self):
+        if self._entries is None:
+            seen.append(self)
+        return read(self)
+
+    monkeypatch.setattr(Vector, "entries", property(counting))
+    return seen

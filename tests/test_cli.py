@@ -739,6 +739,20 @@ def test_verify_budget_limit_exits_2_and_other_failures_exit_1(monkeypatch, caps
     assert json.loads(out)["failed"] == 2
 
 
+def test_verify_budget_below_d_is_a_resource_exit(capsys):
+    code, out, _ = run(capsys, "verify", "--budget", "1")
+    assert code == 2
+    errors = [r["error"] for r in json.loads(out)["results"] if not r["passed"]]
+    assert errors and all(e.startswith("BudgetExhaustedError:") for e in errors)
+    assert any("budget 1 cannot reach d=2 points" in e for e in errors)
+
+
+def test_analyze_budget_below_d_is_a_resource_exit(capsys):
+    code, out, err = run(capsys, "analyze", "--instance", "moment_curve:3", "--budget", "2")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: budget 2 cannot reach d=3 points\n"
+
+
 def test_verify_times_each_check_in_timings_only(tmp_path, capsys):
     names = ["json_round_trips", "grid_membership_pattern"]
     code, out, _ = run(capsys, "verify", "--checks", ",".join(names), "--out", str(tmp_path))

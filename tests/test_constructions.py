@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from zerotrace import exactalg
 from zerotrace._kernels import binom_le
 from zerotrace.constructions import (
     MAX_SUBSETS,
@@ -197,16 +196,7 @@ def test_independence_sequence_stalls_like_span_per_subset(inst, n):
     assert got.value.partial["blocking_spans"]
 
 
-def test_scans_leave_the_images_they_only_test_unboxed(monkeypatch):
-    boxed = []
-    original = Vector.__getattr__
-
-    def counting(self, name):
-        if name == "entries":
-            boxed.append(self)
-        return original(self, name)
-
-    monkeypatch.setattr(Vector, "__getattr__", counting)
+def test_scans_leave_the_images_they_only_test_unboxed(boxed):
     pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
     verdict = linearly_independent(pair, budget=300)
     assert (verdict.kind, verdict.scanned) == ("dependent", 300)
@@ -300,30 +290,34 @@ def _boxed(name, d, values):
 
 
 def test_each_image_is_converted_to_ints_at_most_once(monkeypatch):
-    converted = Counter()
-    original = exactalg._over_common_denominator
-
-    def counting(entries):
-        converted[tuple(entries)] += 1
-        return original(entries)
-
-    monkeypatch.setattr(exactalg, "_over_common_denominator", counting)
+    # A boxed image is converted to its int form once, when it is built
+    # (Vector.__init__); every rule after that reads the ints it holds.
     budget = 300
     boxed_curve = _boxed("boxed_curve", 3, lambda x: (1, x, x * x))
     boxed_pair = _boxed("boxed_pair", 2, lambda x: (x, 2 * x))
-    assert len(independence_sequence(boxed_curve, 9)) == 9
-    assert linearly_independent(boxed_pair, budget=budget).kind == "dependent"
-    images = {boxed_curve.image(x).entries for x in islice(integer_spiral(), 9)}
-    images |= {boxed_pair.image(x).entries for x in islice(integer_spiral(), budget)}
-    assert max(converted.values()) == 1
-    assert sum(converted[e] for e in images) == len(images)
-
-    # images built from ints carry their rows: none is converted at all
-    converted.clear()
     int_curve = moment_curve(3)
     int_pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    boxed_images = {boxed_curve.image(x).entries for x in islice(integer_spiral(), 9)}
+    boxed_images |= {boxed_pair.image(x).entries for x in islice(integer_spiral(), budget)}
+    int_images = {int_curve.image(x).entries for x in islice(integer_spiral(), 9)}
+    int_images |= {int_pair.image(x).entries for x in islice(integer_spiral(), budget)}
+
+    converted = Counter()
+    original = Vector.__init__
+
+    def counting(self, field, entries):
+        entries = tuple(entries)
+        converted[entries] += 1
+        original(self, field, entries)
+
+    monkeypatch.setattr(Vector, "__init__", counting)
+    assert len(independence_sequence(boxed_curve, 9)) == 9
+    assert linearly_independent(boxed_pair, budget=budget).kind == "dependent"
+    assert max(converted.values()) == 1
+    assert sum(converted[e] for e in boxed_images) == len(boxed_images)
+
+    # images built from ints hold their int form: none is converted at all
+    converted.clear()
     independence_sequence(int_curve, 9)
     linearly_independent(int_pair, budget=budget)
-    images = {int_curve.image(x).entries for x in islice(integer_spiral(), 9)}
-    images |= {int_pair.image(x).entries for x in islice(integer_spiral(), budget)}
-    assert not images & set(converted)
+    assert not int_images & set(converted)

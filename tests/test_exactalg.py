@@ -4,6 +4,7 @@ import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import islice, product
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -240,9 +241,10 @@ def _ref_in_span(v, basis):
     return _ref_rank(basis) == _ref_rank(basis + [v])
 
 
-def _ref_row_space_canonical(vectors):
+def _ref_canonical_rows(vectors):
+    """Reduced echelon rows as tuples of boxed scalars."""
     if not vectors:
-        return ()
+        return []
     field = vectors[0].field
     zero = field.zero
     pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], len(vectors[0]), field)
@@ -254,10 +256,15 @@ def _ref_row_space_canonical(vectors):
             factor = reduced[r][col]
             if factor != zero:
                 reduced[r] = [a - factor * b for a, b in zip(reduced[r], reduced[i])]
-    return tuple(Vector(field, tuple(row)) for row in reduced)
+    return [tuple(row) for row in reduced]
 
 
-def _ref_nullspace_basis(field, width, vectors):
+def _ref_row_space_canonical(vectors):
+    return tuple(Vector(vectors[0].field, row) for row in _ref_canonical_rows(vectors))
+
+
+def _ref_kernel_rows(field, width, vectors):
+    """The kernel basis, by back-substitution, as tuples of boxed scalars."""
     zero = field.zero
     pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], width, field)
     basis = []
@@ -272,8 +279,12 @@ def _ref_nullspace_basis(field, width, vectors):
             for j in range(col + 1, width):
                 acc = acc + rows[i][j] * solution[j]
             solution[col] = -acc / rows[i][col]
-        basis.append(Vector(field, tuple(solution)))
+        basis.append(tuple(solution))
     return basis
+
+
+def _ref_nullspace_basis(field, width, vectors):
+    return [Vector(field, row) for row in _ref_kernel_rows(field, width, vectors)]
 
 
 def _random_system(rng, field, width):
@@ -388,31 +399,30 @@ def test_dot_matches_reference_sum(field):
 
 
 def test_mixed_vectors_are_rejected_before_int_conversion(monkeypatch):
+    # Every vector already holds its int form, so a rejected one must be
+    # turned away without building or boxing any vector.
     q2 = Vector.make(QQ, (1, 0))
     q_span, f7_span = Span([q2]), Span([Vector.make(F7, (1, 0))])
+    f5 = Vector.make(F5, (1, 2))
+    wrong_field = [(q_span, f5), (f7_span, f5), (f7_span, q2), (q_span, (1, 2))]
+    wrong_width = [(q_span, Vector.make(QQ, (1, 2, 3))), (f7_span, Vector.make(F7, (1,)))]
+    bad_dots = [(q2, f5), (Vector.make(F7, (1, 2)), f5)]
+    bad_dots += [(q2, Vector.make(QQ, (1, 2, 3))), (Vector.make(F7, (1, 2)), Vector.make(F7, (1,)))]
 
     def no_conversion(*args):
         raise AssertionError("converted before the field and width checks")
 
-    monkeypatch.setattr(exactalg, "_int_row", no_conversion)
-    monkeypatch.setattr(exactalg, "_over_common_denominator", no_conversion)
-    f5 = Vector.make(F5, (1, 2))
-    wrong_field = [(q_span, f5), (f7_span, f5), (f7_span, q2), (q_span, (1, 2))]
-    wrong_width = [(q_span, Vector.make(QQ, (1, 2, 3))), (f7_span, Vector.make(F7, (1,)))]
+    monkeypatch.setattr(exactalg, "_fill", no_conversion)
+    monkeypatch.setattr(Vector, "entries", property(no_conversion))
     for error, cases in ((FieldMismatchError, wrong_field), (DimensionMismatchError, wrong_width)):
         for span, v in cases:
             with pytest.raises(error):
                 span.add(v)
             with pytest.raises(error):
                 v in span  # noqa: B015
-    with pytest.raises(FieldMismatchError):
-        dot(q2, f5)
-    with pytest.raises(FieldMismatchError):
-        dot(Vector.make(F7, (1, 2)), f5)
-    with pytest.raises(DimensionMismatchError):
-        dot(q2, Vector.make(QQ, (1, 2, 3)))
-    with pytest.raises(DimensionMismatchError):
-        dot(Vector.make(F7, (1, 2)), Vector.make(F7, (1,)))
+    for error, (a, b) in zip([FieldMismatchError] * 2 + [DimensionMismatchError] * 2, bad_dots):
+        with pytest.raises(error):
+            dot(a, b)
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
@@ -481,10 +491,14 @@ def test_zero_mask_rejects_field_and_width_mismatch():
             zero_mask(a, vectors)
 
 
-def _ref_projective_normalize(v):
+def _ref_unit_lead_entries(v):
     lead = next(x for x in v.entries if x != v.field.zero)
     inverse = v.field.one / lead
-    return Vector(v.field, tuple(x * inverse for x in v.entries))
+    return tuple(x * inverse for x in v.entries)
+
+
+def _ref_projective_normalize(v):
+    return Vector(v.field, _ref_unit_lead_entries(v))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
@@ -522,10 +536,15 @@ def test_vector_made_from_ints_behaves_like_an_eager_one(field):
         assert {lazy(): "x"}[eager] == "x" and {eager: "x"}[lazy()] == "x"
         assert repr(lazy()) == repr(eager)
         assert [type(x) for x in lazy()] == [type(x) for x in eager]
+        assert (lazy()._ints, lazy()._den) == (eager._ints, eager._den)
         v = lazy()
-        for name, value in (("entries", eager.entries), ("field", field), ("_row", None)):
+        for name, value in (
+            ("entries", eager.entries), ("field", field), ("_ints", eager._ints), ("_den", 2)
+        ):
             with pytest.raises(FrozenInstanceError):
                 setattr(v, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, name)
         assert v.entries is v.entries  # boxed once, then a plain slot read
         assert v == eager
 
@@ -557,23 +576,14 @@ def test_vectors_made_from_ints_give_the_same_algebra(field):
         assert row_space_canonical(lazy()[:k]) == row_space_canonical(eager[:k])
 
 
-def test_int_rules_leave_vectors_made_from_ints_unboxed(monkeypatch):
-    boxed = []
-    original = Vector.__getattr__
-
-    def counting(self, name):
-        if name == "entries":
-            boxed.append(self)
-        return original(self, name)
-
-    monkeypatch.setattr(Vector, "__getattr__", counting)
+def test_int_rules_leave_vectors_made_from_ints_unboxed(boxed):
     for field in (QQ, F13):
         vectors = [exactalg._vector_of_ints(field, r) for r in INT_ROWS]
         for a in vectors:
             for b in vectors:
                 dot(a, b)
             zero_mask(a, vectors)
-            if any(exactalg._int_row(a)):
+            if any(a._ints):
                 projective_normalize(a)
         span = Span()
         for v in vectors:
@@ -583,3 +593,89 @@ def test_int_rules_leave_vectors_made_from_ints_unboxed(monkeypatch):
     assert boxed == []
     vectors[0].entries  # noqa: B018 - reading the entries is what gets counted
     assert boxed == [vectors[0]]
+
+
+# -- the int form against the boxed formulas --------------------------------
+
+
+def _assert_boxed_as(got, want):
+    """got's entries are the boxed scalars want: equal values, equal types
+    and equal text."""
+    assert [type(x) for x in got.entries] == [type(x) for x in want]
+    assert got.entries == tuple(want)
+    assert repr(got) == "(" + ", ".join(scalar_to_str(x) for x in want) + ")"
+
+
+def _int_form_system(rng, field, width):
+    """_wide_system rows plus integer multiples of them built three ways,
+    so that over Q many rows are non-primitive (and many over F_p wrap)."""
+    rows = _wide_system(rng, field, width)
+    for v in rng.sample(rows, min(len(rows), 3)):
+        k = rng.choice((-6, -2, 2, 3, 4, 6))
+        scaled = tuple(field.element(k) * x for x in v.entries)
+        rows.append(rng.choice((
+            Vector(field, scaled),
+            Vector.make(field, scaled),
+            exactalg._vector_of_ints(field, [k * x for x in v._ints], v._den),
+        )))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F13], ids=str)
+def test_int_form_rules_match_boxed_references(field):
+    rng = random.Random(19_1968)
+    for _ in range(150):
+        width = rng.randint(1, 6)
+        rows = _int_form_system(rng, field, width)
+        canonical = row_space_canonical(rows)
+        want = _ref_canonical_rows(rows)
+        assert len(canonical) == len(want)
+        for got, entries in zip(canonical, want):
+            _assert_boxed_as(got, entries)
+        kernel = nullspace_basis(field, width, rows)
+        want = _ref_kernel_rows(field, width, rows)
+        assert len(kernel) == len(want)
+        for got, entries in zip(kernel, want):
+            _assert_boxed_as(got, entries)
+        for a in rows:
+            for b in rng.sample(rows, min(len(rows), 3)):
+                got, expected = dot(a, b), _ref_dot(a, b)
+                assert type(got) is type(expected) and got == expected
+            if a.is_zero():
+                with pytest.raises(InvalidInputError):
+                    projective_normalize(a)
+            else:
+                _assert_boxed_as(projective_normalize(a), _ref_unit_lead_entries(a))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F13], ids=str)
+def test_every_constructor_gives_the_one_canonical_form(field):
+    rng = random.Random(4242)
+    p = field.p
+    for _ in range(300):
+        width = rng.randint(0, 6)
+        den = rng.choice((1, 1, 2, 3, 6, 9)) if not p else rng.randrange(1, p)
+        ints = [rng.randint(-40, 40) if rng.random() < 0.8 else 0 for _ in range(width)]
+        if p:
+            inverse = pow(den, -1, p)
+            entries = tuple(field.element(x * inverse) for x in ints)
+        else:
+            entries = tuple(Fraction(x, den) for x in ints)
+        k = rng.choice([c for c in (1, 2, 5) if not p or c % p])  # a factor the form cancels
+        made = [
+            Vector(field, entries),
+            Vector.make(field, entries),
+            exactalg._vector_of_ints(field, [k * x for x in ints], k * den),
+        ]
+        if den == 1:
+            made.append(exactalg._vector_of_ints(field, ints))
+        for v in made:
+            assert v == made[0] and hash(v) == hash(made[0])
+            assert v.entries == entries and repr(v) == repr(made[0])
+            assert [type(x) for x in v.entries] == [type(x) for x in entries]
+            assert v._den > 0
+            if p:
+                assert v._den == 1 and all(0 <= x < p for x in v._ints)
+            else:
+                assert gcd(*v._ints, v._den) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from zerotrace.constructions import grid_point, index_growth
 from zerotrace.errors import InvalidInputError
-from zerotrace.exactalg import QQ, PrimeField, Vector, _int_row, basis_vector, rank
+from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, rank
 from zerotrace.instances import (
     builtin_help,
     builtin_names,
@@ -284,7 +284,8 @@ def _cases(field):
 def _assert_same_vector(got, want):
     assert got.entries == want.entries
     assert got == want and hash(got) == hash(want)
-    assert _int_row(got) == _int_row(Vector(got.field, got.entries))
+    boxed = Vector(got.field, got.entries)
+    assert (got._ints, got._den) == (boxed._ints, boxed._den)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -115,7 +115,7 @@ def test_not_maximal_bound_check_preconditions():
     report = not_maximal_bound_check(on_axes, cover, fam)
     assert report.count == 2
     assert report.bound == binom_le(3, 1) == 4
-    assert report.strict
+    assert report.count < report.bound
     assert report.crowded_count == 2
 
 
@@ -128,7 +128,7 @@ def test_non_maximality_certificate_verified_on_plane_union():
     assert len(report.missing_subset) == 2
     missing_mask = sum(1 << i for i in report.missing_subset)
     assert missing_mask not in report.family.masks()
-    assert report.bound_report.strict
+    assert report.bound_report.count < report.bound_report.bound
 
 
 def test_non_maximality_certificate_verified_on_two_lines():

@@ -1,6 +1,7 @@
 """Zero-set traces: samples, verdicts, dual-route enumeration, bundles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -19,7 +20,6 @@ from zerotrace.exactalg import (
     Span,
     Vector,
     _int_columns,
-    _int_row,
     dot,
     in_span,
     nullspace_basis,
@@ -276,7 +276,7 @@ def test_class_grouped_child_closures_match_span_closures(field):
     p = field.p if isinstance(field, PrimeField) else 0
     for sample in _quotient_samples(field):
         images, d = sample.images, sample.instance.d
-        ints = [_int_row(v) for v in images]
+        ints = [v._ints for v in images]
         _, flats, _ = _reference_flats(sample)
         for mask, basis in flats.items():
             kernel = nullspace_basis(field, d, basis)
@@ -359,6 +359,26 @@ def test_independence_verdicts():
     proof = linearly_independent(frobenius, budget=100)
     assert proof.kind == "dependent"
     assert proof.stream_exhausted  # the whole domain was scanned: a real proof
+
+
+def test_streamed_multiples_of_one_line_add_one_row_each(monkeypatch):
+    # (x, 2x) streams 300 distinct images on one line; deduplicating them
+    # by their primitive rows leaves (0, 0), (1, 2) and (-1, -2).
+    added = Counter()  # Span.add calls per span, in the order the spans are first used
+    add = Span.add
+    monkeypatch.setattr(Span, "add", lambda self, v: added.update([id(self)]) or add(self, v))
+    pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    verdict = linearly_independent(pair, budget=300)
+    assert (verdict.kind, verdict.scanned, verdict.rank) == ("dependent", 300, 1)
+    scan, kernel = added.values()  # the scan's span, then the kernel's span of its basis
+    assert scan <= 3
+    assert kernel == verdict.rank
+
+
+def test_independence_budget_below_d_is_exhausted_not_invalid():
+    for inst, budget in ((moment_curve(3), 2), (two_lines(), 1)):
+        with pytest.raises(BudgetExhaustedError, match=f"budget {budget} cannot reach"):
+            linearly_independent(inst, budget=budget)
 
 
 def test_density_zero_partition_two_lines():
