@@ -11,12 +11,14 @@ The one Littlestone recursion, the rho split search, works on
 subfamilies; with the column bitsets a split is two bit operations, and
 (subfamily, depth) is the memo key.  Each call carries an ldim bound L
 proved for its own subfamily, and a node stops at the most leaves such
-a subfamily can fill, min(|s|, C(depth, <= L)).  The root L is read off
-the search's own rho values; a split passes L to its larger side and,
-once that side fills more than C(depth-1, <= L-1) leaves, L-1 to the
-other.  rho(lo..hi) is one search asked depth by depth; ldim is read
-off one search as the deepest depth at which rho fills every leaf, and
-ldim_tree walks that same search down to a witness tree.
+a subfamily can fill, min(|s|, C(depth, <= L)); at a depth at or past
+the ground size it fills |s| and returns at once.  Callers pass the
+root L: rho(lo..hi), one search asked depth by depth, lowers it to k-1
+after the first depth k with rho(k) < 2^k; ldim is read off one search
+as the deepest depth at which rho fills every leaf, and ldim_tree walks
+that same search down to a witness tree under that ldim.  A split
+passes L to its larger side and, once that side fills more than
+C(depth-1, <= L-1) leaves, L-1 to the other.
 
 The VC side has one search too: a depth-first search over increasing
 point subsets that refines the restriction classes by the same column
@@ -220,30 +222,31 @@ def _subset_search(cols: list, blocks: list, members: int, lo: int, best: list, 
 
 
 def _rho_search(cols: list):
-    """rec(s, d): rho of the subfamily s at depth d, over one shared memo
-    and the column bitsets cols of _columns.
+    """split(s, d, L): rho of the subfamily s at depth d, over one shared
+    memo and the column bitsets cols of _columns.  The caller passes L,
+    a bound it has proved: L >= ldim(s), or L >= d, which caps nothing.
 
     Recursion: at depth 0 a lone leaf is well-labeled iff the subfamily
     is nonempty; otherwise the best root point splits it and the two
     subtrees contribute independently.  A trivial split, with every
     member on one side, never wins: the good leaves of a depth-(d-1)
     tree on s fall into good leaves of the same tree on either side of
-    any nontrivial split, which exists once |s| >= 2.  split(s, d, L)
-    carries L >= ldim(s) and stops once it fills min(|s|, C(d, <= L))
-    leaves, the most such a subfamily can (Bhaskar's Littlestone
-    analogue of Sauer-Shelah: one side of a split has ldim <= L-1, so
-    rho(s, d) <= C(d-1, <= L) + C(d-1, <= L-1)).  It searches the
-    larger side first; if that side fills more than C(d-1, <= L-1)
-    leaves it has ldim >= L, so the other side has ldim <= L-1, or s
-    would have ldim L+1, and is searched under that bound.  rec proves
-    the root L itself: once a call returns rho(t, k) < 2^k,
-    ldim(t) <= k-1, and that bound goes to every later call on a
-    subfamily of t.  With no bound yet L = d, which caps nothing.  A
-    node stops only on reaching a bound proved for its own subfamily,
-    so every value returned and memoized is exact.
+    any nontrivial split, which exists once |s| >= 2.  At a depth d at
+    or past the ground size n >= 1, s fills exactly |s| leaves: each
+    member labels at most one well-labeled leaf, and a tree that asks
+    every point on every path gives each member its own.  split stops
+    once it fills min(|s|, C(d, <= L)) leaves, the most such a
+    subfamily can (Bhaskar's Littlestone analogue of Sauer-Shelah: one
+    side of a split has ldim <= L-1, so rho(s, d) <= C(d-1, <= L) +
+    C(d-1, <= L-1)).  It searches the larger side first; if that side
+    fills more than C(d-1, <= L-1) leaves it has ldim >= L, so the
+    other side has ldim <= L-1, or s would have ldim L+1, and is
+    searched under that bound.  A node stops only on reaching a bound
+    proved for its own subfamily, so every value returned and memoized
+    is exact.
     """
     memo: dict = {}
-    root = limit = None  # ldim(subfamily of root) <= limit, once proved
+    n_points = len(cols)
 
     def split(s: int, d: int, bound: int) -> int:
         if not s:
@@ -251,8 +254,8 @@ def _rho_search(cols: list):
         if d == 0:
             return 1
         size = s.bit_count()
-        if size == 1 and cols:
-            return 1  # label every node with any point; one consistent path
+        if n_points and (size == 1 or d >= n_points):
+            return size
         key = (s, d)
         cached = memo.get(key)
         if cached is not None:
@@ -281,15 +284,7 @@ def _rho_search(cols: list):
         memo[key] = best
         return best
 
-    def rec(s: int, d: int) -> int:
-        nonlocal root, limit
-        bound = limit if limit is not None and not s & ~root else d
-        value = split(s, d, bound)
-        if d and value < 1 << d and (limit is None or d - 1 < limit and not root & ~s):
-            root, limit = s, d - 1
-        return value
-
-    return rec
+    return split
 
 
 def ldim(masks: Sequence[int], n_points: int) -> int:
@@ -302,12 +297,12 @@ def ldim(masks: Sequence[int], n_points: int) -> int:
     return _full_depth(_rho_search(_columns(masks, n_points)), len(masks))
 
 
-def _full_depth(rec, members: int) -> int:
-    """ldim read off a search rec over a family of that many members:
-    the deepest depth at which rec fills every leaf."""
+def _full_depth(split, members: int) -> int:
+    """ldim read off a split search over a family of that many members:
+    the deepest depth at which it fills every leaf."""
     full = (1 << members) - 1
     depth = 0
-    while 2 << depth <= members and rec(full, depth + 1) == 2 << depth:
+    while 2 << depth <= members and split(full, depth + 1, depth + 1) == 2 << depth:
         depth += 1
     return depth
 
@@ -323,8 +318,8 @@ def ldim_tree(masks: Sequence[int], n_points: int) -> tuple:
     consistent with its path.
     """
     cols = _columns(masks, n_points)
-    rec = _rho_search(cols)
-    depth = _full_depth(rec, len(masks))
+    split = _rho_search(cols)
+    depth = _full_depth(split, len(masks))
     nodes: dict = {}
     leaves: dict = {}
 
@@ -336,7 +331,7 @@ def ldim_tree(masks: Sequence[int], n_points: int) -> tuple:
         for x, col in enumerate(cols):
             pos = s & col
             neg = s ^ pos
-            if rec(neg, r - 1) == full and rec(pos, r - 1) == full:
+            if split(neg, r - 1, depth) == full and split(pos, r - 1, depth) == full:
                 nodes[prefix] = x
                 build(prefix + "0", neg, r - 1)
                 build(prefix + "1", pos, r - 1)
@@ -349,8 +344,15 @@ def ldim_tree(masks: Sequence[int], n_points: int) -> tuple:
 
 def rho(masks: Sequence[int], n_points: int, lo: int, hi: int) -> list:
     """[rho(d) for d in lo..hi]: the most well-labeled leaves over
-    depth-d trees, asked of one split search in ascending order, so the
-    ldim bound the shallow depths prove caps the deep ones."""
-    rec = _rho_search(_columns(masks, n_points))
+    depth-d trees, asked of one split search in ascending order.  Once
+    rho(k) < 2^k, ldim <= k-1, and that bound caps every deeper depth."""
+    split = _rho_search(_columns(masks, n_points))
     full = (1 << len(masks)) - 1
-    return [rec(full, depth) for depth in range(lo, hi + 1)]
+    bound = hi
+    values = []
+    for depth in range(lo, hi + 1):
+        value = split(full, depth, min(bound, depth))
+        if value < 1 << depth:
+            bound = min(bound, depth - 1)
+        values.append(value)
+    return values

@@ -14,7 +14,8 @@ Subcommands:
 Reports are deterministic given the config; wall-clock timings live
 under a separate key excluded from that guarantee.  Exit codes: 0 all
 pass, 1 assertion or check failure, 2 resource limit (also when every
-failed verify check stopped at one), 3 invalid input.
+failed verify check stopped at one), 3 invalid input (also a usage
+error).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from ._kernels import binom_le
+from ._kernels import binom_le, count_restrictions
 from .claims import CHECKS, DEFAULT_SEED, run_checks
 from .constructions import dual_basis, independence_sequence
 from .errors import (
@@ -49,13 +50,12 @@ from .littlestone import (
     ldim,
     ldim_witness,
     littlestone_profile,
-    rho,
     tree_from_json,
     tree_to_json,
     vc_profile,
 )
 from .maximality import cover_from_instance, cover_from_json, cover_to_json
-from .setsystem import MAX_POINTS, family_to_json, pi, restrict, vcdim
+from .setsystem import MAX_POINTS, family_to_json, vcdim
 from .zerosets import (
     DEFAULT_BUDGET,
     Sample,
@@ -110,6 +110,9 @@ class RunConfig:
             raise InvalidInputError("n-max must be >= 1")
         if self.depth_cap < 1 or self.budget < 1:
             raise InvalidInputError("budgets and caps must be positive")
+        if self.depth_cap > MAX_POINTS:
+            # no family has more points, and past its ground size rho is |F|
+            raise InvalidInputError(f"depth-cap {self.depth_cap} exceeds {MAX_POINTS}")
         if self.format not in ("json", "csv"):
             raise InvalidInputError(f"unknown format {self.format!r}")
         if self.format == "csv" and self.command != "shatter-fn":
@@ -260,13 +263,14 @@ def _shatter_rows(inst, cfg: RunConfig):
     if designed:
         pis = vc_profile(full, top)
         rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap)
+    else:
+        # A family on n >= 1 points has pi(n) = rho(n) = its size: its n
+        # points are the only n-subset, and each member fills its own leaf
+        # of the tree that asks every point on every path.
+        pis = rhos = [count_restrictions(full.masks, (1 << n) - 1) for n in range(top + 1)]
     rows = []
     for n in range(1, top + 1):
-        if designed:
-            p_n, r_n = pis[n], rhos[n]
-        else:
-            fam = restrict(full, range(n))
-            p_n, r_n = pi(fam, n), rho(fam, n, depth_cap=cfg.depth_cap)
+        p_n, r_n = pis[n], rhos[n]
         ref = binom_le(n, d - 1)
         rows.append(
             {
@@ -386,6 +390,15 @@ def cmd_export(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors as invalid input: exit 3, not argparse's
+    2, which the CLI keeps for resource limits."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file mirroring the flags")
     p.add_argument("--instance", help="built-in name or path to an instance spec")
@@ -401,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     epilog = "built-in instances:\n" + "\n".join(
         f"  {name}: {text}" for name, text in sorted(builtin_help().items())
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zerotrace",
         description="exact trace families of zero sets: dimensions, growth, verification",
         epilog=epilog,

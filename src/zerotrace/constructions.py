@@ -169,21 +169,9 @@ def shattered_set(basis: DualBasis) -> ShatteredSet:
     return ShatteredSet(basis, basis.points[: d - 1], witnesses)
 
 
-@dataclass(frozen=True)
-class IndependenceSequence:
-    """Points whose images are d-wise linearly independent."""
-
-    instance: Instance
-    points: tuple
-    images: tuple
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def independence_sequence(
     instance: Instance, n: int, *, budget: int = DEFAULT_BUDGET
-) -> IndependenceSequence:
+) -> Sample:
     """Greedily extend a sequence keeping every d images independent.
 
     A candidate image is accepted iff it avoids the span of every
@@ -248,10 +236,10 @@ def independence_sequence(
                     "blocking_spans": tuple(spans),
                 },
             )
-    return IndependenceSequence(inst, tuple(points), tuple(images))
+    return Sample(inst, tuple(points), tuple(images))
 
 
-def subset_witness(seq: IndependenceSequence, indices) -> Vector:
+def subset_witness(seq: Sample, indices) -> Vector:
     """The coefficient vector whose zero set meets the sequence exactly
     at the given d-1 indices.
 
@@ -278,7 +266,7 @@ def subset_witness(seq: IndependenceSequence, indices) -> Vector:
     return witness
 
 
-def max_vc_trace(seq: IndependenceSequence, n: int) -> ZeroSetFamily:
+def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
     """Every subset of size < d of the first n points, realized as traces.
 
     An index set I with |I| < d-1 is padded with fresh indices past n
@@ -293,7 +281,7 @@ def max_vc_trace(seq: IndependenceSequence, n: int) -> ZeroSetFamily:
         raise InvalidInputError(
             f"sequence holds {len(seq.points)} points, padding needs {needed}"
         )
-    sample = Sample.take(inst, seq.points[:n])
+    sample = Sample(inst, seq.points[:n], seq.images[:n])
     sets = []
     seen = set()
     for size in range(min(d, n + 1)):

@@ -68,8 +68,8 @@ class PrimeField:
     """The field F_p for a prime p.
 
     p is capped so that a single product fits comfortably in a machine
-    word; Python integers would not overflow anyway, but the cap keeps
-    the door open for compiled arithmetic and rejects absurd moduli.
+    word; Python integers would not overflow anyway, but the cap
+    rejects absurd moduli.
     """
 
     p: int

@@ -118,27 +118,6 @@ class SetFamily:
         return len(self.masks)
 
 
-def restrict(fam: SetFamily, subset: SubsetLike) -> SetFamily:
-    """Trace family on the selected points, re-indexed to 0..k-1.
-
-    Members that collapse to the same trace are merged, in order of
-    first appearance.
-    """
-    mask = as_mask(subset, fam.ground.size)
-    selected = mask_to_indices(mask)
-    # Labels follow the surviving points so restrictions stay traceable
-    # back to the original sample.
-    new_ground = GroundSet(len(selected), tuple(fam.ground.label(i) for i in selected))
-    position = {p: j for j, p in enumerate(selected)}
-    new_masks = {}
-    for m in fam.masks:
-        compressed = 0
-        for p in mask_to_indices(m & mask):
-            compressed |= 1 << position[p]
-        new_masks[compressed] = None
-    return SetFamily(new_ground, tuple(new_masks))
-
-
 def shatters(fam: SetFamily, subset: SubsetLike) -> bool:
     """True iff every subset of `subset` occurs as a trace."""
     mask = as_mask(subset, fam.ground.size)

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import zerotrace
-from zerotrace import cli
+from zerotrace import cli, littlestone, setsystem
 from zerotrace.cli import main
-from zerotrace.instances import instance_from_spec
-from zerotrace.zerosets import Sample, verify_bundle
+from zerotrace.instances import instance_from_spec, parse_instance_name
+from zerotrace.setsystem import GroundSet, SetFamily
+from zerotrace.zerosets import Sample, enumerate_family_flats, point_from_json, verify_bundle
 
 CSV_HEADER = "n,pi,rho,binom_le_dminus1,maximal_vc,maximal_ldim"
 
@@ -27,10 +28,19 @@ def run(capsys, *argv):
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
+    # usage errors are invalid input; exit 2 means a resource limit
+    for argv in ([], ["nosuch"], ["analyze", "--bogus"], ["analyze", "--n-max", "x"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3, argv
+        assert "usage" in capsys.readouterr().err, argv
+
+
+def test_help_flag(capsys):
     with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
-    assert "usage" in capsys.readouterr().err
+        main(["analyze", "--help"])
+    assert info.value.code == 0
+    assert "--depth-cap" in capsys.readouterr().out
 
 
 def test_version_flag(capsys):
@@ -117,6 +127,42 @@ def test_shatter_fn_covered_instance_is_not_maximal(capsys):
     assert report["sampling"] == "stream-prefix"
     assert all(not row["maximal_vc"] for row in report["rows"])
     assert all(row["pi"] <= row["rho"] <= row["binom_le_dminus1"] for row in report["rows"])
+
+
+def _prefix_rows_reference(inst, points):
+    """(n, pi(n), rho(n)) of the walked family restricted to each prefix
+    of its sample, each a search on the restricted family."""
+    full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
+    rows = []
+    for n in range(1, len(points) + 1):
+        traces = dict.fromkeys(m & ((1 << n) - 1) for m in full.masks)
+        fam = SetFamily(GroundSet(n), tuple(traces))
+        rows.append((n, setsystem.pi(fam, n), littlestone.rho(fam, n)))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["moment_curve:4", "conics", "two_lines", "moment_curve:3,p=7"])
+def test_prefix_rows_are_the_prefix_trace_counts(capsys, monkeypatch, name):
+    # a family on n points has pi(n) = rho(n) = its size, so the prefix
+    # samplings read each row off one trace count, with no search
+    from zerotrace import _kernels
+
+    calls = {"pi": 0, "rho": 0}
+    for kernel in calls:
+        def counted(*args, _kernel=getattr(_kernels, kernel), _name=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, kernel, counted)
+    code, out, _ = run(capsys, "shatter-fn", "--instance", name, "--n-max", "8")
+    monkeypatch.undo()
+    assert code == 0
+    assert calls == {"pi": 0, "rho": 0}
+    report = json.loads(out)
+    assert report["sampling"] in ("independent-prefix", "stream-prefix")
+    points = [point_from_json(p) for p in report["points"]]
+    expected = _prefix_rows_reference(parse_instance_name(name), points)
+    assert [(r["n"], r["pi"], r["rho"]) for r in report["rows"]] == expected
 
 
 def test_shatter_fn_designed_grid_splits_the_verdicts(capsys):
@@ -584,7 +630,7 @@ def _fuzz_config(rng, out: str) -> dict:
     valid = {
         "instance": ("moment_curve:3", "high_vcden:3", "two_lines", "moment_curve:2,p=3"),
         "n_max": (1, 2, 3, 17),
-        "depth_cap": (1, 2, 16),
+        "depth_cap": (1, 2, 16, 21),
         "budget": (1, 20, 200),
         "out": (out, ""),
         "format": ("json", "csv"),
@@ -669,6 +715,25 @@ def test_shatter_fn_checks_depth_cap_before_the_walk(capsys, monkeypatch):
     code, _, err = run(capsys, "shatter-fn", "--instance", "moment_curve:3", "--n-max", "17")
     assert code == 2
     assert "rho depth 17 exceeds cap 16" in err
+
+
+def test_depth_cap_past_the_sample_cap_is_invalid_input(capsys, monkeypatch):
+    # no family has more than 20 points, and past its ground size rho is |F|
+    def no_work(*args, **kwargs):
+        raise AssertionError("analysis started")
+
+    monkeypatch.setattr(cli, "linearly_independent", no_work)
+    for cap in ("21", "100000"):
+        code, out, err = run(capsys, "analyze", "--instance", "moment_curve:3", "--n-max", "100000",
+                             "--depth-cap", cap)
+        assert (code, out) == (3, "")
+        assert err == f"invalid input: depth-cap {cap} exceeds 20\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "analyze", "--instance", "moment_curve:3", "--n-max", "21",
+                       "--depth-cap", "20")
+    assert code == 0
+    # the 3-point dual-basis family fills its 7 members at every depth >= 3
+    assert json.loads(out)["profiles"]["rho"] == [1, 2, 4] + [7] * 18
 
 
 def test_shatter_fn_bounds_sampling_by_the_depth_cap():

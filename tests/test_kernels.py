@@ -230,32 +230,37 @@ def _rho_search_cases(rng):
 
 
 def test_one_search_matches_reference_at_shuffled_depths(rng):
+    # each call passes either the family's ldim or its own depth, so
+    # values memoized under the tight bound meet calls under the loose one
     for masks, n, top in _rho_search_cases(rng):
         ref = [ref_rho(masks, n, depth) for depth in range(top + 1)]
+        ld = ref_ldim(masks, n)
         cols = _kernels._columns(masks, n)
         full = (1 << len(masks)) - 1
         for order in _depth_orders(rng, top):
-            rec = _kernels._rho_search(cols)
-            assert [rec(full, depth) for depth in order] == [ref[depth] for depth in order], (
-                masks, n, order
-            )
+            split = _kernels._rho_search(cols)
+            got = [split(full, depth, rng.choice((ld, depth))) for depth in order]
+            assert got == [ref[depth] for depth in order], (masks, n, order)
 
 
 def test_bound_proved_on_a_subfamily_never_caps_the_family(rng):
-    # a small subfamily proves a low ldim bound first; the whole family,
-    # of higher ldim, must still get its exact rho from the same search
+    # a small subfamily is searched under its own low ldim bound first;
+    # the whole family, of higher ldim, must still get its exact rho
+    # from the same search
     for masks, n, top in _rho_search_cases(rng)[::4]:
         members = len(masks)
         cols = _kernels._columns(masks, n)
-        rec = _kernels._rho_search(cols)
-        assert rec(1, 1) == 1  # member 0 alone: ldim 0
+        split = _kernels._rho_search(cols)
+        assert split(1, 1, 0) == 1  # member 0 alone: ldim 0
         for _ in range(3):
-            sub = rng.sample(range(members), rng.randint(1, members))
-            s = sum(1 << i for i in sub)
+            chosen = rng.sample(range(members), rng.randint(1, members))
+            sub = [masks[i] for i in chosen]
+            s = sum(1 << i for i in chosen)
             depth = rng.randint(0, top)
-            assert rec(s, depth) == ref_rho([masks[i] for i in sub], n, depth), (masks, sub)
+            assert split(s, depth, ref_ldim(sub, n)) == ref_rho(sub, n, depth), (masks, sub)
+        ld = ref_ldim(masks, n)
         for depth in rng.sample(range(top + 1), top + 1):
-            assert rec((1 << members) - 1, depth) == ref_rho(masks, n, depth), (masks, depth)
+            assert split((1 << members) - 1, depth, ld) == ref_rho(masks, n, depth), (masks, depth)
 
 
 def test_rho_matches_reference_when_ldim_is_below_log_family_size(rng):
@@ -268,18 +273,47 @@ def test_rho_matches_reference_when_ldim_is_below_log_family_size(rng):
     cases.append(_grid_masks(3, 5))
     for masks, n in cases:
         ld = _kernels.ldim(masks, n)
+        assert ld == ref_ldim(masks, n), (masks, n)
         assert (1 << (ld + 1)) <= len(masks), (masks, ld)
         assert _kernels.vcdim(masks, n) == ref_vcdim(masks, n) <= ld, (masks, n)
         top = min(n, 6)
         ref = [ref_rho(masks, n, depth) for depth in range(top + 1)]
         assert all(r <= binom_le(depth, ld) for depth, r in enumerate(ref))
+        assert _kernels.rho(masks, n, 0, top) == ref, masks
         cols = _kernels._columns(masks, n)
         full = (1 << len(masks)) - 1
         for order in _depth_orders(rng, top):
-            rec = _kernels._rho_search(cols)
-            assert [rec(full, depth) for depth in order] == [ref[depth] for depth in order], (
+            split = _kernels._rho_search(cols)
+            assert [split(full, depth, ld) for depth in order] == [ref[depth] for depth in order], (
                 masks, order
             )
+
+
+def test_rho_past_the_ground_size_is_the_family_size(rng):
+    # a depth at or past the ground size fills one leaf per member, and
+    # the root split at such a depth returns without recursing
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        masks = random_mask_family(rng, n, rng.randint(1, 20))
+        values = []
+        calls = _traced("split", lambda: values.extend(_kernels.rho(masks, n, 0, n + 3)))
+        assert values == [ref_rho(masks, n, depth) for depth in range(n + 4)], (masks, n)
+        assert values[n:] == [len(masks)] * 4
+        deep = [args["d"] for args, _, _ in calls if args["d"] >= n]
+        assert deep == list(range(n, n + 4)), (masks, n)
+    assert _kernels.rho([0], 0, 0, 2) == [1, 0, 0]  # no point to label a node with
+
+
+def test_rho_range_passes_its_root_the_bound_it_proved(rng):
+    # depth until the first depth k with rho(k) < 2^k, then k - 1
+    for masks, n in _child_bound_cases(rng)[::2]:
+        top = min(n, 6)
+        values, calls = _profile_calls(masks, n, top)
+        roots = [(args["d"], args["bound"]) for args, caller, _ in calls if caller is None]
+        short = next(k for k, value in enumerate(values) if value < 1 << k)
+        assert short <= top, masks
+        expected = [(depth, depth if depth <= short else short - 1) for depth in range(top + 1)]
+        assert roots == expected, (masks, n)
 
 
 def _traced(name, run):
@@ -307,12 +341,10 @@ def _traced(name, run):
 
 
 def _profile_calls(masks, n, top):
-    """The split calls of one search asked rho(0..top) in ascending order,
-    the order of littlestone_profile, so the root bound is proved early."""
-    rec = _kernels._rho_search(_kernels._columns(masks, n))
-    full = (1 << len(masks)) - 1
+    """The split calls of rho(0..top), the range littlestone_profile asks,
+    so the root bound is proved early."""
     values = []
-    calls = _traced("split", lambda: values.extend(rec(full, depth) for depth in range(top + 1)))
+    calls = _traced("split", lambda: values.extend(_kernels.rho(masks, n, 0, top)))
     return values, calls
 
 
@@ -351,10 +383,10 @@ def test_child_bound_matches_reference_where_it_decides(rng):
         assert values == [ref_rho(masks, n, depth) for depth in range(top + 1)], (masks, n)
         stops = _lowered_bound_stops(calls)
         decided += stops > 0
-        if stops:  # the same values asked deepest first, with no root bound yet
-            rec = _kernels._rho_search(_kernels._columns(masks, n))
+        if stops:  # the same values asked deepest first, with no root bound
+            split = _kernels._rho_search(_kernels._columns(masks, n))
             full = (1 << len(masks)) - 1
-            assert [rec(full, depth) for depth in range(top, -1, -1)] == values[::-1]
+            assert [split(full, depth, depth) for depth in range(top, -1, -1)] == values[::-1]
     assert decided >= 20, decided  # the bound ends nodes on most of these families
 
 

@@ -21,7 +21,6 @@ from zerotrace.setsystem import (
     family_to_json,
     mask_to_indices,
     pi,
-    restrict,
     shatters,
     vcdim,
     vcdim_via_trees,
@@ -77,15 +76,6 @@ def test_from_index_sets_and_members():
     assert fam.masks == (0b101, 0, 0b010)
     assert [set(mask_to_indices(m)) for m in fam.masks] == [{0, 2}, set(), {1}]
     assert [f.name for f in fields(fam)] == ["ground", "masks"]
-
-
-def test_restrict_merges_traces_in_first_order():
-    fam = SetFamily.create(GroundSet(3), (0b110, 0b101, 0b001, 0b011))
-    r = restrict(fam, (0, 2))
-    assert r.ground.all_labels() == ["0", "2"]
-    # 0b001 and 0b011 both trace to {0}, which keeps the place of the first
-    assert r.masks == (0b10, 0b11, 0b01)
-    assert restrict(fam, (1,)).masks == (0b1, 0b0)
 
 
 def test_shatters_and_vcdim_hand_cases():
