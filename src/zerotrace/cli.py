@@ -55,7 +55,7 @@ from .littlestone import (
     vc_profile,
 )
 from .maximality import cover_from_instance, cover_from_json, cover_to_json
-from .setsystem import MAX_POINTS, family_to_json, vcdim
+from .setsystem import MAX_POINTS, MAX_SETS, family_to_json, vcdim
 from .zerosets import (
     DEFAULT_BUDGET,
     Sample,
@@ -245,9 +245,14 @@ def _shatter_rows(inst, cfg: RunConfig):
         sampling = "designed-grid"
         points = list(inst.profile_points(cfg.n_max))
     else:
-        # A table longer than depth_cap or MAX_POINTS exits 2, so one
-        # point past the tighter cap is as far as sampling need go.
-        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
+        # A table longer than depth_cap or MAX_POINTS exits 2, and so
+        # does a d-wise independent sample of k points once its
+        # C(k, <= d-1) traces pass MAX_SETS, so one point past the
+        # tightest cap is as far as sampling need go.
+        count = next(
+            (k for k in range(MAX_POINTS + 2) if binom_le(k, d - 1) > MAX_SETS), MAX_POINTS + 1
+        )
+        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1, count)
         sampling = "independent-prefix"
         try:
             points = list(independence_sequence(inst, table, budget=cfg.budget).points)
@@ -257,6 +262,12 @@ def _shatter_rows(inst, cfg: RunConfig):
     top = min(cfg.n_max, len(points))
     if top > cfg.depth_cap:
         raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")
+    traces = binom_le(len(points), d - 1)
+    if sampling == "independent-prefix" and traces > MAX_SETS:
+        raise ResourceLimitError(
+            f"an independent {len(points)}-point sample traces up to "
+            f"C({len(points)}, <= {d - 1}) = {traces} sets, over the soft limit of {MAX_SETS}"
+        )
     # One walk on the longest sample: the traces on a prefix are the
     # restrictions of the traces on the whole sample.
     full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()

@@ -9,8 +9,9 @@ exact verification:
 * shattered_set sums dual rows over index sets, so membership of c_i in
   the zero set of a_S is equivalent to i not in S;
 * independence_sequence greedily extends a point list every d of whose
-  images are linearly independent, testing each candidate image against
-  one integer normal per (d-1)-subset of the chosen images;
+  images are linearly independent, in one pass over at most budget
+  stream points, testing each candidate image against one integer
+  normal per (d-1)-subset of the chosen images;
 * subset_witness and max_vc_trace realize, for every index set I of
   size < d, the trace exactly I on the first n sequence points (padding
   I with indices past n when it is smaller than d-1);
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
 
 from . import _kernels
-from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
+from .errors import BudgetExhaustedError, InvalidInputError
 from .exactalg import (
     Field,
     Span,
@@ -45,12 +45,6 @@ from .exactalg import (
 from .littlestone import MAX_DEPTH, LabeledTree
 from .setsystem import SetFamily
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
-
-
-#: Largest C(n, d-1) that independence_sequence accepts: it keeps one
-#: normal per (d-1)-subset of the chosen images and tests every candidate
-#: against all of them.
-MAX_SUBSETS = 4096
 
 
 def index_growth(j: int, field: Field):
@@ -174,69 +168,46 @@ def independence_sequence(
 ) -> Sample:
     """Greedily extend a sequence keeping every d images independent.
 
-    A candidate image is accepted iff it avoids the span of every
-    (d-1)-element subset of the chosen images (smaller subsets are
-    covered by monotonicity).  While fewer than d-1 images are chosen
-    that is one span, of all of them.  From then on each span is a
-    hyperplane, kept as its int normal (the kernel line subset_witness
-    takes), and the candidate's int row must have a nonzero dot product
-    with every normal.  A subset's normal is built once, when its last
-    point is accepted, so the k-th point adds C(k-1, d-2) of them.
-    Budget exhaustion raises with the blocking spans attached: evidence,
-    not proof, that the image is covered by finitely many proper
-    subspaces.  A request for which C(n, d-1) exceeds MAX_SUBSETS
-    raises ResourceLimitError before the scan.
+    One pass over the first budget stream points.  A candidate image is
+    accepted iff it avoids the span of every (d-1)-element subset of the
+    chosen images (smaller subsets are covered by monotonicity).  While
+    fewer than d-1 images are chosen that is one span, of all of them.
+    From then on each span is a hyperplane, kept as its int normal (the
+    kernel line subset_witness takes), and the candidate's int row must
+    have a nonzero dot product with every normal.  A subset's normal is
+    built once, when its last point is accepted and more are wanted, so
+    the k-th point adds C(k-1, d-2) of them.  A pass that ends short of
+    n points raises with the points and images chosen: evidence, not
+    proof, that the image is covered by finitely many proper subspaces.
     """
     inst = instance
     field = inst.field
     d = inst.d
-    if comb(n, d - 1) > MAX_SUBSETS:
-        raise ResourceLimitError(
-            f"a {n}-point sequence needs C({n}, {d - 1}) = {comb(n, d - 1)} spans, "
-            f"over the cap {MAX_SUBSETS}"
-        )
+    if n < 1:
+        return Sample(inst, (), ())
     points: list = []
     images: list = []
     span = Span()  # of the chosen images, while fewer than d-1
     normals = [] if d > 1 else [nullspace_basis(field, 1, [])[0]._ints]
-
-    stream = inst.stream()
     scanned = 0
-    while len(points) < n:
-        advanced = False
-        for point in stream:
-            scanned += 1
-            v = inst.image(point)
-            if len(images) < d - 1:
-                fresh = not in_span(v, span)
-            else:
-                fresh = not _rows_zero_mask(v, normals)
-            if fresh:
-                points.append(point)
-                images.append(v)
-                if len(images) < d - 1:
-                    span.add(v)
-                elif d > 1:
-                    for rest in combinations(images[:-1], d - 2):
-                        kernel = nullspace_basis(field, d, (*rest, v))
-                        normals.append(kernel[0]._ints)
-                advanced = True
-                break
-            if scanned >= budget:
-                break
-        if not advanced:
-            take = min(d - 1, len(images))
-            spans = [tuple(subset) for subset in combinations(images, take)]
-            raise BudgetExhaustedError(
-                f"sequence stalled at {len(points)} of {n} points after scanning "
-                f"{scanned} stream points",
-                partial={
-                    "points": tuple(points),
-                    "images": tuple(images),
-                    "blocking_spans": tuple(spans),
-                },
-            )
-    return Sample(inst, tuple(points), tuple(images))
+    for scanned, point in enumerate(islice(inst.stream(), budget), 1):
+        v = inst.image(point)
+        if in_span(v, span) if len(images) < d - 1 else _rows_zero_mask(v, normals):
+            continue
+        points.append(point)
+        images.append(v)
+        if len(points) == n:
+            return Sample(inst, tuple(points), tuple(images))
+        if len(images) < d - 1:
+            span.add(v)
+        elif d > 1:
+            for rest in combinations(images[:-1], d - 2):
+                normals.append(nullspace_basis(field, d, (*rest, v))[0]._ints)
+    raise BudgetExhaustedError(
+        f"sequence stalled at {len(points)} of {n} points after scanning "
+        f"{scanned} stream points",
+        partial={"points": tuple(points), "images": tuple(images)},
+    )
 
 
 def subset_witness(seq: Sample, indices) -> Vector:
@@ -276,7 +247,7 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
     """
     inst = seq.instance
     d = inst.d
-    needed = n + d - 1 if d >= 2 else n
+    needed = n + d - 1
     if len(seq.points) < needed:
         raise InvalidInputError(
             f"sequence holds {len(seq.points)} points, padding needs {needed}"

@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import count, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
@@ -61,6 +62,15 @@ def residue_tuples(p: int, r: int) -> Iterator[tuple]:
     for head in residue_tuples(p, r - 1):
         for last in range(p):
             yield (*head, last)
+
+
+def integer_shells(dims: int) -> Iterator[tuple]:
+    """Z^dims by max-norm shells, lexicographic inside each shell."""
+    yield (0,) * dims
+    for radius in count(1):
+        for point in product(range(-radius, radius + 1), repeat=dims):
+            if max(map(abs, point)) == radius:
+                yield point
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ are its int form, without boxing an entry.
 from __future__ import annotations
 
 import ast
-from itertools import count, product
+from itertools import count
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -33,6 +33,7 @@ from .exactalg import (
     basis_vector,
     field_from_json,
     field_to_json,
+    integer_shells,
     residue_tuples,
 )
 from .setsystem import MAX_POINTS
@@ -48,15 +49,6 @@ def integer_spiral() -> Iterator[int]:
     for n in count(1):
         yield n
         yield -n
-
-
-def integer_shells(dims: int) -> Iterator[tuple]:
-    """Z^dims by max-norm shells, lexicographic inside each shell."""
-    yield (0,) * dims
-    for radius in count(1):
-        for point in product(range(-radius, radius + 1), repeat=dims):
-            if max(abs(c) for c in point) == radius:
-                yield point
 
 
 # ---------------------------------------------------------------------------

@@ -448,8 +448,7 @@ def maximal_profile_check(
     failure raises, it is never silently approximated.
     """
     d = instance.d
-    seq_len = n + d - 1 if d >= 2 else n
-    seq = independence_sequence(instance, seq_len, budget=budget)
+    seq = independence_sequence(instance, n + d - 1, budget=budget)
     fam = max_vc_trace(seq, n)
     expected = binom_le(n, d - 1)
     if len(fam.sets) != expected:

@@ -13,7 +13,7 @@ re-verifies by exact dot products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from math import gcd
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
@@ -33,13 +33,15 @@ from .exactalg import (
     _line_point,
     _rows_zero_mask,
     _unit_lead,
-    dot,
+    _vector_of_ints,
     in_span,
+    integer_shells,
     nullspace_basis,
     projective_normalize,
     residue_tuples,
     scalar_from_str,
     scalar_to_str,
+    zero_mask,
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
@@ -184,12 +186,7 @@ def zero_set(sample: Sample, a: Vector) -> ZeroSet:
         raise InvalidInputError("coefficient vector has wrong field or width")
     if a.is_zero():
         raise InvalidInputError("coefficient vector must be nonzero")
-    zero = inst.field.zero
-    mask = 0
-    for i, v in enumerate(sample.images):
-        if dot(a, v) == zero:
-            mask |= 1 << i
-    return ZeroSet(mask, projective_normalize(a))
+    return ZeroSet(zero_mask(a, sample.images), projective_normalize(a))
 
 
 @dataclass(frozen=True)
@@ -310,11 +307,10 @@ def distinct_image_points(instance: Instance, n: int, *, budget: int) -> list:
 
 def _projective_representatives(field: PrimeField, d: int) -> Iterator[Vector]:
     """All lines of F_p^d, one representative each: first nonzero entry 1."""
-    p = field.p
     for lead in range(d):
-        head = [field.zero] * lead + [field.one]
-        for tail in product(range(p), repeat=d - lead - 1):
-            yield Vector(field, tuple(head + [field.element(t) for t in tail]))
+        head = (0,) * lead + (1,)
+        for tail in residue_tuples(field.p, d - lead - 1):
+            yield _vector_of_ints(field, head + tail)
 
 
 def enumerate_family_bruteforce(sample: Sample) -> ZeroSetFamily:
@@ -403,16 +399,9 @@ def _search_coefficients(p: int, r: int, rows) -> Optional[tuple]:
                 if all(sum(map(mul, c, row)) % p for row in rows):
                     return c
         return None
-    tried = 0
-    radius = 1
-    while tried < _RATIONAL_SEARCH_CAP:
-        for c in product(range(-radius, radius + 1), repeat=r):
-            if max(map(abs, c)) != radius:
-                continue
-            tried += 1
-            if all(sum(map(mul, c, row)) for row in rows):
-                return c
-        radius += 1
+    for c in islice(integer_shells(r), 1, _RATIONAL_SEARCH_CAP + 1):
+        if all(sum(map(mul, c, row)) for row in rows):
+            return c
     raise ResourceLimitError("rational witness search exceeded its safety cap")
 
 

@@ -752,15 +752,48 @@ def test_shatter_fn_bounds_sampling_by_the_depth_cap():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, count",
     [
-        # a 17-point table needs C(17, 11) = 12,376 and C(17, 8) = 24,310 spans
-        ("moment_curve:12", "--n-max", "100000"),
-        ("moment_curve:9", "--n-max", "17"),
+        # k d-wise independent points trace the C(k, <= d-1) subsets of size < d
+        pytest.param(("moment_curve:12", "--n-max", "100000"), "C(13, <= 11) = 8178",
+                     id="moment_curve:12 --n-max 100000"),
+        pytest.param(("moment_curve:9", "--n-max", "17"), "C(13, <= 8) = 7099",
+                     id="moment_curve:9 --n-max 17"),
     ],
-    ids=" ".join,
 )
-def test_shatter_fn_caps_the_subset_count_before_sampling(argv):
+def test_shatter_fn_caps_the_subset_count_before_sampling(argv, count, capsys, monkeypatch):
+    def no_walk(sample):
+        raise AssertionError("flat walk started")
+
+    sampled = []
+    sequence = cli.independence_sequence
+
+    def recorded(inst, n, *, budget):
+        sampled.append(n)
+        return sequence(inst, n, budget=budget)
+
+    monkeypatch.setattr(cli, "enumerate_family_flats", no_walk)
+    monkeypatch.setattr(cli, "independence_sequence", recorded)
+    code, out, err = run(capsys, "shatter-fn", "--instance", *argv)
+    assert (code, out) == (2, "")
+    assert sampled == [13]
+    assert err == (
+        f"resource limit: an independent 13-point sample traces up to {count} sets, "
+        "over the soft limit of 4096\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, sampling, rows",
+    [
+        # the 11-point F_11 curve stalls the sequence short of the count
+        (("moment_curve:9,p=11", "--n-max", "16"), "stream-prefix", 11),
+        # at d = 1 every sample carries one trace, so no count caps the table
+        (("moment_curve:1", "--n-max", "5"), "independent-prefix", 5),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_shatter_fn_tables_below_the_subset_count_run(argv, sampling, rows):
     env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "zerotrace.cli", "shatter-fn", "--instance", *argv],
@@ -769,14 +802,15 @@ def test_shatter_fn_caps_the_subset_count_before_sampling(argv):
         env=env,
         timeout=10,
     )
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("resource limit:")
-    assert "over the cap 4096" in done.stderr
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["sampling"] == sampling
+    assert len(report["rows"]) == rows
 
 
 def test_shatter_fn_samples_only_the_points_it_reports(capsys):
-    # 8 points stay under the subset cap; the d - 1 = 9 more points that
-    # shatter-fn once asked for would need C(17, 9) = 24,310 spans
+    # 8 points stay under the subset count; the d - 1 = 9 more points
+    # that shatter-fn once asked for would trace C(17, <= 9) = 89,846 sets
     code, out, _ = run(capsys, "shatter-fn", "--instance", "moment_curve:10,p=11", "--n-max", "8")
     assert code == 0
     report = json.loads(out)
@@ -810,6 +844,19 @@ def test_verify_budget_below_d_is_a_resource_exit(capsys):
     errors = [r["error"] for r in json.loads(out)["results"] if not r["passed"]]
     assert errors and all(e.startswith("BudgetExhaustedError:") for e in errors)
     assert any("budget 1 cannot reach d=2 points" in e for e in errors)
+
+
+@pytest.mark.parametrize("budget", ["2", "5"])
+def test_verify_verdicts_the_budget_cut_short_are_resource_exits(budget, capsys):
+    # {x, x^3} over F_3 needs all 3 points for its proof, and
+    # ellipse_carrier's 5 independent images need more than 5 points
+    code, out, _ = run(capsys, "verify", "--budget", budget)
+    assert code == 2
+    results = {r["name"]: r for r in json.loads(out)["results"]}
+    failed = [r["error"] for r in results.values() if not r["passed"]]
+    assert failed and all(e.startswith("BudgetExhaustedError:") for e in failed)
+    cut = "dependent_pair_f3" if budget == "2" else "independence_three_way_positive"
+    assert f"after the budget of {budget} stream points" in results[cut]["error"]
 
 
 def test_analyze_budget_below_d_is_a_resource_exit(capsys):

@@ -3,13 +3,11 @@
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, islice
-from math import comb
 
 import pytest
 
 from zerotrace._kernels import binom_le
 from zerotrace.constructions import (
-    MAX_SUBSETS,
     dual_basis,
     grid_max_tree,
     grid_membership,
@@ -20,7 +18,7 @@ from zerotrace.constructions import (
     shattered_set,
     subset_witness,
 )
-from zerotrace.errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
+from zerotrace.errors import BudgetExhaustedError, InvalidInputError
 from zerotrace.exactalg import QQ, PrimeField, Span, Vector, dot, in_span, rank
 from zerotrace.instances import (
     conics,
@@ -33,7 +31,13 @@ from zerotrace.instances import (
 )
 from zerotrace.littlestone import count_well_labeled
 from zerotrace.setsystem import shatters, vcdim
-from zerotrace.zerosets import Instance, Sample, enumerate_family_flats, linearly_independent
+from zerotrace.zerosets import (
+    Instance,
+    Sample,
+    distinct_image_points,
+    enumerate_family_flats,
+    linearly_independent,
+)
 
 
 def test_binom_le_table():
@@ -109,20 +113,7 @@ def test_independence_sequence_stalls_on_covered_image():
     with pytest.raises(BudgetExhaustedError) as info:
         independence_sequence(two_lines(), 3, budget=300)
     partial = info.value.partial
-    assert len(partial["points"]) == 2
-    assert partial["blocking_spans"]
-
-
-def test_independence_sequence_checks_subset_cap_before_scanning():
-    def no_stream():
-        raise AssertionError("stream scanned")
-
-    # C(17, 9) = 24310 spans would be kept; C(11, 3) = 165 stays below the cap
-    inst = replace(moment_curve(10), stream=no_stream)
-    with pytest.raises(ResourceLimitError, match=f"over the cap {MAX_SUBSETS}"):
-        independence_sequence(inst, 17)
-    assert comb(17, 9) > MAX_SUBSETS >= comb(11, 3)
-    assert len(independence_sequence(moment_curve(4), 11)) == 11
+    assert len(partial["points"]) == len(partial["images"]) == 2
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["Q", "F13"])
@@ -134,38 +125,27 @@ def test_independence_sequence_prefix_does_not_depend_on_length(field):
 
 
 def _span_per_subset_sequence(inst, n, *, budget):
-    """Reference greedy sequence: one Span per min(d-1, k)-subset of the k
-    chosen images, rebuilt after each accepted point; (points, images)."""
+    """Reference greedy sequence over the first budget stream points: one
+    Span per min(d-1, k)-subset of the k chosen images, rebuilt after
+    each accepted point; (points, images)."""
     d = inst.d
     points, images, spans = [], [], [Span()]
-    stream = inst.stream()
     scanned = 0
-    while len(points) < n:
-        advanced = False
-        for point in stream:
-            scanned += 1
-            v = inst.image(point)
-            if not any(in_span(v, span) for span in spans):
-                points.append(point)
-                images.append(v)
-                take = min(d - 1, len(images))
-                spans = [Span(subset) for subset in combinations(images, take)]
-                advanced = True
-                break
-            if scanned >= budget:
-                break
-        if not advanced:
+    for point in islice(inst.stream(), budget):
+        scanned += 1
+        v = inst.image(point)
+        if not any(in_span(v, span) for span in spans):
+            points.append(point)
+            images.append(v)
+            if len(points) == n:
+                return tuple(points), tuple(images)
             take = min(d - 1, len(images))
-            raise BudgetExhaustedError(
-                f"sequence stalled at {len(points)} of {n} points after scanning "
-                f"{scanned} stream points",
-                partial={
-                    "points": tuple(points),
-                    "images": tuple(images),
-                    "blocking_spans": tuple(combinations(images, take)),
-                },
-            )
-    return tuple(points), tuple(images)
+            spans = [Span(subset) for subset in combinations(images, take)]
+    raise BudgetExhaustedError(
+        f"sequence stalled at {len(points)} of {n} points after scanning "
+        f"{scanned} stream points",
+        partial={"points": tuple(points), "images": tuple(images)},
+    )
 
 
 @pytest.mark.parametrize(
@@ -193,7 +173,44 @@ def test_independence_sequence_stalls_like_span_per_subset(inst, n):
         _span_per_subset_sequence(inst, n, budget=300)
     assert str(got.value) == str(expected.value)
     assert got.value.partial == expected.value.partial
-    assert got.value.partial["blocking_spans"]
+
+
+def _counting_stream(inst):
+    """inst with a stream that counts the points it yields, and the count."""
+    read = Counter()
+
+    def stream():
+        for point in inst.stream():
+            read["points"] += 1
+            yield point
+
+    return replace(inst, stream=stream), read
+
+
+_SCALED_PAIR = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair")
+
+
+@pytest.mark.parametrize(
+    "scan, inst, budget, bound",
+    [
+        # a moment curve accepts every point, so only the budget stops the pass
+        (lambda i, b: independence_sequence(i, 8, budget=b), moment_curve(3), 3, 3),
+        (lambda i, b: independence_sequence(i, 3, budget=b), two_lines(), 40, 40),
+        # these two read one point more, to tell a spent budget from an ended stream
+        (lambda i, b: distinct_image_points(i, 8, budget=b), moment_curve(3), 3, 4),
+        (lambda i, b: linearly_independent(i, budget=b), _SCALED_PAIR, 40, 41),
+        # the documented rescan: one pass of at most budget points per step
+        (lambda i, b: dual_basis(i, budget=b), _SCALED_PAIR, 40, 2 * 40),
+    ],
+    ids=["sequence", "sequence-stall", "distinct", "independent", "dual-basis"],
+)
+def test_scans_read_no_more_stream_points_than_their_budget(scan, inst, budget, bound):
+    counted, read = _counting_stream(inst)
+    try:
+        scan(counted, budget)
+    except BudgetExhaustedError:
+        pass
+    assert 0 < read["points"] <= bound
 
 
 def test_scans_leave_the_images_they_only_test_unboxed(boxed):
