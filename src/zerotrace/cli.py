@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -236,6 +237,17 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     }
 
 
+def _independent_traces(inst, k: int) -> int:
+    """How many traces k d-wise independent points carry, or a floor.
+
+    Each (d-1)-subset is a trace, cut by the one hyperplane through its
+    images, which misses every other image.  Over Q the traces are
+    exactly the C(k, <= d-1) subsets of size < d; over F_p a smaller
+    subset may find no hyperplane of its own, so C(k, d-1) is the floor.
+    """
+    return binom_le(k, inst.d - 1) if inst.field.p == 0 else comb(k, inst.d - 1)
+
+
 def _shatter_rows(inst, cfg: RunConfig):
     d = inst.d
     designed = inst.profile_points is not None
@@ -245,28 +257,27 @@ def _shatter_rows(inst, cfg: RunConfig):
         sampling = "designed-grid"
         points = list(inst.profile_points(cfg.n_max))
     else:
-        # A table longer than depth_cap or MAX_POINTS exits 2, and so
-        # does a d-wise independent sample of k points once its
-        # C(k, <= d-1) traces pass MAX_SETS, so one point past the
-        # tightest cap is as far as sampling need go.
-        count = next(
-            (k for k in range(MAX_POINTS + 2) if binom_le(k, d - 1) > MAX_SETS), MAX_POINTS + 1
-        )
-        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1, count)
+        # A table longer than depth_cap or MAX_POINTS exits 2, so one
+        # point past the tighter cap is as far as sampling need go.  The
+        # sequence stops sooner, at the first k whose traces pass
+        # MAX_SETS; if it stalls, the stream prefix fills the table.
+        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
+        count = next((k for k in range(table) if _independent_traces(inst, k) > MAX_SETS), table)
         sampling = "independent-prefix"
         try:
-            points = list(independence_sequence(inst, table, budget=cfg.budget).points)
+            points = list(independence_sequence(inst, count, budget=cfg.budget).points)
         except (BudgetExhaustedError, StreamExhaustedError):
             sampling = "stream-prefix"
             points = distinct_image_points(inst, table, budget=cfg.budget)
     top = min(cfg.n_max, len(points))
     if top > cfg.depth_cap:
         raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")
-    traces = binom_le(len(points), d - 1)
-    if sampling == "independent-prefix" and traces > MAX_SETS:
+    k = len(points)
+    if sampling == "independent-prefix" and _independent_traces(inst, k) > MAX_SETS:
+        counted = f"C({k}, <= {d - 1})" if inst.field.p == 0 else f"at least C({k}, {d - 1})"
         raise ResourceLimitError(
-            f"an independent {len(points)}-point sample traces up to "
-            f"C({len(points)}, <= {d - 1}) = {traces} sets, over the soft limit of {MAX_SETS}"
+            f"an independent {k}-point sample traces {counted} = "
+            f"{_independent_traces(inst, k)} sets, over the soft limit of {MAX_SETS}"
         )
     # One walk on the longest sample: the traces on a prefix are the
     # restrictions of the traces on the whole sample.

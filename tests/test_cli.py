@@ -14,6 +14,7 @@ import pytest
 import zerotrace
 from zerotrace import cli, littlestone, setsystem
 from zerotrace.cli import main
+from zerotrace.errors import ResourceLimitError
 from zerotrace.instances import instance_from_spec, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
 from zerotrace.zerosets import Sample, enumerate_family_flats, point_from_json, verify_bundle
@@ -752,16 +753,19 @@ def test_shatter_fn_bounds_sampling_by_the_depth_cap():
 
 
 @pytest.mark.parametrize(
-    "argv, count",
+    "argv, k, count",
     [
-        # k d-wise independent points trace the C(k, <= d-1) subsets of size < d
-        pytest.param(("moment_curve:12", "--n-max", "100000"), "C(13, <= 11) = 8178",
+        # over Q, k d-wise independent points trace the C(k, <= d-1) subsets of size < d
+        pytest.param(("moment_curve:12", "--n-max", "100000"), 13, "C(13, <= 11) = 8178",
                      id="moment_curve:12 --n-max 100000"),
-        pytest.param(("moment_curve:9", "--n-max", "17"), "C(13, <= 8) = 7099",
+        pytest.param(("moment_curve:9", "--n-max", "17"), 13, "C(13, <= 8) = 7099",
                      id="moment_curve:9 --n-max 17"),
+        # over F_p each (d-1)-subset is still a trace, so C(k, d-1) is a floor
+        pytest.param(("moment_curve:9,p=31", "--n-max", "16"), 15, "at least C(15, 8) = 6435",
+                     id="moment_curve:9,p=31 --n-max 16"),
     ],
 )
-def test_shatter_fn_caps_the_subset_count_before_sampling(argv, count, capsys, monkeypatch):
+def test_shatter_fn_caps_the_subset_count_before_sampling(argv, k, count, capsys, monkeypatch):
     def no_walk(sample):
         raise AssertionError("flat walk started")
 
@@ -776,11 +780,46 @@ def test_shatter_fn_caps_the_subset_count_before_sampling(argv, count, capsys, m
     monkeypatch.setattr(cli, "independence_sequence", recorded)
     code, out, err = run(capsys, "shatter-fn", "--instance", *argv)
     assert (code, out) == (2, "")
-    assert sampled == [13]
+    assert sampled == [k]
     assert err == (
-        f"resource limit: an independent 13-point sample traces up to {count} sets, "
+        f"resource limit: an independent {k}-point sample traces {count} sets, "
         "over the soft limit of 4096\n"
     )
+
+
+def _spec_file(tmp_path, field, d, polynomials, variables):
+    path = tmp_path / "inst.json"
+    family = {"polynomials": polynomials, "variables": variables}
+    path.write_text(json.dumps({"field": field, "d": d, "family": family}))
+    return str(path)
+
+
+def test_shatter_fn_stalled_sequence_falls_back_to_the_whole_table(tmp_path, capsys):
+    # d = 13 over Q, but every image lies in the span of 1, x, x^2, x^3:
+    # the sequence stalls at 4 points, below the 13 the count allows, and
+    # the stream prefix still fills all 16 rows asked for
+    polynomials = ["1", "x", "x^2", "x^3"] + [f"{c}*x^3" for c in range(2, 11)]
+    path = _spec_file(tmp_path, "rational", 13, polynomials, ["x"])
+    code, out, err = run(capsys, "shatter-fn", "--instance", path, "--n-max", "16")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["sampling"] == "stream-prefix"
+    assert len(report["rows"]) == 16
+
+
+def test_shatter_fn_over_a_prime_field_leaves_the_set_limit_to_the_walk(
+    tmp_path, capsys, monkeypatch
+):
+    # e1..e12 and their sum are 12-wise independent in F_2^12: C(13, <= 11)
+    # = 8178 passes the limit, but F_2^12 has only 4095 nonzero functionals
+    def walked(sample):
+        raise ResourceLimitError(f"walk of {len(sample.points)} points")
+
+    names = [f"x{i}" for i in range(1, 13)]
+    path = _spec_file(tmp_path, {"prime": 2}, 12, names, names)
+    monkeypatch.setattr(cli, "enumerate_family_flats", walked)
+    code, _, err = run(capsys, "shatter-fn", "--instance", path, "--n-max", "13")
+    assert (code, err) == (2, "resource limit: walk of 13 points\n")
 
 
 @pytest.mark.parametrize(
