@@ -34,7 +34,7 @@ from .constructions import (
     grid_witness,
     independence_sequence,
     max_vc_trace,
-    shattered_set,
+    shattering_witness,
 )
 from .errors import BudgetExhaustedError, InvalidInputError, ZerotraceError
 from .exactalg import QQ, PrimeField, Vector, basis_vector, dot, in_span, rank, zero_mask
@@ -252,17 +252,16 @@ def check_dual_basis_kronecker(ctx: CheckContext) -> dict:
     return details
 
 
-def check_shattered_set(ctx: CheckContext) -> dict:
+def check_shattering(ctx: CheckContext) -> dict:
     """The first d-1 dual points are shattered by the zero sets."""
     details = {}
     for inst in _independent_builtins_all():
         db, sample = _dual_sample(ctx, inst)
-        ss = shattered_set(db)
         d = inst.d
-        images = [inst.image(p) for p in ss.points]
+        images = sample.images[: d - 1]
         for trace_bits in range(1 << (d - 1)):
             trace = {i for i in range(d - 1) if trace_bits >> i & 1}
-            got = zero_mask(ss.witness_for_trace(trace), images)
+            got = zero_mask(shattering_witness(db, trace), images)
             assert got == trace_bits, f"{inst.name}: subset {sorted(trace)} realized {bin(got)}"
         fam = _enumerated(ctx, sample).to_set_family()
         front = (1 << (d - 1)) - 1
@@ -334,9 +333,7 @@ def check_line_cover_blocks(ctx: CheckContext) -> dict:
 def check_maximal_profile_counts(ctx: CheckContext) -> dict:
     """Moment curve d=3: trace counts, pi and rho all hit C(n,<3) for n=3..8."""
     inst = moment_curve(3)
-    seq = ctx.memo(
-        ("seq", inst.name, 10), lambda: independence_sequence(inst, 10, budget=ctx.budget)
-    )
+    seq = independence_sequence(inst, 10, budget=ctx.budget)
     details = {}
     for n in range(3, 9):
         expected = binom_le(n, 2)
@@ -543,10 +540,7 @@ def check_dichotomy_on_builtins(ctx: CheckContext) -> dict:
     covered_side = [high_vcden(3), two_lines()]
     for inst in maximal_side:
         n_test = 4
-        fam = ctx.memo(
-            ("profile", inst.name, n_test),
-            lambda inst=inst: maximal_profile_check(inst, n_test, budget=ctx.budget),
-        )
+        fam = maximal_profile_check(inst, n_test, budget=ctx.budget)
         assert inst.cover_subspaces is None
         details[inst.name] = {"branch": "maximal_at_n", "n": n_test, "traces": len(fam.sets)}
     for inst in covered_side:
@@ -668,7 +662,7 @@ CHECKS: dict = {
     ),
     "shattered_set": (
         "the first d-1 dual points are shattered, so vcdim >= d-1",
-        check_shattered_set,
+        check_shattering,
     ),
     "dimensions_match": (
         "vcdim = ldim = d-1 exactly on the construction-derived sample",

@@ -151,6 +151,8 @@ def _load_instance(cfg: RunConfig):
 def _default_sample(inst, spec, cfg: RunConfig, verdict):
     if spec is not None and "sample" in spec:
         return sample_from_spec(inst, spec, default_prefix=inst.d), "spec"
+    if inst.d > MAX_POINTS:  # the walk would refuse the d points; skip finding them
+        raise ResourceLimitError(f"sample of {inst.d} points exceeds the limit {MAX_POINTS}")
     if verdict.kind == "independent":
         db = dual_basis(inst, budget=cfg.budget)
         return Sample.take(inst, db.points), "dual-basis"
@@ -251,17 +253,17 @@ def _independent_traces(inst, k: int) -> int:
 def _shatter_rows(inst, cfg: RunConfig):
     d = inst.d
     designed = inst.profile_points is not None
+    # A table longer than depth_cap or MAX_POINTS exits 2, so one point
+    # past the tighter cap is as far as sampling need go.
+    table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
     if designed:
         # The instance names its own extremal sample; pi and rho are
         # then profiled on that one family across every n.
         sampling = "designed-grid"
-        points = list(inst.profile_points(cfg.n_max))
+        points = inst.profile_points(table)
     else:
-        # A table longer than depth_cap or MAX_POINTS exits 2, so one
-        # point past the tighter cap is as far as sampling need go.  The
-        # sequence stops sooner, at the first k whose traces pass
+        # The sequence stops sooner, at the first k whose traces pass
         # MAX_SETS; if it stalls, the stream prefix fills the table.
-        table = min(cfg.n_max, cfg.depth_cap + 1, MAX_POINTS + 1)
         count = next((k for k in range(table) if _independent_traces(inst, k) > MAX_SETS), table)
         sampling = "independent-prefix"
         try:

@@ -1,4 +1,4 @@
-"""Constructive witnesses: dual bases, shattered sets, and trace-rich grids.
+"""Constructive witnesses: dual bases, shattering witnesses, and trace-rich grids.
 
 Everything here turns an existence proof into a finite search plus an
 exact verification:
@@ -6,8 +6,8 @@ exact verification:
 * dual_basis finds sample points c_0..c_(d-1) and a coefficient matrix
   G whose rows g_j satisfy g_j(c_i) = delta_ij, by the double-induction
   rescan of the stream;
-* shattered_set sums dual rows over index sets, so membership of c_i in
-  the zero set of a_S is equivalent to i not in S;
+* shattering_witness sums the dual rows over an index set S, so c_i
+  lies in the zero set of a_S iff i is not in S;
 * independence_sequence greedily extends a point list every d of whose
   images are linearly independent, in one pass over at most budget
   stream points, testing each candidate image against one integer
@@ -129,38 +129,18 @@ def dual_basis(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> DualBasis
     return result
 
 
-@dataclass(frozen=True)
-class ShatteredSet:
-    """The first d-1 dual points with one witness per index subset.
+def shattering_witness(basis: DualBasis, trace) -> Vector:
+    """a_S = the sum of the dual rows over S = {0..d-1} minus trace.
 
-    witnesses maps a frozenset S of row indices (nonempty subsets of
-    0..d-1) to a_S = sum of the dual rows over S; the zero set of a_S
-    meets the points exactly in the complement of S.  Realizing the
-    trace A over points 0..d-2 therefore uses S = {0..d-1} minus A.
+    The zero set of a_S meets the dual points exactly outside S, so on
+    the first d-1 of them it cuts out trace.
     """
-
-    basis: DualBasis
-    points: tuple  # c_0..c_(d-2)
-    witnesses: dict  # frozenset -> Vector
-
-    def witness_for_trace(self, trace) -> Vector:
-        d = self.basis.instance.d
-        trace = frozenset(trace)
-        if not trace <= set(range(d - 1)):
-            raise InvalidInputError(f"trace {sorted(trace)} not within the first d-1 points")
-        return self.witnesses[frozenset(range(d)) - trace]
-
-
-def shattered_set(basis: DualBasis) -> ShatteredSet:
     d = basis.instance.d
-    witnesses = {}
-    for size in range(1, d + 1):
-        for subset in combinations(range(d), size):
-            total = basis.rows[subset[0]]
-            for j in subset[1:]:
-                total = total + basis.rows[j]
-            witnesses[frozenset(subset)] = total
-    return ShatteredSet(basis, basis.points[: d - 1], witnesses)
+    trace = frozenset(trace)
+    if not trace <= set(range(d - 1)):
+        raise InvalidInputError(f"trace {sorted(trace)} not within the first d-1 points")
+    rows = [row for j, row in enumerate(basis.rows) if j not in trace]
+    return sum(rows[1:], rows[0])
 
 
 def independence_sequence(
@@ -334,8 +314,10 @@ class GridTreeResult:
 def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
     """The depth-n tree with one well-labeled leaf per index set of size < d.
 
-    Node at position sigma: plane index i = number of ones in sigma
-    (clamped to plane 0, column n, once i reaches d-1), column = depth.
+    Node at position sigma of depth k: plane index i = number of ones
+    in sigma (clamped to plane 0, column n, once i reaches d-1), column
+    k; its label is that point's index in the profile sample, k*(d-1) + i
+    (n*(d-1) for the clamp point).
     Leaf at tau: the witness of tau's column support, padded with column
     n.  Exactly C(n, <d) leaves end up well-labeled: those whose support
     has fewer than d ones.
@@ -353,22 +335,13 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
     field = inst.field
 
     # Ground set: grid points (i,k) for k < n, plus the clamp point (0,n).
-    descriptors = []
-    for k in range(n):
-        for i in range(d - 1):
-            descriptors.append((i, 1, k + 1))  # instance descriptor of c_(i,k)
-    descriptors.append((0, 1, n + 1))
+    descriptors = inst.profile_points(n)
     sample = Sample.take(inst, descriptors)
     for idx, (i, _, col) in enumerate(descriptors):
         if sample.images[idx] != grid_point(field, d, i, col - 1):
             raise InvalidInputError(
                 f"descriptor {descriptors[idx]!r} does not evaluate to its grid point"
             )
-    position = {}
-    for k in range(n):
-        for i in range(d - 1):
-            position[(i, k)] = k * (d - 1) + i
-    position[(0, n)] = n * (d - 1)
 
     tree = LabeledTree(depth=n)
     witnesses: dict = {}  # ordered js tuple -> family index
@@ -391,8 +364,7 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
             if sigma in tree.node_labels:
                 continue
             ones = sigma.count("1")
-            key = (ones, k) if ones < d - 1 else (0, n)
-            tree.node_labels[sigma] = position[key]
+            tree.node_labels[sigma] = k * (d - 1) + ones if ones < d - 1 else n * (d - 1)
 
     return GridTreeResult(
         tree=tree,

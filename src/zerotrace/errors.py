@@ -29,7 +29,8 @@ class BudgetExhaustedError(ZerotraceError):
     """A stream scan ran out of budget before reaching its goal.
 
     Carries the partial state so callers can report evidence (for
-    example, the spans that blocked an independence sequence).
+    example, the points an independence sequence chose before it
+    stalled).
     """
 
     def __init__(self, message: str, *, partial=None):

@@ -20,6 +20,7 @@ cover claim can travel as JSON and be re-verified on fresh points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -292,21 +293,28 @@ def not_maximal_bound_check(
         if idx is None:
             raise InvalidInputError(f"sample vector {v} escapes the cover")
         assignment.append(idx)
+    return _pigeonhole_bound(S, assignment, d, fam)
+
+
+def _pigeonhole_bound(
+    S: tuple, assignment: list, d: int, fam: SpanFamily
+) -> BoundCheckReport:
+    """The bound check on distinct vectors S, S[i] covered by subspace
+    assignment[i]: fam must be span injective and drawn from S."""
     verdict = span_injective(fam)
     if not verdict:
         raise InvalidInputError(
             f"family is not span injective ({verdict.reason} at {verdict.indices})"
         )
+    vectors = set(S)
     for member in fam.members:
         for v in member:
             if v not in vectors:
                 raise InvalidInputError("family member uses a vector outside S")
 
-    groups: dict = {}
-    for i, idx in enumerate(assignment):
-        groups.setdefault(idx, []).append(i)
-    crowded = max(groups, key=lambda idx: len(groups[idx]))
-    if len(groups[crowded]) < d:
+    sizes = Counter(assignment)
+    crowded = max(sizes, key=sizes.get)
+    if sizes[crowded] < d:
         raise AssertionError("pigeonhole miscount: no subspace holds d vectors")
 
     bound = binom_le(len(S), d - 1)
@@ -317,7 +325,7 @@ def not_maximal_bound_check(
         count=count,
         bound=bound,
         crowded_subspace=crowded,
-        crowded_count=len(groups[crowded]),
+        crowded_count=sizes[crowded],
     )
 
 
@@ -332,8 +340,8 @@ class NonMaximalityReport:
 
     verdict "verified": every sampled image fell into the cover, the
     pigeonhole subset missing_subset is provably not a trace (its span
-    already captures the image of forced_index), and the enumerated
-    trace family is strictly smaller than the C(n,<d) ceiling.
+    already captures the image of one more sample point), and the
+    enumerated trace family is strictly smaller than the C(n,<d) ceiling.
 
     verdict "refuted": escape_point's image lies outside every claimed
     subspace, so the cover does not cover the image; evidence for
@@ -341,14 +349,10 @@ class NonMaximalityReport:
     """
 
     verdict: str
-    certificate: CoverCertificate
-    sample: Optional[Sample]
     n: int
-    trace_count: Optional[int]
-    bound: Optional[int]
-    missing_subset: Optional[tuple]
-    forced_index: Optional[int]
-    bound_report: Optional[BoundCheckReport]
+    trace_count: Optional[int] = None
+    bound: Optional[int] = None
+    missing_subset: Optional[tuple] = None
     escape_point: object = None
     family: Optional[ZeroSetFamily] = None
 
@@ -381,32 +385,20 @@ def non_maximality_certificate(
             f"with distinct images, needed {n}"
         )
     sample = Sample.take(instance, points)
-
-    for point, image in zip(sample.points, sample.images):
-        if not cert.covers(image):
-            return NonMaximalityReport(
-                verdict="refuted",
-                certificate=cert,
-                sample=sample,
-                n=n,
-                trace_count=None,
-                bound=None,
-                missing_subset=None,
-                forced_index=None,
-                bound_report=None,
-                escape_point=point,
-            )
-
     images = sample.images
+    assignment = []
+    for point, image in zip(sample.points, images):
+        idx = cert.assign(image)
+        if idx is None:
+            return NonMaximalityReport("refuted", n, escape_point=point)
+        assignment.append(idx)
+
     zfam = enumerate_family_flats(sample)
-    fam = image_family(zfam)
-    report = not_maximal_bound_check(images, cert, fam)
+    report = _pigeonhole_bound(images, assignment, d, image_family(zfam))
 
     # The explicit non-trace: inside the crowded subspace, a spanning
     # d-1 points force one leftover point into every containing trace.
-    members = [
-        i for i in range(n) if cert.assign(images[i]) == report.crowded_subspace
-    ]
+    members = [i for i, idx in enumerate(assignment) if idx == report.crowded_subspace]
     core_span = Span()
     core = [i for i in members if core_span.add(images[i])]
     in_core = set(core)
@@ -424,16 +416,7 @@ def non_maximality_certificate(
         raise AssertionError("the pigeonhole subset showed up as a trace after all")
 
     return NonMaximalityReport(
-        verdict="verified",
-        certificate=cert,
-        sample=sample,
-        n=n,
-        trace_count=report.count,
-        bound=report.bound,
-        missing_subset=missing,
-        forced_index=forced,
-        bound_report=report,
-        family=zfam,
+        "verified", n, report.count, report.bound, missing, family=zfam
     )
 
 

@@ -193,15 +193,14 @@ def zero_set(sample: Sample, a: Vector) -> ZeroSet:
 class IndependenceVerdict:
     """Outcome of the budgeted independence scan.
 
-    kind "independent": witness_points hold d stream points with
-    linearly independent images.  kind "dependent": witness_coeffs is a
+    kind "independent": the scan met d stream points with linearly
+    independent images.  kind "dependent": witness_coeffs is a
     nonzero vector annihilating every streamed image (a proof when the
     stream was exhausted, budget-bounded evidence otherwise).
     "inconclusive" is a defensive arm for misbehaving evaluators.
     """
 
     kind: str
-    witness_points: Optional[tuple]
     witness_coeffs: Optional[Vector]
     scanned: int
     rank: int
@@ -213,7 +212,7 @@ def linearly_independent(
 ) -> IndependenceVerdict:
     """Scan the stream for d points with linearly independent images.
 
-    Success returns those points.  If the scan ends with image rank
+    Success stops at the d-th such point.  If the scan ends with image rank
     r < d, the nullspace of the accumulated span gives a candidate
     annihilator, which is re-verified against every streamed image
     before the dependent verdict is issued.  Each image's int row is
@@ -227,7 +226,6 @@ def linearly_independent(
         raise BudgetExhaustedError(f"budget {budget} cannot reach d={inst.d} points")
     span = Span()
     basis: list = []
-    basis_points: list = []
     rows: set = set()
     scanned = 0
     exhausted = True
@@ -244,11 +242,9 @@ def linearly_independent(
         rows.add(row)
         if span.add(v):
             basis.append(v)
-            basis_points.append(point)
             if len(basis) == inst.d:
                 return IndependenceVerdict(
                     kind="independent",
-                    witness_points=tuple(basis_points),
                     witness_coeffs=None,
                     scanned=scanned,
                     rank=inst.d,
@@ -268,7 +264,6 @@ def linearly_independent(
         kind = "inconclusive"
     return IndependenceVerdict(
         kind=kind,
-        witness_points=None,
         witness_coeffs=witness,
         scanned=scanned,
         rank=len(basis),
@@ -467,13 +462,12 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
 class LinePartitionReport:
     """Blocks induced by a line cover of the image, plus the trace check.
 
-    block_masks[i] collects sample points whose nonzero image spans
-    lines[i]; zero_block_mask collects points with zero image.  Every
+    block_masks[i] collects sample points whose nonzero image spans the
+    i-th distinct given line; zero_block_mask collects points with zero image.  Every
     trace must be the zero block united with some of the blocks, so the
     family has at most 2**k members.
     """
 
-    lines: tuple
     block_masks: tuple
     zero_block_mask: int
     family: ZeroSetFamily
@@ -528,7 +522,6 @@ def density_zero_partition(sample: Sample, lines: Sequence[Vector]) -> LineParti
                 raise AssertionError(f"trace {bin(z.mask)} splits block {j}")
         decompositions.append(tuple(cover))
     return LinePartitionReport(
-        lines=tuple(normalized),
         block_masks=tuple(block_masks),
         zero_block_mask=zero_block,
         family=family,

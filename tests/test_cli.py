@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -696,6 +697,20 @@ def test_analyze_oversized_dual_sample_exits_before_the_walk():
     assert done.stderr.startswith("resource limit:")
 
 
+def test_default_sample_past_the_point_cap_exits_before_the_dual_basis():
+    # the walk refuses a 120-point sample; finding its dual basis takes seconds
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", "analyze", "--instance", "moment_curve:120"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=3,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "resource limit: sample of 120 points exceeds the limit 20\n"
+
+
 def test_shatter_fn_short_stream_gives_short_table(tmp_path, capsys):
     path = _write_spec(tmp_path, {"prime": 3})
     code, out, _ = run(
@@ -750,6 +765,22 @@ def test_shatter_fn_bounds_sampling_by_the_depth_cap():
     )
     assert done.returncode == 2, done.stderr
     assert "rho depth 17 exceeds cap 16" in done.stderr
+
+
+def test_shatter_fn_designed_grid_builds_no_column_past_the_depth_cap(capsys, monkeypatch):
+    inst = parse_instance_name("high_vcden:3")
+
+    def guarded(n):
+        if n > 17:
+            raise AssertionError(f"asked for {n} grid columns")
+        return inst.profile_points(n)
+
+    monkeypatch.setattr(
+        cli, "parse_instance_name", lambda text: replace(inst, profile_points=guarded)
+    )
+    code, out, err = run(capsys, "shatter-fn", "--instance", "high_vcden:3", "--n-max", "3000000")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: rho depth 17 exceeds cap 16\n"
 
 
 @pytest.mark.parametrize(
