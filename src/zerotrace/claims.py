@@ -75,6 +75,7 @@ from .setsystem import (
     family_from_json,
     family_to_json,
     pi,
+    pi_via_subsets,
     shatters,
     vcdim,
     vcdim_via_trees,
@@ -593,7 +594,8 @@ def random_family(rng: random.Random, max_points: int = 6, max_sets: int = 12) -
 
 
 def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
-    """Seeded random families: recursions match oracles, bounds hold."""
+    """Seeded random families: recursions match oracles (the whole pi
+    profile against the subset scan), bounds hold."""
     rng = random.Random(ctx.seed)
     checked = 0
     for _ in range(DEFAULT_RANDOM_FAMILIES):
@@ -608,6 +610,7 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
         pis = vc_profile(fam, top)
         rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap)
         for n, (p, r) in enumerate(zip(pis, rhos)):
+            assert p == pi_via_subsets(fam, n), f"pi({n}) {p} vs subset scan"
             assert p <= r, f"pi {p} > rho {r}"
             assert p <= binom_le(n, max(vc_cap, 0)) if fam.masks else p == 0
             assert r <= binom_le(n, max(ld_cap, 0)) if fam.masks else r == 0
@@ -618,7 +621,8 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
 
 
 def check_enumerator_equivalence(ctx: CheckContext) -> dict:
-    """Flat-walk and projective brute force agree over F_3 and F_5."""
+    """Flat-walk and projective brute force agree over F_3 and F_5, and
+    every witness of both re-evaluates to its own mask."""
     details = {}
     cases = []
     for p in (3, 5):
@@ -635,6 +639,11 @@ def check_enumerator_equivalence(ctx: CheckContext) -> dict:
         masks_f = [z.mask for z in flats.sets]
         masks_b = [z.mask for z in brute.sets]
         assert masks_f == masks_b, f"{inst.name}: flats {masks_f} vs brute {masks_b}"
+        for z in flats.sets + brute.sets:
+            recomputed = zero_mask(z.witness, sample.images)
+            assert recomputed == z.mask, (
+                f"{inst.name}: witness of {bin(z.mask)} vanishes on {bin(recomputed)}"
+            )
         details[inst.name] = {"points": len(points), "traces": len(masks_f)}
     return details
 

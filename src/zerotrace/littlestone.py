@@ -155,18 +155,23 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
     the path) and `value` (those it branched right on), plus a `clash`
     flag for a path that names one point on both branches.  A leaf is
     well-labeled iff the path has no clash and some member m has
-    m & care == value; subtree choices are independent, so the walk
-    maximizes them separately.  The two leaves under a last-level node
-    share their care mask, so they are tested by lookups in one set of
-    the traces {m & care}.  No memoization, no family splitting and no
-    pruning: every one of the (2 * ground size)^n leaves is tested.
-    This is deliberately redundant with rho for cross-checking, and
-    exponential (feasible for n <= ~4 on tiny families only).
+    m & care == value, that is iff value is in the set of traces
+    {m & care}; subtree choices are independent, so the walk maximizes
+    them separately.  That set depends only on the family and care, so
+    one table per call builds it on the first leaf that reads it and
+    serves both leaves under a last-level node and every other path
+    naming the same points: each leaf test is one lookup.  The table
+    holds traces, never a subtree's score, so there is no memoization of
+    the search, no family splitting and no pruning: every one of the
+    (2 * ground size)^n leaves is tested.  This is deliberately
+    redundant with rho for cross-checking, and exponential (feasible
+    for n <= ~4 on tiny families only).
     """
     if not fam.masks:
         return 0
     masks = fam.masks
     bits = [1 << p for p in range(fam.ground.size)]
+    traces_on: dict = {}  # care mask -> {m & care for m in masks}, built on first read
 
     def best(care: int, value: int, clash: bool, remaining: int) -> int:
         top = 0
@@ -175,7 +180,10 @@ def rho_via_trees(fam: SetFamily, n: int) -> int:
             left_clash = clash or bool(value & bit)
             right_clash = clash or bool((care ^ value) & bit)
             if remaining == 1:
-                traces = {m & (care | bit) for m in masks}
+                leaf_care = care | bit
+                traces = traces_on.get(leaf_care)
+                if traces is None:
+                    traces = traces_on[leaf_care] = {m & leaf_care for m in masks}
                 left = value in traces and not left_clash
                 right = value | bit in traces and not right_clash
             else:

@@ -2,15 +2,15 @@
 
 A family lives over a ground set of indexed points (0..n-1) and stores
 each member set as an integer bitmask.  Growth statistics (vcdim, the
-trace-count function pi) run on the bitmask kernels; a separate
-tree-search oracle recomputes vcdim from the definition for use as an
-independent cross-check.
+trace-count function pi) run on the bitmask kernels; separate oracles
+recompute vcdim by tree search and pi by a scan of every k-subset, from
+the definitions, for use as independent cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence, Union
 
 from . import _kernels
@@ -153,8 +153,13 @@ def vcdim_via_trees(fam: SetFamily):
     2^d membership patterns over those points is realized by some member
     set.  A pattern is carried as two point masks, the points it puts in
     (`value`) and out (`zeros`).  A pattern that puts one point both in
-    and out is never realized; otherwise member m realizes it iff
-    m & care == value, where care is the mask of the candidate's points.
+    and out is never realized; otherwise some member m realizes it iff
+    value is in the set of traces {m & care}, where care is the mask of
+    the candidate's points.  That set depends only on the family and
+    care, so one table per call builds it on the first candidate that
+    names those points and serves every permutation and repeat of them;
+    each pattern is then one lookup.  The table holds no verdict of a
+    candidate, so every tuple and every pattern is still tested.
     Independent of the bitmask kernels; exponential, so only for small
     inputs.
     """
@@ -162,6 +167,7 @@ def vcdim_via_trees(fam: SetFamily):
         return NEG_INF
     n = fam.ground.size
     masks = fam.masks
+    traces_on: dict = {}  # care mask -> {m & care for m in masks}, built on first read
     best = 0
     d = 1
     while d <= n:
@@ -171,6 +177,9 @@ def vcdim_via_trees(fam: SetFamily):
             care = 0
             for bit in bits:
                 care |= bit
+            traces = traces_on.get(care)
+            if traces is None:
+                traces = traces_on[care] = {m & care for m in masks}
             for pattern in range(1 << d):
                 value = zeros = 0
                 for i, bit in enumerate(bits):
@@ -178,7 +187,7 @@ def vcdim_via_trees(fam: SetFamily):
                         value |= bit
                     else:
                         zeros |= bit
-                if value & zeros or not any(m & care == value for m in masks):
+                if value & zeros or value not in traces:
                     break
             else:
                 found = True
@@ -187,6 +196,26 @@ def vcdim_via_trees(fam: SetFamily):
             break
         best = d
         d += 1
+    return best
+
+
+def pi_via_subsets(fam: SetFamily, k: int) -> int:
+    """pi recomputed from its definition: the most distinct traces m & S
+    over the k-subsets S of the ground set, counted by one set of traces
+    per subset.  Independent of the bitmask kernels (no column bitsets, no
+    blocks, no Sauer-Shelah cap); it visits all C(ground size, k)
+    subsets, so only for small inputs.
+    """
+    if not 0 <= k <= fam.ground.size:
+        raise DimensionMismatchError(
+            f"pi argument {k} outside 0..{fam.ground.size} (ground set size)"
+        )
+    best = 0
+    for points in combinations(range(fam.ground.size), k):
+        care = 0
+        for p in points:
+            care |= 1 << p
+        best = max(best, len({m & care for m in fam.masks}))
     return best
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zerotrace import claims, zerosets
 from zerotrace.claims import CHECKS, CheckResult, run_checks
 from zerotrace.errors import InvalidInputError
 
@@ -84,3 +85,44 @@ def test_check_result_is_frozen():
     r = CheckResult("x", "y", True, {})
     with pytest.raises(AttributeError):
         r.passed = False
+
+
+def _lower_deepest_pi(monkeypatch):
+    """vc_profile one short at its deepest entry: still <= rho and within
+    the Sauer-Shelah cap, so only the subset oracle can tell."""
+    profile = claims.vc_profile
+
+    def lowered(fam, n_max):
+        pis = profile(fam, n_max)
+        return pis[:-1] + (pis[-1] - 1,) if pis[-1] else pis
+
+    monkeypatch.setattr(claims, "vc_profile", lowered)
+
+
+def _first_fp_tuple(monkeypatch):
+    """An F_p witness search that returns its first tuple (1, 0, ...)
+    whenever some tuple works: the masks stay right, the witnesses not."""
+    search = zerosets._search_coefficients
+
+    def first(p, r, rows):
+        found = search(p, r, rows)
+        return (1,) + (0,) * (r - 1) if p and found is not None else found
+
+    monkeypatch.setattr(zerosets, "_search_coefficients", first)
+
+
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [
+        ("oracle_equivalences_random", _lower_deepest_pi, "vs subset scan"),
+        ("enumerator_equivalence", _first_fp_tuple, "witness of"),
+    ],
+    ids=["pi_profile_lowered", "fp_witness_unchecked"],
+)
+def test_checks_catch_output_faults_the_masks_and_bounds_miss(monkeypatch, name, mutate, message):
+    [clean] = run_checks([name])
+    assert clean.passed, clean.error
+    mutate(monkeypatch)
+    [result] = run_checks([name])
+    assert not result.passed
+    assert result.error.startswith("AssertionError: ") and message in result.error

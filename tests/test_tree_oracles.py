@@ -1,13 +1,18 @@
-"""The exhaustive tree oracles against list-path references.
+"""The exhaustive oracles against list-path references.
 
-`vcdim_via_trees` tests each membership pattern with one mask
-comparison per member.  `rho_via_trees` tests each leaf with one lookup
-in the set of traces {m & care} that the two leaves under a last-level
-node share.  The references below walk the same trees but carry the
-path as a list of (point, branch) pairs and test every step of it, as
-the definitions read; both must agree on every family.
+`vcdim_via_trees` tests each membership pattern, and `rho_via_trees`
+each leaf, with one lookup in the set of traces {m & care} on the points
+the candidate or path names; one table per call builds each such set on
+its first read and holds no verdict of the search.  `pi_via_subsets`
+counts the distinct traces m & S over every k-subset S.  The references
+below walk the same trees and subsets but carry the path or subset as a
+list of points (with branches) and test every step of it, as the
+definitions read; both must agree on every family.  None of the oracles
+may reach the bitmask kernels, at run time or in its source.
 """
 
+import ast
+import inspect
 import random
 from itertools import product
 
@@ -15,8 +20,16 @@ import pytest
 
 from zerotrace import _kernels
 from zerotrace.claims import random_family
+from zerotrace.errors import DimensionMismatchError
 from zerotrace.littlestone import rho_via_trees
-from zerotrace.setsystem import NEG_INF, GroundSet, SetFamily, vcdim, vcdim_via_trees
+from zerotrace.setsystem import (
+    NEG_INF,
+    GroundSet,
+    SetFamily,
+    pi_via_subsets,
+    vcdim,
+    vcdim_via_trees,
+)
 
 
 def reference_vcdim(fam):
@@ -67,6 +80,17 @@ def reference_rho(fam, n):
     return best([], n)
 
 
+def reference_pi(fam, k):
+    size = fam.ground.size
+    best = 0
+    for chosen in range(1 << size):
+        points = [p for p in range(size) if chosen >> p & 1]
+        if len(points) == k:
+            traces = {tuple(bool(m & (1 << p)) for p in points) for m in fam.masks}
+            best = max(best, len(traces))
+    return best
+
+
 def family(size, *sets):
     return SetFamily.from_index_sets(GroundSet(size), sets)
 
@@ -102,6 +126,8 @@ def test_oracles_match_references_on_seeded_families():
         assert vcdim_via_trees(fam) == reference_vcdim(fam), fam
         for n in range(4):
             assert rho_via_trees(fam, n) == reference_rho(fam, n), (fam, n)
+        for k in range(fam.ground.size + 1):
+            assert pi_via_subsets(fam, k) == reference_pi(fam, k), (fam, k)
     assert {s for s, _ in sizes} == set(range(7))
     assert {k for _, k in sizes} == set(range(13))
 
@@ -118,3 +144,49 @@ def test_oracles_answer_without_the_kernels(monkeypatch):
         vcdim(fam)
     assert vcdim_via_trees(fam) == 2
     assert [rho_via_trees(fam, n) for n in range(4)] == [1, 2, 4, 5]
+    assert [pi_via_subsets(fam, k) for k in range(4)] == [1, 2, 4, 5]
+
+
+def test_pi_oracle_rejects_a_size_outside_the_ground_set():
+    fam = family(2, (0,))
+    with pytest.raises(DimensionMismatchError):
+        pi_via_subsets(fam, 3)
+    with pytest.raises(DimensionMismatchError):
+        pi_via_subsets(fam, -1)
+    assert [pi_via_subsets(family(2), k) for k in range(3)] == [0, 0, 0]
+
+
+#: Names through which an oracle would reach the kernels' answer.
+KERNEL_NAMES = {"_kernels", "count_restrictions"}
+
+
+def _kernel_names_in(source: str) -> set:
+    """Kernel names that source reads, as a bare name, an attribute or an
+    imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & KERNEL_NAMES
+
+
+def test_guard_sees_each_way_of_naming_the_kernels():
+    assert _kernel_names_in("from . import _kernels") == {"_kernels"}
+    assert _kernel_names_in("from ._kernels import count_restrictions as c") == {
+        "count_restrictions"
+    }
+    assert _kernel_names_in("k.count_restrictions(masks, care)") == {"count_restrictions"}
+    assert _kernel_names_in("_kernels.pi(masks, n, 0, n)") == {"_kernels"}
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [vcdim_via_trees, pi_via_subsets, rho_via_trees],
+    ids=lambda f: f.__name__,
+)
+def test_oracle_sources_name_no_kernel(oracle):
+    assert _kernel_names_in(inspect.getsource(oracle)) == set()
