@@ -153,9 +153,21 @@ def _proven_verdict(inst, budget: int):
     return verdict
 
 
+def _checked(zfam: ZeroSetFamily) -> ZeroSetFamily:
+    """zfam, once every witness re-evaluates to its own mask on the
+    sample images."""
+    sample = zfam.sample
+    for z in zfam.sets:
+        recomputed = zero_mask(z.witness, sample.images)
+        assert recomputed == z.mask, (
+            f"{sample.instance.name}: witness of {bin(z.mask)} vanishes on {bin(recomputed)}"
+        )
+    return zfam
+
+
 def _enumerated(ctx: CheckContext, sample: Sample) -> ZeroSetFamily:
     key = ("enum", sample.instance.name, sample.points)
-    return ctx.memo(key, lambda: enumerate_family_flats(sample))
+    return ctx.memo(key, lambda: _checked(enumerate_family_flats(sample)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +322,7 @@ def check_line_cover_blocks(ctx: CheckContext) -> dict:
     sample = Sample.take(tl, [1, 2, 3, 4])
     lines = [basis_vector(QQ, 2, 0), basis_vector(QQ, 2, 1)]
     part = density_zero_partition(sample, lines)
+    _checked(part.family)
     assert len(part.family.sets) <= part.bound == 4
     details["two_lines"] = {
         "blocks": [bin(m) for m in part.block_masks],
@@ -322,6 +335,7 @@ def check_line_cover_blocks(ctx: CheckContext) -> dict:
     sample3 = Sample.take(inst, [0, 1, 2])
     img_lines = [inst.image(1), inst.image(2)]
     part3 = density_zero_partition(sample3, img_lines)
+    _checked(part3.family)
     assert len(part3.family.sets) <= part3.bound == 4
     details["square_linear_f3"] = {
         "blocks": [bin(m) for m in part3.block_masks],
@@ -341,7 +355,7 @@ def check_maximal_profile_counts(ctx: CheckContext) -> dict:
         constructed = max_vc_trace(seq, n)
         assert len(constructed.sets) == expected
         sample = Sample.take(inst, seq.points[:n])
-        fam = enumerate_family_flats(sample).to_set_family()
+        fam = _checked(enumerate_family_flats(sample)).to_set_family()
         assert len(fam) == expected, f"n={n}: {len(fam)} traces"
         assert pi(fam, n) == expected
         assert rho(fam, n, depth_cap=ctx.depth_cap) == expected
@@ -378,7 +392,7 @@ def check_grid_trace_count(ctx: CheckContext) -> dict:
     inst = high_vcden(3)
     points = [(i, 1, j + 1) for i in range(2) for j in range(4)]
     sample = Sample.take(inst, points)
-    fam = enumerate_family_flats(sample)
+    fam = _checked(enumerate_family_flats(sample))
     count = len(fam.sets)
     assert count >= 16, f"only {count} traces on the 8 grid points"
     masks = {z.mask for z in fam.sets}
@@ -423,6 +437,7 @@ def check_non_maximality_certificates(ctx: CheckContext) -> dict:
     for inst in (high_vcden(3), two_lines()):
         report = non_maximality_certificate(inst, budget=ctx.budget)
         assert report.verdict == "verified", f"{inst.name}: {report.verdict}"
+        _checked(report.family)
         assert report.trace_count < report.bound
         assert report.missing_subset is not None
         missing_mask = 0
@@ -470,7 +485,7 @@ def check_span_injectivity_suite(ctx: CheckContext) -> dict:
         targets.append((inst, _enumerated(ctx, sample)))
     hv = high_vcden(3)
     hv_sample = Sample.take(hv, [(i, 1, j + 1) for i in range(2) for j in range(3)])
-    targets.append((hv, enumerate_family_flats(hv_sample)))
+    targets.append((hv, _checked(enumerate_family_flats(hv_sample))))
     for inst, zfam in targets:
         fam = image_family(zfam)
         verdict = span_injective(fam)
@@ -512,7 +527,7 @@ def check_strict_bound_under_cover(ctx: CheckContext) -> dict:
     hv = high_vcden(3)
     pts = [(i, 1, j + 1) for i in range(2) for j in range(3)] + [(0, 1, 4)]
     sample = Sample.take(hv, pts)
-    zfam = enumerate_family_flats(sample)
+    zfam = _checked(enumerate_family_flats(sample))
     fam_hv = image_family(zfam)
     e = [basis_vector(QQ, 3, i) for i in range(3)]
     cover3 = CoverCertificate(
@@ -639,11 +654,8 @@ def check_enumerator_equivalence(ctx: CheckContext) -> dict:
         masks_f = [z.mask for z in flats.sets]
         masks_b = [z.mask for z in brute.sets]
         assert masks_f == masks_b, f"{inst.name}: flats {masks_f} vs brute {masks_b}"
-        for z in flats.sets + brute.sets:
-            recomputed = zero_mask(z.witness, sample.images)
-            assert recomputed == z.mask, (
-                f"{inst.name}: witness of {bin(z.mask)} vanishes on {bin(recomputed)}"
-            )
+        _checked(flats)
+        _checked(brute)
         details[inst.name] = {"points": len(points), "traces": len(masks_f)}
     return details
 

@@ -215,7 +215,9 @@ def linearly_independent(
     Success stops at the d-th such point.  If the scan ends with image rank
     r < d, the nullspace of the accumulated span gives a candidate
     annihilator, which is re-verified against every streamed image
-    before the dependent verdict is issued.  Each image's int row is
+    before the dependent verdict is issued.  A finite stream that ends
+    before d points ends that way too: its annihilator proves dependence
+    (an empty stream gets e_0).  Each image's int row is
     divided by the gcd of its entries, which keeps its line (over F_p
     that gcd is a unit), and only the distinct rows are added to the
     span and kept for that check, so a stream of multiples of a few
@@ -252,10 +254,6 @@ def linearly_independent(
                 )
     else:
         exhausted = next(stream, None) is None  # islice stopped: budget or end?
-    if scanned < inst.d:
-        raise StreamExhaustedError(
-            f"stream of {inst.name} yielded {scanned} points, fewer than d={inst.d}"
-        )
     kernel = nullspace_basis(inst.field, inst.d, basis)
     witness = projective_normalize(kernel[0])
     if _rows_zero_mask(witness, rows) == (1 << len(rows)) - 1:
@@ -331,30 +329,19 @@ def enumerate_family_bruteforce(sample: Sample) -> ZeroSetFamily:
     return ZeroSetFamily(sample, sets, "projective_bruteforce")
 
 
-def _closure(images: Sequence[Vector], basis: list) -> int:
-    """Mask of sample points whose images lie in span(basis)."""
-    span = Span(basis)
-    mask = 0
-    for i, v in enumerate(images):
-        if in_span(v, span):
-            mask |= 1 << i
-    return mask
+def _closure(images: Sequence[Vector]) -> int:
+    """Mask of sample points whose images lie in the zero span: the root
+    closure of the flat-lattice walk."""
+    span = Span()
+    return sum(1 << i for i, v in enumerate(images) if in_span(v, span))
 
 
-def _quotient_rows(p: int, ints: list, cols: list, mask: int) -> dict:
-    """Row M[i] = (v_i . k)_k, k in kernel, for every image i outside mask.
-
-    The kernel is the nullspace of W, so v -> (v . k)_k has kernel
-    exactly W: M[i] is nonzero off the closure, and v_i lies in
-    W + <v_j> iff M[i] is parallel to M[j].  cols is the kernel as ints
-    (see exactalg._int_columns); over Q its common positive scale
-    scales every row by the same positive constant.
-    """
-    return {
-        i: tuple(sum(map(mul, v, k)) % p if p else sum(map(mul, v, k)) for k in cols)
-        for i, v in enumerate(ints)
-        if not mask >> i & 1
-    }
+def _times(p: int, rows, cols) -> list:
+    """Each int row dotted with each int column, reduced mod p when p > 0:
+    the product of the row matrix and the column matrix."""
+    if p:
+        return [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows]
+    return [tuple([sum(map(mul, row, col)) for col in cols]) for row in rows]
 
 
 def _child_closures(mask: int, rows: dict, p: int) -> dict:
@@ -405,20 +392,24 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
 
     Candidate traces are closures T(W) = {x : image(x) in W} for W
     spanned by fewer than d independent images.  The depth-first walk
-    reaches each closure once: a basis grows only by an image j after
-    its last one and outside its closure, and the new closure is kept
-    only if it gains no point before j (prefix-preserving extension).
-    Each candidate is kept only if some coefficient vector orthogonal
-    to W avoids all images outside T(W); over a finite field that
-    search can fail, and the candidate is then correctly dropped.  Each
-    closure's witness is searched when the walk reaches it, so the walk
-    stops as soon as more than MAX_SETS traces are realized.
+    reaches each closure once: W grows only by an image j after its last
+    one and outside its closure, and the new closure is kept only if it
+    gains no point before j (prefix-preserving extension).  Each
+    candidate is kept only if some coefficient vector orthogonal to W
+    avoids all images outside T(W); over a finite field that search can
+    fail, and the candidate is then correctly dropped.  Each closure's
+    witness is searched when the walk reaches it, so the walk stops as
+    soon as more than MAX_SETS traces are realized.
 
-    Per flat, the images outside T(W) are mapped once into quotient
-    coordinates over plain ints (see _quotient_rows).  Both the child
-    closures and the witness search read those rows; only the winning
-    coefficients are combined over the int kernel and boxed into field
-    elements, once per trace.
+    Each flat carries, over plain ints, its kernel K (d rows, one column
+    per kernel vector) and its quotient rows M[i] = v_i . K for the images
+    outside T(W): v_i lies in W + <v_j> iff M[i] is parallel to M[j].  The
+    root has the standard basis and the image rows.  The child by j
+    carries K.N and M[i].N, with N the kernel of the one row M[j].  N is
+    canonical (one column per free column, in column order), so K.N is
+    the canonical kernel of W + <v_j> times one constant, positive over
+    Q and a unit over F_p, which neither the witness search, the line
+    grouping of child closures nor the unit-lead witness can see.
     """
     inst = sample.instance
     field = inst.field
@@ -426,29 +417,33 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
     p = field.p
-    ints = [v._ints for v in images]
+    mask = _closure(images)
+    kernel = list(zip(*_int_columns(nullspace_basis(field, inst.d, []))))
+    rows = {i: v._ints for i, v in enumerate(images) if not mask >> i & 1}
     found: dict = {}
     visited = 0
-    stack = [(-1, _closure(images, []), [])]  # (last added index, closure, basis)
+    stack = [(-1, mask, kernel, rows)]  # (last added index, closure, K, M)
     while stack:
-        last, mask, basis = stack.pop()
+        last, mask, kernel, rows = stack.pop()
         visited += 1
         if visited > MAX_FLATS:
             raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
-        cols = _int_columns(nullspace_basis(field, inst.d, basis))
-        rows = _quotient_rows(p, ints, cols, mask)
-        coeffs = _search_coefficients(p, len(cols), rows.values())
+        r = len(kernel[0])
+        coeffs = _search_coefficients(p, r, rows.values())
         if coeffs is not None:
-            witness = [sum(map(mul, coeffs, entries)) for entries in zip(*cols)]
+            witness = [x for x, in _times(p, kernel, [coeffs])]
             found[mask] = ZeroSet(mask, _unit_lead(field, witness))
             if len(found) > MAX_SETS:
                 raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
-        if len(basis) == inst.d - 1:
+        if r == 1:
             continue  # one more image would span the whole space
         for j, child in _child_closures(mask, rows, p).items():
             below = (1 << j) - 1
             if j > last and child & below == mask & below:
-                stack.append((j, child, basis + [images[j]]))
+                step = _int_columns(nullspace_basis(field, r, [_vector_of_ints(field, rows[j])]))
+                off = [i for i in rows if not child >> i & 1]
+                moved = _times(p, [rows[i] for i in off], step)
+                stack.append((j, child, _times(p, kernel, step), dict(zip(off, moved))))
     sets = tuple(found[m] for m in sorted(found))
     return ZeroSetFamily(sample, sets, "flat_lattice")
 

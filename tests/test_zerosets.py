@@ -271,22 +271,94 @@ def _quotient_samples(field):
     return samples
 
 
+def _quotient_rows(p, images, basis, mask):
+    """M[i] = (v_i . k)_k over ints, k in the kernel of the basis, reduced
+    mod p when p > 0, for every image i outside mask."""
+    cols = _int_columns(nullspace_basis(images[0].field, len(images[0]), basis))
+    rows = {}
+    for i, v in enumerate(images):
+        if not mask >> i & 1:
+            row = [sum(a * b for a, b in zip(v._ints, k)) for k in cols]
+            rows[i] = tuple(x % p for x in row) if p else tuple(row)
+    return rows
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, F13], ids=str)
 def test_class_grouped_child_closures_match_span_closures(field):
     p = field.p if isinstance(field, PrimeField) else 0
     for sample in _quotient_samples(field):
-        images, d = sample.images, sample.instance.d
-        ints = [v._ints for v in images]
+        images = sample.images
         _, flats, _ = _reference_flats(sample)
         for mask, basis in flats.items():
-            kernel = nullspace_basis(field, d, basis)
-            children = zerosets._child_closures(
-                mask, zerosets._quotient_rows(p, ints, _int_columns(kernel), mask), p
-            )
+            children = zerosets._child_closures(mask, _quotient_rows(p, images, basis, mask), p)
             off = [j for j in range(len(images)) if not mask >> j & 1]
             assert sorted(children) == off
             for j in off:
                 assert children[j] == _span_closure(images, basis + [images[j]])
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F13], ids=str)
+def test_walk_steps_each_kernel_by_one_quotient_row(monkeypatch, field):
+    """After the root's kernel of no rows, each flat's kernel comes from
+    its parent's by the kernel of one quotient row, as wide as the
+    parent's kernel: d - k + 1 for a flat spanned by k images."""
+    calls = []
+    kernel_of = zerosets.nullspace_basis
+
+    def recording(field, width, rows):
+        calls.append((width, len(rows)))
+        return kernel_of(field, width, rows)
+
+    monkeypatch.setattr(zerosets, "nullspace_basis", recording)
+    for sample in _walk_samples(field):
+        d = sample.instance.d
+        _, flats, _ = _reference_flats(sample)
+        calls.clear()
+        enumerate_family_flats(sample)
+        assert calls[0] == (d, 0)
+        assert all(rows == 1 for _, rows in calls[1:])
+        widths = Counter(width for width, _ in calls[1:])
+        assert widths == Counter(d - len(basis) + 1 for basis in flats.values() if basis)
+        assert min(widths) < d
+
+
+def _common_multiple(p, got, expected):
+    """The one factor c with got[i] == c * expected[i] for every i (mod p
+    when p > 0), or None if there is none."""
+    pairs = [(g, e) for i in expected for g, e in zip(got[i], expected[i])]
+    g0, e0 = next(((g, e) for g, e in pairs if e), (None, None))
+    if g0 is None:
+        return None
+    c = g0 * pow(e0, -1, p) % p if p else Fraction(g0, e0)
+    if all((g - c * e) % p == 0 if p else g == c * e for g, e in pairs):
+        return c
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, F13], ids=str)
+def test_carried_quotient_rows_are_a_common_multiple_of_rebuilt_ones(monkeypatch, field):
+    """The rows each flat carries equal, up to one factor (positive over
+    Q, a unit over F_p), the rows rebuilt from the kernel of a basis of
+    its closure."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    seen = []
+    child_closures = zerosets._child_closures
+
+    def recording(mask, rows, p):
+        seen.append((mask, dict(rows)))
+        return child_closures(mask, rows, p)
+
+    monkeypatch.setattr(zerosets, "_child_closures", recording)
+    for sample in _walk_samples(field):
+        _, flats, _ = _reference_flats(sample)
+        seen.clear()
+        enumerate_family_flats(sample)
+        assert seen
+        for mask, rows in seen:
+            expected = _quotient_rows(p, sample.images, flats[mask], mask)
+            assert sorted(rows) == sorted(expected)
+            c = _common_multiple(p, rows, expected)
+            assert c is not None and (c % p if p else c > 0)
 
 
 def test_flats_reject_oversized_sample_before_any_closure(monkeypatch):
@@ -359,6 +431,25 @@ def test_independence_verdicts():
     proof = linearly_independent(frobenius, budget=100)
     assert proof.kind == "dependent"
     assert proof.stream_exhausted  # the whole domain was scanned: a real proof
+
+
+def test_a_stream_ending_before_d_points_proves_dependence():
+    # moment_curve over F_2 has the domain {0, 1}: images (1,0,0,0,0) and
+    # (1,1,1,1,1), whose kernel annihilates the whole domain
+    short = moment_curve(5, PrimeField(2))
+    verdict = linearly_independent(short)
+    assert (verdict.kind, verdict.rank, verdict.scanned) == ("dependent", 2, 2)
+    assert verdict.stream_exhausted
+    assert verdict.witness_coeffs == Vector.make(short.field, (0, 1, 1, 0, 0))
+    for x in short.stream():
+        assert dot(verdict.witness_coeffs, short.image(x)) == short.field.zero
+    empty = zerosets.Instance(
+        name="empty", field=QQ, d=3, evaluate=lambda x: None, stream=lambda: iter(())
+    )
+    verdict = linearly_independent(empty)
+    assert (verdict.kind, verdict.rank, verdict.scanned) == ("dependent", 0, 0)
+    assert verdict.stream_exhausted
+    assert verdict.witness_coeffs == Vector.make(QQ, (1, 0, 0))
 
 
 def test_streamed_multiples_of_one_line_add_one_row_each(monkeypatch):
