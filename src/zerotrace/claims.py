@@ -63,7 +63,6 @@ from .maximality import (
     CoverCertificate,
     SpanFamily,
     image_family,
-    maximal_profile_check,
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
@@ -556,8 +555,10 @@ def check_dichotomy_on_builtins(ctx: CheckContext) -> dict:
     covered_side = [high_vcden(3), two_lines()]
     for inst in maximal_side:
         n_test = 4
-        fam = maximal_profile_check(inst, n_test, budget=ctx.budget)
-        assert inst.cover_subspaces is None
+        seq = independence_sequence(inst, n_test + inst.d - 1, budget=ctx.budget)
+        fam = max_vc_trace(seq, n_test)
+        assert len(fam.sets) == binom_le(n_test, inst.d - 1)
+        assert inst.cover is None
         details[inst.name] = {"branch": "maximal_at_n", "n": n_test, "traces": len(fam.sets)}
     for inst in covered_side:
         report = non_maximality_certificate(inst, budget=ctx.budget)

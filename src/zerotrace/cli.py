@@ -40,6 +40,7 @@ from .errors import (
     StreamExhaustedError,
     ZerotraceError,
 )
+from .exactalg import _printed
 from .instances import (
     builtin_help,
     instance_from_spec,
@@ -55,7 +56,7 @@ from .littlestone import (
     tree_to_json,
     vc_profile,
 )
-from .maximality import cover_from_instance, cover_from_json, cover_to_json
+from .maximality import cover_from_json, cover_to_json
 from .setsystem import MAX_POINTS, MAX_SETS, family_to_json, vcdim
 from .zerosets import (
     DEFAULT_BUDGET,
@@ -213,7 +214,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
             "rank": verdict.rank,
             "stream_exhausted": verdict.stream_exhausted,
             "witness_coeffs": (
-                [str(x) for x in verdict.witness_coeffs.entries]
+                [_printed(x) for x in verdict.witness_coeffs.entries]
                 if verdict.witness_coeffs is not None
                 else None
             ),
@@ -226,7 +227,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
             "method": zfam.method,
             "count": len(zfam.sets),
             "masks": [z.mask for z in zfam.sets],
-            "witnesses": [[str(x) for x in z.witness.entries] for z in zfam.sets],
+            "witnesses": [[_printed(x) for x in z.witness.entries] for z in zfam.sets],
         },
         "vcdim": vc,
         "ldim": ld,
@@ -260,21 +261,21 @@ def _shatter_rows(inst, cfg: RunConfig):
         # The instance names its own extremal sample; pi and rho are
         # then profiled on that one family across every n.
         sampling = "designed-grid"
-        points = inst.profile_points(table)
+        sample = Sample.take(inst, inst.profile_points(table))
     else:
         # The sequence stops sooner, at the first k whose traces pass
         # MAX_SETS; if it stalls, the stream prefix fills the table.
         count = next((k for k in range(table) if _independent_traces(inst, k) > MAX_SETS), table)
         sampling = "independent-prefix"
         try:
-            points = list(independence_sequence(inst, count, budget=cfg.budget).points)
+            sample = independence_sequence(inst, count, budget=cfg.budget)
         except (BudgetExhaustedError, StreamExhaustedError):
             sampling = "stream-prefix"
-            points = distinct_image_points(inst, table, budget=cfg.budget)
-    top = min(cfg.n_max, len(points))
+            sample = distinct_image_points(inst, table, budget=cfg.budget)
+    top = min(cfg.n_max, len(sample))
     if top > cfg.depth_cap:
         raise ResourceLimitError(f"rho depth {cfg.depth_cap + 1} exceeds cap {cfg.depth_cap}")
-    k = len(points)
+    k = len(sample)
     if sampling == "independent-prefix" and _independent_traces(inst, k) > MAX_SETS:
         counted = f"C({k}, <= {d - 1})" if inst.field.p == 0 else f"at least C({k}, {d - 1})"
         raise ResourceLimitError(
@@ -283,7 +284,7 @@ def _shatter_rows(inst, cfg: RunConfig):
         )
     # One walk on the longest sample: the traces on a prefix are the
     # restrictions of the traces on the whole sample.
-    full = enumerate_family_flats(Sample.take(inst, points)).to_set_family()
+    full = enumerate_family_flats(sample).to_set_family()
     if designed:
         pis = vc_profile(full, top)
         rhos = littlestone_profile(full, top, depth_cap=cfg.depth_cap)
@@ -306,7 +307,7 @@ def _shatter_rows(inst, cfg: RunConfig):
                 "maximal_ldim": r_n == ref,
             }
         )
-    return rows, sampling, points
+    return rows, sampling, sample.points
 
 
 def _rows_to_csv(rows) -> str:
@@ -387,9 +388,9 @@ def cmd_export(cfg: RunConfig) -> dict:
         lambda data: tree_to_json(tree_from_json(data, fam)),
         "tree",
     )
-    if inst.cover_subspaces is not None:
+    if inst.cover is not None:
         written["cover.json"] = _round_tripped(
-            cover_to_json(cover_from_instance(inst)),
+            cover_to_json(inst.cover),
             lambda data: cover_to_json(cover_from_json(data)),
             "cover",
         )

@@ -25,6 +25,7 @@ their zero tests.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -33,7 +34,12 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidInputError
+from .errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    InvalidInputError,
+    ResourceLimitError,
+)
 
 # Elements are Fraction (rational) or FpElement (prime field).
 Scalar = Union[Fraction, "FpElement"]
@@ -264,10 +270,19 @@ def field_from_json(data) -> Field:
     raise InvalidInputError(f"unrecognized field descriptor: {data!r}")
 
 
+def _printed(x) -> str:
+    """str(x); an int past sys.get_int_max_str_digits() is a resource limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ResourceLimitError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
+
+
 def scalar_to_str(x: Scalar) -> str:
-    if isinstance(x, FpElement):
-        return str(x.value)
-    return str(x)  # Fraction renders as "n" or "n/d"
+    # Fraction renders as "n" or "n/d"
+    return _printed(x.value if isinstance(x, FpElement) else x)
 
 
 def scalar_from_str(field: Field, text: str) -> Scalar:

@@ -36,6 +36,7 @@ from .exactalg import (
     integer_shells,
     residue_tuples,
 )
+from .maximality import CoverCertificate
 from .setsystem import MAX_POINTS
 from .zerosets import Instance, Sample, point_from_json
 
@@ -89,19 +90,34 @@ def _validate_poly_ast(node: ast.AST, variables: Sequence[str]) -> None:
         raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
 
 
-class _PowersModP(ast.NodeTransformer):
-    """Rewrites every a ** k as a.__pow__(k, p): the power is reduced mod
-    p as it is taken, so none grows past p however large k is."""
+#: Over Q a power past this many bits is refused before it is taken.
+MAX_POWER_BITS = 1 << 20
 
-    def __init__(self, p: int):
-        self.p = p
+#: The name every compiled power calls; no polynomial text can spell it.
+_POWER = "power!"
+
+
+def _bounded_power(base, k: int):
+    """base ** k, refused when base is an int whose power has at least
+    (bits(base) - 1) * k >= MAX_POWER_BITS bits."""
+    if isinstance(base, int) and (base.bit_length() - 1) * k >= MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"power {k} of a {base.bit_length()}-bit value exceeds {MAX_POWER_BITS} bits"
+        )
+    return base ** k
+
+
+class _Powers(ast.NodeTransformer):
+    """Rewrites every a ** k as a call of _POWER, bound to a power that
+    stays small: reduced mod p as it is taken over F_p, however large k
+    is, and _bounded_power over Q."""
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
         if not isinstance(node.op, ast.Pow):
             return node
-        method = ast.Attribute(value=node.left, attr="__pow__", ctx=ast.Load())
-        call = ast.Call(func=method, args=[node.right, ast.Constant(self.p)], keywords=[])
+        power = ast.Name(id=_POWER, ctx=ast.Load())
+        call = ast.Call(func=power, args=[node.left, node.right], keywords=[])
         return ast.copy_location(call, node)
 
 
@@ -113,6 +129,8 @@ def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int =
     one eval.  With a prime p the values must be ints; powers are then
     taken mod p, and the results are right mod p.
     """
+    if _POWER in variables:  # it would hide the power function
+        raise InvalidInputError(f"{_POWER!r} is not a variable name")
     bodies = []
     for text in texts:
         try:
@@ -120,10 +138,11 @@ def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int =
         except SyntaxError as exc:
             raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
         _validate_poly_ast(parsed, variables)
-        bodies.append(_PowersModP(p).visit(parsed.body) if p else parsed.body)
+        bodies.append(_Powers().visit(parsed.body))
     tree = ast.fix_missing_locations(ast.Expression(ast.Tuple(bodies, ast.Load())))
     code = compile(tree, f"<polynomials {list(texts)!r}>", "eval")
-    no_builtins = {"__builtins__": {}}
+    power = (lambda base, k: pow(base, k, p)) if p else _bounded_power
+    no_builtins = {"__builtins__": {}, _POWER: power}
 
     def evaluate(env: dict) -> tuple:
         return eval(code, no_builtins, env)  # noqa: S307 - AST whitelisted
@@ -238,7 +257,9 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
     Domain points are (i, s, t) meaning s*e_0 + t*e_(i+1), so the image
     is the union of the d-1 planes span{e_0, e_(i+1)}.  Rich traces on
     grid samples, yet the image is covered by finitely many proper
-    subspaces, so this is the canonical non-maximal instance.
+    subspaces, so this is the canonical non-maximal instance.  From
+    d = 3 on it declares that plane cover; at d = 2 the one plane is all
+    of F^2, which covers nothing properly.
     """
     if d < 2:
         raise InvalidInputError("plane-union instance needs d >= 2")
@@ -274,7 +295,7 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         pts.append((0, 1, n + 1))
         return pts
 
-    cover = tuple(
+    planes = tuple(
         (basis_vector(field, d, 0), basis_vector(field, d, i + 1)) for i in range(d - 1)
     )
     suffix = f"_f{field.p}" if isinstance(field, PrimeField) else ""
@@ -284,7 +305,7 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         d=d,
         evaluate=evaluate,
         stream=stream,
-        cover_subspaces=cover,
+        cover=CoverCertificate(field, d, planes) if d > 2 else None,
         profile_points=profile_points,
         spec={"field": field_to_json(field), "d": d, "family": {"builtin": "high_vcden"}},
     )
@@ -299,14 +320,14 @@ def two_lines() -> Instance:
             raise InvalidInputError(f"two_lines point {x!r} is not an integer")
         return _vector_of_ints(field, (x, 0) if x % 2 == 0 else (0, x))
 
-    cover = ((basis_vector(field, 2, 0),), (basis_vector(field, 2, 1),))
+    axes = ((basis_vector(field, 2, 0),), (basis_vector(field, 2, 1),))
     return Instance(
         name="two_lines",
         field=field,
         d=2,
         evaluate=evaluate,
         stream=integer_spiral,
-        cover_subspaces=cover,
+        cover=CoverCertificate(field, 2, axes),
         spec={"field": "rational", "d": 2, "family": {"builtin": "two_lines"}},
     )
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._kernels import binom_le
-from .constructions import independence_sequence, max_vc_trace
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -49,7 +48,6 @@ from .setsystem import mask_to_indices
 from .zerosets import (
     DEFAULT_BUDGET,
     Instance,
-    Sample,
     ZeroSetFamily,
     distinct_image_points,
     enumerate_family_flats,
@@ -214,16 +212,6 @@ class CoverCertificate:
         return self.assign(v) is not None
 
 
-def cover_from_instance(instance: Instance) -> CoverCertificate:
-    if instance.cover_subspaces is None:
-        raise InvalidInputError(
-            f"instance {instance.name} declares no covering subspaces"
-        )
-    return CoverCertificate(
-        field=instance.field, d=instance.d, subspaces=tuple(instance.cover_subspaces)
-    )
-
-
 def cover_to_json(cert: CoverCertificate) -> dict:
     return {
         "field": field_to_json(cert.field),
@@ -372,19 +360,20 @@ def non_maximality_certificate(
     them, so that (d-1)-subset is exhibited as a non-trace, and the
     enumerated family is strictly smaller than C(n,<d).
     """
-    cert = certificate if certificate is not None else cover_from_instance(instance)
+    cert = certificate if certificate is not None else instance.cover
+    if cert is None:
+        raise InvalidInputError(f"instance {instance.name} declares no covering subspaces")
     if cert.field != instance.field or cert.d != instance.d:
         raise InvalidInputError("certificate shape does not match the instance")
     d = instance.d
     k = len(cert)
     n = k * (d - 1) + 1
-    points = distinct_image_points(instance, n, budget=budget)
-    if len(points) < n:
+    sample = distinct_image_points(instance, n, budget=budget)
+    if len(sample) < n:
         raise StreamExhaustedError(
-            f"stream of {instance.name} ended after {len(points)} points "
+            f"stream of {instance.name} ended after {len(sample)} points "
             f"with distinct images, needed {n}"
         )
-    sample = Sample.take(instance, points)
     images = sample.images
     assignment = []
     for point, image in zip(sample.points, images):
@@ -418,24 +407,3 @@ def non_maximality_certificate(
     return NonMaximalityReport(
         "verified", n, report.count, report.bound, missing, family=zfam
     )
-
-
-def maximal_profile_check(
-    instance: Instance, n: int, *, budget: int = DEFAULT_BUDGET
-) -> ZeroSetFamily:
-    """Find n sample points realizing every subset of size < d as a trace.
-
-    Greedily extends a d-wise independent prefix of the stream and
-    realizes each small subset through its padded witness.  The
-    returned family is verified to hit the C(n,<d) ceiling exactly;
-    failure raises, it is never silently approximated.
-    """
-    d = instance.d
-    seq = independence_sequence(instance, n + d - 1, budget=budget)
-    fam = max_vc_trace(seq, n)
-    expected = binom_le(n, d - 1)
-    if len(fam.sets) != expected:
-        raise AssertionError(
-            f"profile realized {len(fam.sets)} traces, expected {expected}"
-        )
-    return fam

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExhaustedError,
@@ -45,6 +45,9 @@ from .exactalg import (
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
 
+if TYPE_CHECKING:
+    from .maximality import CoverCertificate
+
 #: Default number of stream points a scan may consume.
 DEFAULT_BUDGET = 10_000
 
@@ -66,10 +69,10 @@ class Instance:
 
     evaluate turns a point descriptor into its image Vector of width d;
     stream() yields descriptors in a fixed documented order, so every
-    scan in the package is deterministic.  cover_subspaces optionally
-    records a known finite cover of the image by proper subspaces (as
-    spanning sets); profile_points optionally names the canonical sample
-    used for shatter-function tables.
+    scan in the package is deterministic.  cover optionally records a
+    known finite cover of the image by proper subspaces, checked when the
+    instance is built; profile_points optionally names the canonical
+    sample used for shatter-function tables.
     """
 
     name: str
@@ -77,7 +80,7 @@ class Instance:
     d: int
     evaluate: Callable
     stream: Callable[[], Iterator]
-    cover_subspaces: Optional[tuple] = None
+    cover: Optional["CoverCertificate"] = None
     profile_points: Optional[Callable[[int], list]] = None
     spec: Optional[dict] = None  # JSON-able recipe for rebuild (bundles)
 
@@ -118,21 +121,13 @@ class Sample:
 
     @staticmethod
     def prefix(instance: Instance, k: int) -> "Sample":
-        """First k distinct stream points."""
-        out = []
-        seen = set()
-        for p in instance.stream():
-            if p in seen:
-                continue
-            seen.add(p)
-            out.append(p)
-            if len(out) == k:
-                break
-        if len(out) < k:
+        """The first k stream points; take refuses a repeated one."""
+        points = tuple(islice(instance.stream(), k))
+        if len(points) < k:
             raise StreamExhaustedError(
-                f"stream of {instance.name} ended after {len(out)} points, needed {k}"
+                f"stream of {instance.name} ended after {len(points)} points, needed {k}"
             )
-        return Sample.take(instance, out)
+        return Sample.take(instance, points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -269,28 +264,25 @@ def linearly_independent(
     )
 
 
-def distinct_image_points(instance: Instance, n: int, *, budget: int) -> list:
-    """The first n stream points with pairwise distinct images.
+def distinct_image_points(instance: Instance, n: int, *, budget: int) -> Sample:
+    """The sample of the first n stream points with pairwise distinct images.
 
     Fewer come back only when the stream ends first.  Scanning budget
     stream points without finding n raises BudgetExhaustedError.
     """
-    points: list = []
-    seen: set = set()
+    found: dict = {}  # image -> its first point, in stream order
     stream = instance.stream()
     for point in islice(stream, budget):
-        image = instance.image(point)
-        if image not in seen:
-            seen.add(image)
-            points.append(point)
-            if len(points) == n:
-                return points
-    if next(stream, None) is not None:  # budget spent before the stream ended
-        raise BudgetExhaustedError(
-            f"found only {len(points)} of {n} points with distinct images "
-            f"within budget {budget}"
-        )
-    return points
+        found.setdefault(instance.image(point), point)
+        if len(found) == n:
+            break
+    else:
+        if next(stream, None) is not None:  # budget spent before the stream ended
+            raise BudgetExhaustedError(
+                f"found only {len(found)} of {n} points with distinct images "
+                f"within budget {budget}"
+            )
+    return Sample(instance, tuple(found.values()), tuple(found))
 
 
 # ---------------------------------------------------------------------------

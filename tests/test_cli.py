@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import zerotrace
-from zerotrace import cli, littlestone, setsystem
+from zerotrace import cli, littlestone, setsystem, zerosets
 from zerotrace.cli import main
 from zerotrace.errors import ResourceLimitError
-from zerotrace.instances import instance_from_spec, parse_instance_name
+from zerotrace.instances import instance_from_spec, moment_curve, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
 from zerotrace.zerosets import Sample, enumerate_family_flats, point_from_json, verify_bundle
 
@@ -373,6 +373,16 @@ def test_export_round_trips_cover_json(tmp_path, capsys, monkeypatch):
     assert not (bad_dir / "cover.json").exists()
 
 
+def test_export_of_a_coverless_plane_union_writes_no_cover(tmp_path, capsys):
+    # at d = 2 the one plane is all of F^2, so high_vcden:2 declares no cover
+    out_dir = tmp_path / "hv2"
+    code, out, err = run(capsys, "export", "--instance", "high_vcden:2", "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    files = {"family.json", "family_sets.json", "instance.json", "shatter.csv", "tree.json"}
+    assert set(json.loads(out)["files"]) == files
+    assert {path.name for path in out_dir.iterdir()} == files
+
+
 def test_export_requires_out(capsys):
     code, _, err = run(capsys, "export", "--instance", "two_lines")
     assert code == 3
@@ -425,6 +435,47 @@ def test_huge_powers_over_a_prime_field_are_reduced_as_taken(tmp_path, capsys):
     assert code == 0
     assert time.perf_counter() - start < 3.0
     assert json.loads(out)["independence"]["kind"] == "independent"
+
+
+#: The interpreter's limit on the digits of a printed int; 0 means none.
+_PRINT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_PRINT_LIMIT == 0, reason="ints print at any length")
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_rational_values_too_long_to_print_are_resource_exits(tmp_path, capsys, command):
+    # 10^k has k + 1 digits: one past the print limit at k = limit
+    limit = _PRINT_LIMIT
+    for k, code_wanted in ((limit - 1, 0), (limit, 2)):
+        family = {"polynomials": ["1", f"x^{k}"], "variables": ["x"]}
+        spec = {"field": "rational", "d": 2, "family": family, "sample": {"points": [0, 10]}}
+        path = tmp_path / f"inst{k}.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, command, "--instance", str(path), "--out", str(tmp_path / str(k)))
+        assert code == code_wanted, k
+    assert err == f"resource limit: a value has more than {limit} digits, too many to print\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_huge_rational_powers_are_refused_before_they_are_taken(tmp_path, capsys, command):
+    # 2^10000000000 would take 10^10 bits
+    family = {"polynomials": ["1", "x^10000000000"], "variables": ["x"]}
+    spec = {"field": "rational", "d": 2, "family": family, "sample": {"points": [0, 2]}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, command, "--instance", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "resource limit: power 10000000000 of a 2-bit value exceeds 1048576 bits\n"
+
+
+def test_flat_lattice_cap_is_a_resource_exit(capsys, monkeypatch):
+    # 3 points in general position in F^3 have 7 flats: the root, 3 lines, 3 planes
+    monkeypatch.setattr(zerosets, "MAX_FLATS", 6)
+    with pytest.raises(ResourceLimitError, match="flat lattice exceeded 6 closures"):
+        enumerate_family_flats(Sample.prefix(moment_curve(3), 3))
+    code, _, err = run(capsys, "analyze", "--instance", "moment_curve:3")
+    assert code == 2
+    assert err == "resource limit: flat lattice exceeded 6 closures\n"
 
 
 def test_non_utf8_config_and_spec_are_invalid_input(tmp_path, capsys):

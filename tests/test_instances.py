@@ -25,6 +25,7 @@ from zerotrace.instances import (
     sample_from_spec,
     two_lines,
 )
+from zerotrace.maximality import CoverCertificate
 from zerotrace.zerosets import distinct_image_points
 
 F3 = PrimeField(3)
@@ -101,7 +102,27 @@ def test_high_vcden_evaluate_and_profile():
     pts = inst.profile_points(4)
     assert len(pts) == 4 * 2 + 1
     assert pts[-1] == (0, 1, 5)
-    assert inst.cover_subspaces is not None and len(inst.cover_subspaces) == 2
+    assert inst.cover is not None and len(inst.cover) == 2
+
+
+def test_builtin_covers_are_certificates_of_their_own_instance():
+    made = [
+        build(d, field)
+        for build in (moment_curve, high_vcden)
+        for d in range(2, 6)
+        for field in (QQ, PrimeField(5))
+    ]
+    made += [conics(), ellipse_carrier(), two_lines()]
+    for inst in made:
+        cover = inst.cover
+        assert cover is None or (
+            isinstance(cover, CoverCertificate) and (cover.field, cover.d) == (inst.field, inst.d)
+        ), inst.name
+    # at d = 2 the one plane of high_vcden is all of F^2, so it declares no cover
+    covered = {inst.name for inst in made if inst.cover is not None}
+    assert covered == {"two_lines"} | {
+        f"high_vcden_d{d}{suffix}" for d in (3, 4, 5) for suffix in ("", "_f5")
+    }
 
 
 def test_high_vcden_stream_dedupes_shared_axis():
@@ -116,7 +137,7 @@ def test_two_lines_images_alternate():
     inst = two_lines()
     assert inst.image(4).entries == Vector.make(QQ, (4, 0)).entries
     assert inst.image(5).entries == Vector.make(QQ, (0, 5)).entries
-    assert inst.cover_subspaces is not None
+    assert inst.cover is not None
 
 
 def test_evaluators_reject_descriptors_of_the_wrong_shape():
@@ -295,8 +316,9 @@ def test_int_evaluators_match_boxed_references(field):
             _assert_same_vector(inst.image(point), reference(point))
         boxed = replace(inst, evaluate=reference)
         budget = 200
-        assert distinct_image_points(inst, 6, budget=budget) == distinct_image_points(
-            boxed, 6, budget=budget
+        assert (
+            distinct_image_points(inst, 6, budget=budget).points
+            == distinct_image_points(boxed, 6, budget=budget).points
         ), inst.name
         for bad in (
             lambda point: reference(point).entries,

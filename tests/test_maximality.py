@@ -3,17 +3,16 @@
 import pytest
 
 from zerotrace._kernels import binom_le
+from zerotrace.constructions import independence_sequence, max_vc_trace
 from zerotrace.errors import DimensionMismatchError, InvalidInputError
 from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, independent, rank, row_space_canonical
 from zerotrace.instances import conics, high_vcden, moment_curve, two_lines
 from zerotrace.maximality import (
     CoverCertificate,
     SpanFamily,
-    cover_from_instance,
     cover_from_json,
     cover_to_json,
     image_family,
-    maximal_profile_check,
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
@@ -88,14 +87,15 @@ def test_cover_certificate_guards_and_assignment():
 
 def test_cover_json_round_trip():
     for inst in (two_lines(), high_vcden(3), high_vcden(4, PrimeField(5))):
-        cert = cover_from_instance(inst)
+        cert = inst.cover
         back = cover_from_json(cover_to_json(cert))
         assert back.d == cert.d
         assert len(back) == len(cert)
         for a, b in zip(back.subspaces, cert.subspaces):
             assert row_space_canonical(a) == row_space_canonical(b)
-    with pytest.raises(InvalidInputError):
-        cover_from_instance(moment_curve(3))
+    assert moment_curve(3).cover is None
+    with pytest.raises(InvalidInputError, match="declares no covering subspaces"):
+        non_maximality_certificate(moment_curve(3))
 
 
 def test_not_maximal_bound_check_preconditions():
@@ -150,5 +150,5 @@ def test_non_maximality_certificate_refuted_on_independent_instance():
 
 def test_maximal_profile_check_moment_curve():
     for n in (3, 4):
-        report = maximal_profile_check(moment_curve(3), n)
+        report = max_vc_trace(independence_sequence(moment_curve(3), n + 2), n)
         assert len(report) == binom_le(n, 2)

@@ -2,8 +2,9 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count, product
 
 import pytest
 
@@ -57,6 +58,20 @@ def test_sample_guards():
     s = Sample.take(inst, [0, 1, 2])
     assert s.ground_set().all_labels() == ["0", "1", "2"]
     assert Sample.prefix(inst, 2).points == (0, 1)
+
+
+def test_prefix_reads_k_stream_points_and_refuses_a_repeat():
+    read = []
+
+    def stream():  # 0, 0, 1, 2, ...
+        for point in chain([0], count()):
+            read.append(point)
+            yield point
+
+    inst = replace(moment_curve(2), stream=stream)
+    with pytest.raises(InvalidInputError, match="distinct"):
+        Sample.prefix(inst, 2)
+    assert read == [0, 0]
 
 
 def test_zero_set_mask_and_witness_normalization():
