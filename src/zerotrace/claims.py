@@ -69,6 +69,7 @@ from .maximality import (
     span_injective,
 )
 from .setsystem import (
+    NEG_INF,
     GroundSet,
     SetFamily,
     family_from_json,
@@ -77,7 +78,6 @@ from .setsystem import (
     pi_via_subsets,
     shatters,
     vcdim,
-    vcdim_via_trees,
 )
 from .zerosets import (
     DEFAULT_BUDGET,
@@ -130,12 +130,8 @@ def _independent_builtins_all():
     return _independent_builtins_small() + [conics()]
 
 
-def _dual_sample(ctx: CheckContext, inst) -> tuple[DualBasis, Sample]:
-    def build():
-        db = dual_basis(inst, budget=ctx.budget)
-        return db, Sample.take(inst, db.points)
-
-    return ctx.memo(("dual", inst.name), build)
+def _dual_basis(ctx: CheckContext, inst) -> DualBasis:
+    return ctx.memo(("dual", inst.name), lambda: dual_basis(inst, budget=ctx.budget))
 
 
 def _proven_verdict(inst, budget: int):
@@ -189,12 +185,12 @@ def check_independence_three_way_positive(ctx: CheckContext) -> dict:
                 break
         top = len(basis)
         assert top == inst.d, f"{inst.name}: streamed image rank {top} < {inst.d}"
-        db, _ = _dual_sample(ctx, inst)
+        db = _dual_basis(ctx, inst)
         db.verify()
         details[inst.name] = {
             "verdict": verdict.kind,
             "image_rank": top,
-            "dual_points": [str(p) for p in db.points],
+            "dual_points": [str(p) for p in db.sample.points],
         }
     return details
 
@@ -240,7 +236,7 @@ def check_littlestone_upper_bound(ctx: CheckContext) -> dict:
     """ldim of every enumerated built-in family stays below d."""
     details = {}
     for inst in _independent_builtins_all():
-        _, sample = _dual_sample(ctx, inst)
+        sample = _dual_basis(ctx, inst).sample
         fam = _enumerated(ctx, sample).to_set_family()
         value = ldim(fam)
         assert value <= inst.d - 1, f"{inst.name}: ldim {value} >= d"
@@ -252,11 +248,11 @@ def check_dual_basis_kronecker(ctx: CheckContext) -> dict:
     """g_j(c_i) = 1 if i == j else 0, evaluated exactly."""
     details = {}
     for inst in _independent_builtins_all():
-        db, _ = _dual_sample(ctx, inst)
+        db = _dual_basis(ctx, inst)
         matrix = [
-            [str(dot(row, inst.image(c))) for row in db.rows] for c in db.points
+            [str(dot(row, inst.image(c))) for row in db.rows] for c in db.sample.points
         ]
-        for i, c in enumerate(db.points):
+        for i, c in enumerate(db.sample.points):
             for j, row in enumerate(db.rows):
                 expected = inst.field.one if i == j else inst.field.zero
                 assert dot(row, inst.image(c)) == expected
@@ -268,7 +264,8 @@ def check_shattering(ctx: CheckContext) -> dict:
     """The first d-1 dual points are shattered by the zero sets."""
     details = {}
     for inst in _independent_builtins_all():
-        db, sample = _dual_sample(ctx, inst)
+        db = _dual_basis(ctx, inst)
+        sample = db.sample
         d = inst.d
         images = sample.images[: d - 1]
         for trace_bits in range(1 << (d - 1)):
@@ -287,7 +284,7 @@ def check_dimensions_match(ctx: CheckContext) -> dict:
     """vcdim = ldim = d-1 on the construction-derived sample."""
     details = {}
     for inst in _independent_builtins_all():
-        _, sample = _dual_sample(ctx, inst)
+        sample = _dual_basis(ctx, inst).sample
         fam = _enumerated(ctx, sample).to_set_family()
         vc, ld = vcdim(fam), ldim(fam)
         assert vc == inst.d - 1, f"{inst.name}: vcdim {vc}"
@@ -302,7 +299,7 @@ def check_trace_count_on_d_points(ctx: CheckContext) -> dict:
     """Exactly 2^d - 1 traces on the d dual points (d <= 5)."""
     details = {}
     for inst in _independent_builtins_small():
-        _, sample = _dual_sample(ctx, inst)
+        sample = _dual_basis(ctx, inst).sample
         fam = _enumerated(ctx, sample).to_set_family()
         d = inst.d
         count = len(fam)
@@ -480,7 +477,7 @@ def check_span_injectivity_suite(ctx: CheckContext) -> dict:
     details = {}
     targets = []
     for inst in _independent_builtins_all():
-        _, sample = _dual_sample(ctx, inst)
+        sample = _dual_basis(ctx, inst).sample
         targets.append((inst, _enumerated(ctx, sample)))
     hv = high_vcden(3)
     hv_sample = Sample.take(hv, [(i, 1, j + 1) for i in range(2) for j in range(3)])
@@ -585,7 +582,7 @@ def check_json_round_trips(ctx: CheckContext) -> dict:
     import json
 
     inst = moment_curve(3)
-    _, sample = _dual_sample(ctx, inst)
+    sample = _dual_basis(ctx, inst).sample
     fam = _enumerated(ctx, sample).to_set_family()
     blob = family_to_json(fam)
     fam2 = family_from_json(blob)
@@ -616,17 +613,19 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
     checked = 0
     for _ in range(DEFAULT_RANDOM_FAMILIES):
         fam = random_family(rng)
+        top = fam.ground.size
+        scan = [pi_via_subsets(fam, n) for n in range(top + 1)]
         vc = vcdim(fam)
-        assert vc == vcdim_via_trees(fam)
+        # an n-set is shattered iff it has 2^n traces; none is in the empty family
+        assert vc == max((n for n, p in enumerate(scan) if p == 1 << n), default=NEG_INF)
         ld = ldim(fam)
         assert vc <= ld
         vc_cap = vc if fam.masks else -1
         ld_cap = ld if fam.masks else -1
-        top = fam.ground.size
         pis = vc_profile(fam, top)
         rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap)
         for n, (p, r) in enumerate(zip(pis, rhos)):
-            assert p == pi_via_subsets(fam, n), f"pi({n}) {p} vs subset scan"
+            assert p == scan[n], f"pi({n}) {p} vs subset scan"
             assert p <= r, f"pi {p} > rho {r}"
             assert p <= binom_le(n, max(vc_cap, 0)) if fam.masks else p == 0
             assert r <= binom_le(n, max(ld_cap, 0)) if fam.masks else r == 0

@@ -133,6 +133,16 @@ def _round_tripped(blob, reparse, what: str) -> str:
     return text
 
 
+def _read_json(path: Path):
+    """The JSON in path.  Every ValueError json.loads raises is invalid
+    input: bad JSON, bad UTF-8, or an integer literal past int's digit
+    limit."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise InvalidInputError(str(e)) from e
+
+
 def _load_instance(cfg: RunConfig):
     """NAME for built-ins, or a path to a JSON instance spec.
 
@@ -144,7 +154,7 @@ def _load_instance(cfg: RunConfig):
     text = cfg.instance
     path = Path(text)
     if text.endswith(".json") or path.is_file():
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec = _read_json(path)
         return instance_from_spec(spec), spec
     return parse_instance_name(text), None
 
@@ -155,8 +165,9 @@ def _default_sample(inst, spec, cfg: RunConfig, verdict):
     if inst.d > MAX_POINTS:  # the walk would refuse the d points; skip finding them
         raise ResourceLimitError(f"sample of {inst.d} points exceeds the limit {MAX_POINTS}")
     if verdict.kind == "independent":
-        db = dual_basis(inst, budget=cfg.budget)
-        return Sample.take(inst, db.points), "dual-basis"
+        if (1 << inst.d) - 1 > MAX_SETS:  # the walk would refuse its 2^d - 1 traces
+            raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
+        return dual_basis(inst, budget=cfg.budget).sample, "dual-basis"
     return Sample.prefix(inst, inst.d), "stream-prefix"
 
 
@@ -470,7 +481,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        loaded = _read_json(Path(args.config))
         if not isinstance(loaded, dict):
             raise InvalidInputError("config file must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_KEYS)
@@ -551,7 +562,7 @@ def main(argv=None) -> int:
     except AssertionError as e:
         sys.stderr.write(f"assertion failed: {e}\n")
         return EXIT_ASSERTION
-    except (ZerotraceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ZerotraceError, OSError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return EXIT_INVALID
 

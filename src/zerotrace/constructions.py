@@ -63,20 +63,18 @@ def index_growth(j: int, field: Field):
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Points c_0..c_(d-1) and rows G with dot(G[j], image(c_i)) = delta_ij."""
+    """Points c_0..c_(d-1), as a Sample, and rows G with
+    dot(G[j], image(c_i)) = delta_ij."""
 
-    instance: Instance
-    points: tuple
+    sample: Sample
     rows: tuple  # d coefficient Vectors of width d
 
     def verify(self) -> None:
-        """Recheck the Kronecker property by exact evaluation."""
-        inst = self.instance
-        one, zero = inst.field.one, inst.field.zero
-        for i, c in enumerate(self.points):
-            img = inst.image(c)
+        """Recheck the Kronecker property against the sample's images."""
+        field = self.sample.instance.field
+        for i, img in enumerate(self.sample.images):
             for j, row in enumerate(self.rows):
-                expected = one if i == j else zero
+                expected = field.one if i == j else field.zero
                 if dot(row, img) != expected:
                     raise AssertionError(
                         f"dual basis failed at g_{j}(c_{i}): got {dot(row, img)!r}"
@@ -87,44 +85,51 @@ def dual_basis(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> DualBasis
     """Build the dual basis by the inductive rescan.
 
     Step k adjoins function k-1: the row starts as the raw basis vector,
-    has its values at the previous points projected out, and the stream
-    is rescanned for a point where the corrected function does not
-    vanish.  That point exists whenever the first k functions are
-    linearly independent, so exhausting the budget is reported as
-    evidence of dependence.
+    has its values at the previous points projected out, and the first
+    budget stream points are rescanned for one where the corrected
+    function does not vanish.  That point exists whenever the first k
+    functions are linearly independent, so exhausting the budget is
+    reported as evidence of dependence.  Each stream point is read and
+    evaluated once: a rescan reads the images kept so far before it
+    reads on.
     """
     inst = instance
     field = inst.field
     d = inst.d
+    stream = islice(inst.stream(), budget)
+    seen: list = []  # (point, image) of every stream point read, in stream order
+
+    def rescan():
+        yield from seen
+        for point in stream:
+            seen.append((point, inst.image(point)))
+            yield seen[-1]
+
     points: list = []
+    images: list = []
     rows: list = []  # rows[i] spans only the first k coordinates at step k
     for k in range(d):
         # g' = e_k - sum_i f_k(c_i) * g_i  (coefficients w.r.t. the functions)
         corrected = basis_vector(field, d, k)
-        for i, c in enumerate(points):
-            value = inst.image(c)[k]
-            corrected = corrected - rows[i].scale(value)
-        hit = None
-        hit_value = None
-        for point in islice(inst.stream(), budget):
-            value = dot(corrected, inst.image(point))
+        for img, row in zip(images, rows):
+            corrected = corrected - row.scale(img[k])
+        for point, img in rescan():
+            value = dot(corrected, img)
             if value != field.zero:
-                hit = point
-                hit_value = value
                 break
-        if hit is None:
+        else:
             raise BudgetExhaustedError(
                 f"no point found with corrected function {k} nonzero within "
                 f"budget {budget}; functions 0..{k} may be linearly dependent",
                 partial={"points": tuple(points), "rows": tuple(rows), "step": k},
             )
-        new_row = corrected.scale(field.one / hit_value)
+        new_row = corrected.scale(field.one / value)
         # Correct the previous rows so they vanish at the new point too.
-        img = inst.image(hit)
         rows = [row - new_row.scale(dot(row, img)) for row in rows]
         rows.append(new_row)
-        points.append(hit)
-    result = DualBasis(inst, tuple(points), tuple(rows))
+        points.append(point)
+        images.append(img)
+    result = DualBasis(Sample(inst, tuple(points), tuple(images)), tuple(rows))
     result.verify()
     return result
 
@@ -135,7 +140,7 @@ def shattering_witness(basis: DualBasis, trace) -> Vector:
     The zero set of a_S meets the dual points exactly outside S, so on
     the first d-1 of them it cuts out trace.
     """
-    d = basis.instance.d
+    d = len(basis.rows)
     trace = frozenset(trace)
     if not trace <= set(range(d - 1)):
         raise InvalidInputError(f"trace {sorted(trace)} not within the first d-1 points")

@@ -2,15 +2,16 @@
 
 A family lives over a ground set of indexed points (0..n-1) and stores
 each member set as an integer bitmask.  Growth statistics (vcdim, the
-trace-count function pi) run on the bitmask kernels; separate oracles
-recompute vcdim by tree search and pi by a scan of every k-subset, from
-the definitions, for use as independent cross-checks.
+trace-count function pi) run on the bitmask kernels; a separate oracle
+recomputes pi by a scan of every k-subset, from the definition, for use
+as an independent cross-check (an n-set is shattered iff it has 2^n
+traces, so the scan also fixes vcdim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from . import _kernels
@@ -143,60 +144,6 @@ def pi(fam: SetFamily, n: int) -> int:
             f"pi argument {n} outside 0..{fam.ground.size} (ground set size)"
         )
     return _kernels.pi(fam.masks, fam.ground.size, n, n)[0]
-
-
-def vcdim_via_trees(fam: SetFamily):
-    """vcdim recomputed by exhaustive search over level-balanced trees.
-
-    A depth-d candidate assigns one point per level (repeats allowed, as
-    in the definition); it is fully well-labeled iff every one of the
-    2^d membership patterns over those points is realized by some member
-    set.  A pattern is carried as two point masks, the points it puts in
-    (`value`) and out (`zeros`).  A pattern that puts one point both in
-    and out is never realized; otherwise some member m realizes it iff
-    value is in the set of traces {m & care}, where care is the mask of
-    the candidate's points.  That set depends only on the family and
-    care, so one table per call builds it on the first candidate that
-    names those points and serves every permutation and repeat of them;
-    each pattern is then one lookup.  The table holds no verdict of a
-    candidate, so every tuple and every pattern is still tested.
-    Independent of the bitmask kernels; exponential, so only for small
-    inputs.
-    """
-    if not fam.masks:
-        return NEG_INF
-    n = fam.ground.size
-    masks = fam.masks
-    traces_on: dict = {}  # care mask -> {m & care for m in masks}, built on first read
-    best = 0
-    d = 1
-    while d <= n:
-        found = False
-        for points in product(range(n), repeat=d):
-            bits = [1 << p for p in points]
-            care = 0
-            for bit in bits:
-                care |= bit
-            traces = traces_on.get(care)
-            if traces is None:
-                traces = traces_on[care] = {m & care for m in masks}
-            for pattern in range(1 << d):
-                value = zeros = 0
-                for i, bit in enumerate(bits):
-                    if pattern >> i & 1:
-                        value |= bit
-                    else:
-                        zeros |= bit
-                if value & zeros or value not in traces:
-                    break
-            else:
-                found = True
-                break
-        if not found:
-            break
-        best = d
-        d += 1
-    return best
 
 
 def pi_via_subsets(fam: SetFamily, k: int) -> int:

@@ -487,6 +487,32 @@ def test_non_utf8_config_and_spec_are_invalid_input(tmp_path, capsys):
         assert err.startswith("invalid input:"), flag
 
 
+_HUGE_INT = "9" * 5000  # past int's default limit of 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        (
+            "--instance",
+            '{"field": "rational", "d": 2, "family": {"builtin": "moment_curve"}, '
+            f'"sample": {{"points": [{_HUGE_INT}]}}}}',
+        ),
+        ("--config", f'{{"instance": "moment_curve:3", "seed": {_HUGE_INT}}}'),
+    ],
+    ids=["spec", "config"],
+)
+def test_integer_literal_past_the_digit_limit_is_invalid_input(tmp_path, capsys, flag, text):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", flag, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid input: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "sample, code",
     [
@@ -760,6 +786,32 @@ def test_default_sample_past_the_point_cap_exits_before_the_dual_basis():
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "resource limit: sample of 120 points exceeds the limit 20\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_dual_sample_past_max_sets_exits_before_the_dual_basis(tmp_path, command):
+    # 13 dual points trace 2^13 - 1 sets; the walk took about a second to refuse them
+    env = dict(os.environ, PYTHONPATH=str(Path(zerotrace.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerotrace.cli", command, "--instance", "moment_curve:13",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=3,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "resource limit: family exceeds the soft limit of 4096 sets\n"
+
+
+def test_dual_sample_past_max_sets_searches_no_dual_basis(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("dual basis searched")
+
+    monkeypatch.setattr(cli, "dual_basis", no_search)
+    code, out, err = run(capsys, "analyze", "--instance", "moment_curve:13")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: family exceeds the soft limit of 4096 sets\n"
 
 
 def test_shatter_fn_short_stream_gives_short_table(tmp_path, capsys):

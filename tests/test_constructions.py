@@ -49,13 +49,33 @@ def test_binom_le_table():
 
 
 def test_dual_basis_kronecker():
-    db = dual_basis(moment_curve(3))
-    assert db.points == (0, 1, -1)
+    inst = moment_curve(3)
+    db = dual_basis(inst)
+    assert db.sample.points == (0, 1, -1)
+    assert db.sample.images == tuple(inst.image(c) for c in db.sample.points)
     db.verify()
-    for i, c in enumerate(db.points):
+    for i, c in enumerate(db.sample.points):
         for j in range(3):
-            value = dot(db.rows[j], db.instance.image(c))
+            value = dot(db.rows[j], inst.image(c))
             assert value == (QQ.one if i == j else QQ.zero)
+
+
+def test_dual_basis_evaluates_each_stream_point_once():
+    inst = moment_curve(10)
+    calls, read = Counter(), set()
+
+    def evaluate(point):
+        calls["image"] += 1
+        return inst.evaluate(point)
+
+    def stream():
+        for point in inst.stream():
+            read.add(point)
+            yield point
+
+    db = dual_basis(replace(inst, evaluate=evaluate, stream=stream))
+    assert calls["image"] <= len(read)
+    assert db.sample.points == dual_basis(inst).sample.points
 
 
 def test_dual_basis_rows_span_coefficients():
@@ -85,7 +105,7 @@ def test_dual_basis_stalls_on_dependent_pair():
 def test_shattered_set_realizes_every_subset():
     inst = moment_curve(4)
     db = dual_basis(inst)
-    sample = Sample.take(inst, db.points[:3])
+    sample = Sample.take(inst, db.sample.points[:3])
     zero = QQ.zero
     for size in range(0, 3 + 1):
         for subset in map(frozenset, combinations(range(3), size)):
@@ -197,8 +217,8 @@ _SCALED_PAIR = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair
         # these two read one point more, to tell a spent budget from an ended stream
         (lambda i, b: distinct_image_points(i, 8, budget=b), moment_curve(3), 3, 4),
         (lambda i, b: linearly_independent(i, budget=b), _SCALED_PAIR, 40, 41),
-        # the documented rescan: one pass of at most budget points per step
-        (lambda i, b: dual_basis(i, budget=b), _SCALED_PAIR, 40, 2 * 40),
+        # every rescan reads the points kept so far before reading on
+        (lambda i, b: dual_basis(i, budget=b), _SCALED_PAIR, 40, 40),
     ],
     ids=["sequence", "sequence-stall", "distinct", "independent", "dual-basis"],
 )

@@ -76,3 +76,11 @@ def test_truncated_child_kernel_fails_a_rational_check(monkeypatch):
     _install(monkeypatch, *MUTANTS["flat_child_kernel_truncated"])
     failed = _failed(run_checks())
     assert set(failed) - {"enumerator_equivalence"}
+
+
+def test_vcdim_mutant_fails_the_oracle_check_at_each_seed(monkeypatch):
+    """The random-family check reads the oracle vcdim off its subset scan;
+    that reading alone catches a vcdim read one short."""
+    _install(monkeypatch, *MUTANTS["vcdim_read_at_one_short"])
+    for seed in (20240601, 7, 123):
+        assert _failed(run_checks(["oracle_equivalences_random"], seed=seed)), seed

@@ -21,9 +21,9 @@ from zerotrace.setsystem import (
     family_to_json,
     mask_to_indices,
     pi,
+    pi_via_subsets,
     shatters,
     vcdim,
-    vcdim_via_trees,
 )
 
 
@@ -116,11 +116,12 @@ def test_pi_matches_direct_enumeration(rng):
             assert pi(fam, k) == brute_pi(fam, k)
 
 
-def test_vcdim_agrees_with_tree_oracle(rng):
+def test_vcdim_agrees_with_subset_scan(rng):
+    """vcdim is the largest k at which the subset scan finds all 2^k traces."""
     for _ in range(60):
         n = rng.randint(1, 5)
         fam = SetFamily.create(GroundSet(n), tuple(random_mask_family(rng, n, rng.randint(1, 10))))
-        assert vcdim(fam) == vcdim_via_trees(fam)
+        assert vcdim(fam) == max(k for k in range(n + 1) if pi_via_subsets(fam, k) == 2**k)
 
 
 def test_sauer_bound_on_seeded_families(rng):

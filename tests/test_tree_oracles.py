@@ -1,13 +1,14 @@
-"""The exhaustive oracles against list-path references.
+"""The exhaustive oracles, and the kernel vcdim, against list-path references.
 
-`vcdim_via_trees` tests each membership pattern, and `rho_via_trees`
-each leaf, with one lookup in the set of traces {m & care} on the points
-the candidate or path names; one table per call builds each such set on
-its first read and holds no verdict of the search.  `pi_via_subsets`
-counts the distinct traces m & S over every k-subset S.  The references
-below walk the same trees and subsets but carry the path or subset as a
-list of points (with branches) and test every step of it, as the
-definitions read; both must agree on every family.  None of the oracles
+`rho_via_trees` tests each leaf with one lookup in the set of traces
+{m & care} on the points the path names; one table per call builds each
+such set on its first read and holds no verdict of the search.
+`pi_via_subsets` counts the distinct traces m & S over every k-subset S.
+The references below walk the same trees and subsets but carry the path
+or subset as a list of points (with branches) and test every step of
+it, as the definitions read; both must agree on every family.  The
+kernel `vcdim` is checked against `reference_vcdim`, the level-balanced
+tree definition (one point per level, repeats allowed).  Neither oracle
 may reach the bitmask kernels, at run time or in its source.
 """
 
@@ -28,7 +29,6 @@ from zerotrace.setsystem import (
     SetFamily,
     pi_via_subsets,
     vcdim,
-    vcdim_via_trees,
 )
 
 
@@ -112,7 +112,7 @@ HAND_BUILT = [
 
 @pytest.mark.parametrize("fam, vc, rhos", HAND_BUILT, ids=lambda x: str(getattr(x, "masks", x)))
 def test_oracles_on_hand_built_families(fam, vc, rhos):
-    assert vcdim_via_trees(fam) == reference_vcdim(fam) == vc
+    assert vcdim(fam) == reference_vcdim(fam) == vc
     for n, value in enumerate(rhos):
         assert rho_via_trees(fam, n) == reference_rho(fam, n) == value
 
@@ -123,7 +123,7 @@ def test_oracles_match_references_on_seeded_families():
     for _ in range(500):
         fam = random_family(rng, max_points=6, max_sets=12)
         sizes.add((fam.ground.size, len(fam.masks)))
-        assert vcdim_via_trees(fam) == reference_vcdim(fam), fam
+        assert vcdim(fam) == reference_vcdim(fam), fam
         for n in range(4):
             assert rho_via_trees(fam, n) == reference_rho(fam, n), (fam, n)
         for k in range(fam.ground.size + 1):
@@ -142,7 +142,6 @@ def test_oracles_answer_without_the_kernels(monkeypatch):
     fam = family(3, (), (0,), (1,), (0, 2), (1, 2))
     with pytest.raises(AssertionError, match="bitmask kernels"):
         vcdim(fam)
-    assert vcdim_via_trees(fam) == 2
     assert [rho_via_trees(fam, n) for n in range(4)] == [1, 2, 4, 5]
     assert [pi_via_subsets(fam, k) for k in range(4)] == [1, 2, 4, 5]
 
@@ -185,7 +184,7 @@ def test_guard_sees_each_way_of_naming_the_kernels():
 
 @pytest.mark.parametrize(
     "oracle",
-    [vcdim_via_trees, pi_via_subsets, rho_via_trees],
+    [pi_via_subsets, rho_via_trees],
     ids=lambda f: f.__name__,
 )
 def test_oracle_sources_name_no_kernel(oracle):
