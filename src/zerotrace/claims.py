@@ -51,6 +51,7 @@ from .littlestone import (
     count_well_labeled,
     ldim,
     ldim_witness,
+    leaf_well_labeled,
     level_balanced_tree,
     littlestone_profile,
     rho,
@@ -72,8 +73,10 @@ from .setsystem import (
     NEG_INF,
     GroundSet,
     SetFamily,
+    as_mask,
     family_from_json,
     family_to_json,
+    mask_to_indices,
     pi,
     pi_via_subsets,
     shatters,
@@ -203,9 +206,9 @@ def check_independence_three_way_negative(ctx: CheckContext) -> dict:
     w = verdict.witness_coeffs
     assert w is not None
     scanned = list(islice(inst.stream(), 50))
-    for p in scanned:
-        assert dot(w, inst.image(p)) == QQ.zero, f"witness misses point {p}"
     images = [inst.image(p) for p in scanned]
+    for p, img in zip(scanned, images):
+        assert dot(w, img) == QQ.zero, f"witness misses point {p}"
     assert rank(images) == 1, "image rank should stall at 1"
     try:
         dual_basis(inst, budget=200)
@@ -249,13 +252,13 @@ def check_dual_basis_kronecker(ctx: CheckContext) -> dict:
     details = {}
     for inst in _independent_builtins_all():
         db = _dual_basis(ctx, inst)
-        matrix = [
-            [str(dot(row, inst.image(c))) for row in db.rows] for c in db.sample.points
-        ]
+        matrix = []
         for i, c in enumerate(db.sample.points):
-            for j, row in enumerate(db.rows):
-                expected = inst.field.one if i == j else inst.field.zero
-                assert dot(row, inst.image(c)) == expected
+            img = inst.image(c)
+            values = [dot(row, img) for row in db.rows]
+            for j, value in enumerate(values):
+                assert value == (inst.field.one if i == j else inst.field.zero)
+            matrix.append([str(value) for value in values])
         details[inst.name] = {"evaluation_matrix": matrix}
     return details
 
@@ -269,7 +272,7 @@ def check_shattering(ctx: CheckContext) -> dict:
         d = inst.d
         images = sample.images[: d - 1]
         for trace_bits in range(1 << (d - 1)):
-            trace = {i for i in range(d - 1) if trace_bits >> i & 1}
+            trace = mask_to_indices(trace_bits)
             got = zero_mask(shattering_witness(db, trace), images)
             assert got == trace_bits, f"{inst.name}: subset {sorted(trace)} realized {bin(got)}"
         fam = _enumerated(ctx, sample).to_set_family()
@@ -407,15 +410,11 @@ def check_grid_tree_counts(ctx: CheckContext) -> dict:
         res = grid_max_tree(inst, n)
         wl = count_well_labeled(res.tree, res.family)
         assert wl == res.well_labeled_target == binom_le(n, 2)
-        for leaf, idx in res.tree.leaf_labels.items():
+        for leaf in res.tree.leaf_labels:
             if leaf.count("1") >= 3:
-                mask = res.family.masks[idx]
-                path_ok = all(
-                    bool(mask & (1 << res.tree.node_labels[leaf[:k]]))
-                    == (leaf[k] == "1")
-                    for k in range(n)
+                assert not leaf_well_labeled(res.tree, res.family, leaf), (
+                    f"leaf {leaf} with large support is well-labeled"
                 )
-                assert not path_ok, f"leaf {leaf} with large support is well-labeled"
         details[f"n={n}"] = {"well_labeled": wl}
     res6 = grid_max_tree(inst, 6)
     tau = "001001"
@@ -427,19 +426,21 @@ def check_grid_tree_counts(ctx: CheckContext) -> dict:
     return details
 
 
+def _non_maximality(ctx: CheckContext, inst):
+    key = ("nonmax", inst.name)
+    return ctx.memo(key, lambda: non_maximality_certificate(inst, budget=ctx.budget))
+
+
 def check_non_maximality_certificates(ctx: CheckContext) -> dict:
     """Covered instances: strict trace deficit at n = k(d-1)+1."""
     details = {}
     for inst in (high_vcden(3), two_lines()):
-        report = non_maximality_certificate(inst, budget=ctx.budget)
+        report = _non_maximality(ctx, inst)
         assert report.verdict == "verified", f"{inst.name}: {report.verdict}"
         _checked(report.family)
         assert report.trace_count < report.bound
         assert report.missing_subset is not None
-        missing_mask = 0
-        for i in report.missing_subset:
-            missing_mask |= 1 << i
-        assert all(z.mask != missing_mask for z in report.family.sets)
+        assert as_mask(report.missing_subset, report.n) not in report.family.masks()
         details[inst.name] = {
             "n": report.n,
             "trace_count": report.trace_count,
@@ -547,18 +548,17 @@ def check_dichotomy_on_builtins(ctx: CheckContext) -> dict:
     certificate size n = k(d-1)+1, so neither branch is testable.
     """
     details = {}
-    maximal_side = [moment_curve(d) for d in (2, 3, 4, 5)]
-    maximal_side += [ellipse_carrier(), conics()]
-    covered_side = [high_vcden(3), two_lines()]
-    for inst in maximal_side:
+    for inst in _independent_builtins_all():
+        if isinstance(inst.field, PrimeField):
+            continue
         n_test = 4
         seq = independence_sequence(inst, n_test + inst.d - 1, budget=ctx.budget)
         fam = max_vc_trace(seq, n_test)
         assert len(fam.sets) == binom_le(n_test, inst.d - 1)
         assert inst.cover is None
         details[inst.name] = {"branch": "maximal_at_n", "n": n_test, "traces": len(fam.sets)}
-    for inst in covered_side:
-        report = non_maximality_certificate(inst, budget=ctx.budget)
+    for inst in (high_vcden(3), two_lines()):
+        report = _non_maximality(ctx, inst)
         assert report.verdict == "verified"
         stalled = False
         try:
@@ -620,15 +620,13 @@ def check_oracle_equivalences_random(ctx: CheckContext) -> dict:
         assert vc == max((n for n, p in enumerate(scan) if p == 1 << n), default=NEG_INF)
         ld = ldim(fam)
         assert vc <= ld
-        vc_cap = vc if fam.masks else -1
-        ld_cap = ld if fam.masks else -1
         pis = vc_profile(fam, top)
         rhos = littlestone_profile(fam, top, depth_cap=ctx.depth_cap)
         for n, (p, r) in enumerate(zip(pis, rhos)):
             assert p == scan[n], f"pi({n}) {p} vs subset scan"
             assert p <= r, f"pi {p} > rho {r}"
-            assert p <= binom_le(n, max(vc_cap, 0)) if fam.masks else p == 0
-            assert r <= binom_le(n, max(ld_cap, 0)) if fam.masks else r == 0
+            assert p <= binom_le(n, vc) if fam.masks else p == 0
+            assert r <= binom_le(n, ld) if fam.masks else r == 0
             if n <= 3:
                 assert r == rho_via_trees(fam, n)
         checked += 1
@@ -738,7 +736,8 @@ CHECKS: dict = {
         check_json_round_trips,
     ),
     "oracle_equivalences_random": (
-        "recursive vcdim/rho match exhaustive tree oracles; count bounds hold",
+        "recursive vcdim/pi match the subset scan, rho matches the exhaustive tree "
+        "oracle; count bounds hold",
         check_oracle_equivalences_random,
     ),
     "enumerator_equivalence": (

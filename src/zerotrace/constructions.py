@@ -17,7 +17,8 @@ exact verification:
   I with indices past n when it is smaller than d-1);
 * the plane-union grid helpers build the membership pattern
   "point (i,j) belongs to the zero set of the tuple js iff j == js[i]"
-  and the depth-n tree with one well-labeled leaf per small index set.
+  and, through LabeledTree.complete, the depth-n tree with one
+  well-labeled leaf per small index set.
 
 All coefficient vectors live in coordinates with respect to the
 instance's functions, so g = G[j] acts on a point x as dot(G[j], image(x)).
@@ -43,7 +44,7 @@ from .exactalg import (
     zero_mask,
 )
 from .littlestone import MAX_DEPTH, LabeledTree
-from .setsystem import SetFamily
+from .setsystem import SetFamily, as_mask
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
 
@@ -214,7 +215,7 @@ def subset_witness(seq: Sample, indices) -> Vector:
     if len(kernel) != 1:
         raise AssertionError("kernel of d-1 independent rows must be a line")
     witness = kernel[0]
-    wrong = zero_mask(witness, seq.images) ^ sum(1 << i for i in indices)
+    wrong = zero_mask(witness, seq.images) ^ as_mask(indices, len(seq.points))
     if wrong:
         raise AssertionError(
             f"witness fails separation at sequence index {(wrong & -wrong).bit_length() - 1}"
@@ -245,9 +246,7 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
             padded = list(subset) + list(range(n, n + (d - 1 - size)))
             witness = subset_witness(seq, padded)
             mask = zero_mask(witness, seq.images[:n])
-            expected = 0
-            for i in subset:
-                expected |= 1 << i
+            expected = as_mask(subset, n)
             if mask != expected:
                 raise AssertionError(
                     f"padded witness realized {bin(mask)} instead of {bin(expected)}"
@@ -325,7 +324,9 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
     (n*(d-1) for the clamp point).
     Leaf at tau: the witness of tau's column support, padded with column
     n.  Exactly C(n, <d) leaves end up well-labeled: those whose support
-    has fewer than d ones.
+    has fewer than d ones.  LabeledTree.complete labels each position
+    once and the leaves in increasing order, so the family lists each
+    witness at its first leaf.
     """
     inst = instance
     d = inst.d
@@ -348,29 +349,23 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
                 f"descriptor {descriptors[idx]!r} does not evaluate to its grid point"
             )
 
-    tree = LabeledTree(depth=n)
     witnesses: dict = {}  # ordered js tuple -> family index
     family_sets: list = []
 
-    def trace_of(js: tuple) -> ZeroSet:
-        witness = grid_witness(field, d, js)
-        return ZeroSet(zero_mask(witness, sample.images), witness)
+    def node_point(sigma: str) -> int:
+        ones = sigma.count("1")
+        return len(sigma) * (d - 1) + ones if ones < d - 1 else n * (d - 1)
 
-    for value in range(1 << n):
-        tau = format(value, f"0{n}b") if n else ""
+    def leaf_member(tau: str) -> int:
         support = [k for k, c in enumerate(tau) if c == "1"]
         js = tuple(support[: d - 1]) + tuple([n] * max(0, d - 1 - len(support)))
         if js not in witnesses:
             witnesses[js] = len(family_sets)
-            family_sets.append(trace_of(js))
-        tree.leaf_labels[tau] = witnesses[js]
-        for k in range(n):
-            sigma = tau[:k]
-            if sigma in tree.node_labels:
-                continue
-            ones = sigma.count("1")
-            tree.node_labels[sigma] = k * (d - 1) + ones if ones < d - 1 else n * (d - 1)
+            witness = grid_witness(field, d, js)
+            family_sets.append(ZeroSet(zero_mask(witness, sample.images), witness))
+        return witnesses[js]
 
+    tree = LabeledTree.complete(n, node_point, leaf_member)
     return GridTreeResult(
         tree=tree,
         family=SetFamily(sample.ground_set(), tuple(z.mask for z in family_sets)),

@@ -15,7 +15,9 @@ it), which the exhaustive tree-search oracle rho_via_trees validates on
 small inputs.  ldim is read off the same recursion as the largest n with
 rho(n) = 2^n.  The whole profile rho(0..n) and the ldim witness tree
 are each read off one such search in _kernels (rho over a depth range,
-ldim_tree); this module builds and checks the trees.
+ldim_tree); this module builds and checks the trees.  LabeledTree.complete
+labels each position of a complete tree once; the level-balanced tree
+here and the plane-union grid tree in constructions are built through it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import _kernels
 from .errors import InvalidInputError, MalformedTreeError, ResourceLimitError
-from .setsystem import NEG_INF, SetFamily
+from .setsystem import NEG_INF, SetFamily, as_mask
 
 #: Default depth cap for rho; the state space grows with 3^depth.
 MAX_DEPTH = 16
@@ -43,6 +45,24 @@ class LabeledTree:
     depth: int
     node_labels: dict = dc_field(default_factory=dict)
     leaf_labels: dict = dc_field(default_factory=dict)
+
+    @staticmethod
+    def complete(depth: int, node_label, leaf_label) -> "LabeledTree":
+        """The tree giving each node position sigma the label
+        node_label(sigma) and each leaf position tau leaf_label(tau), each
+        called once per position, in preorder (increasing string order)."""
+        tree = LabeledTree(depth=depth)
+
+        def visit(sigma: str) -> None:
+            if len(sigma) == depth:
+                tree.leaf_labels[sigma] = leaf_label(sigma)
+            else:
+                tree.node_labels[sigma] = node_label(sigma)
+                visit(sigma + "0")
+                visit(sigma + "1")
+
+        visit("")
+        return tree
 
     def validate(self, fam: SetFamily) -> None:
         if self.depth < 0:
@@ -124,16 +144,11 @@ def level_balanced_tree(fam: SetFamily) -> LabeledTree:
     if n > MAX_DEPTH:
         raise ResourceLimitError(f"ground set of {n} points exceeds depth cap {MAX_DEPTH}")
     index_of = {mask: i for i, mask in enumerate(fam.masks)}
-    tree = LabeledTree(depth=n)
-    for value in range(1 << n):
-        tau = format(value, f"0{n}b") if n else ""
-        support = 0
-        for k, c in enumerate(tau):
-            if c == "1":
-                support |= 1 << k
-        tree.leaf_labels[tau] = index_of.get(support, 0)
-        for k in range(n):
-            tree.node_labels.setdefault(tau[:k], k)
+
+    def member_of(tau: str) -> int:
+        return index_of.get(as_mask((k for k, c in enumerate(tau) if c == "1"), n), 0)
+
+    tree = LabeledTree.complete(n, len, member_of)
     tree.validate(fam)
     return tree
 

@@ -44,7 +44,7 @@ from .exactalg import (
     scalar_from_str,
     scalar_to_str,
 )
-from .setsystem import mask_to_indices
+from .setsystem import as_mask, mask_to_indices
 from .zerosets import (
     DEFAULT_BUDGET,
     Instance,
@@ -398,10 +398,7 @@ def non_maximality_certificate(
         raise AssertionError("could not assemble a d-1 subset avoiding the forced point")
     if not in_span(images[forced], [images[i] for i in missing]):
         raise AssertionError("forced image escaped the span of the missing subset")
-    missing_mask = 0
-    for i in missing:
-        missing_mask |= 1 << i
-    if any(zs.mask == missing_mask for zs in zfam.sets):
+    if as_mask(missing, n) in zfam.masks():
         raise AssertionError("the pigeonhole subset showed up as a trace after all")
 
     return NonMaximalityReport(

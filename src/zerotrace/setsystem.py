@@ -122,8 +122,7 @@ class SetFamily:
 def shatters(fam: SetFamily, subset: SubsetLike) -> bool:
     """True iff every subset of `subset` occurs as a trace."""
     mask = as_mask(subset, fam.ground.size)
-    k = bin(mask).count("1")
-    return _kernels.count_restrictions(fam.masks, mask) == 1 << k
+    return _kernels.count_restrictions(fam.masks, mask) == 1 << mask.bit_count()
 
 
 def vcdim(fam: SetFamily):
@@ -175,7 +174,7 @@ def family_to_json(fam: SetFamily) -> dict:
     """Lossless JSON form: ground labels plus sorted index lists."""
     return {
         "ground": fam.ground.all_labels(),
-        "sets": [sorted(mask_to_indices(m)) for m in fam.masks],
+        "sets": [mask_to_indices(m) for m in fam.masks],
     }
 
 

@@ -43,7 +43,7 @@ from .exactalg import (
     scalar_to_str,
     zero_mask,
 )
-from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily
+from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily, mask_to_indices
 
 if TYPE_CHECKING:
     from .maximality import CoverCertificate
@@ -465,30 +465,26 @@ class LinePartitionReport:
 def density_zero_partition(sample: Sample, lines: Sequence[Vector]) -> LinePartitionReport:
     inst = sample.instance
     field = inst.field
-    normalized = []
+    block_of: dict = {}  # canonical point of each distinct line -> block index
     for line in lines:
         if line.field != field or len(line) != inst.d:
             raise InvalidInputError("line direction has wrong field or width")
         if line.is_zero():
             raise InvalidInputError("line direction must be nonzero")
-        canon = projective_normalize(line)
-        if canon not in normalized:
-            normalized.append(canon)
-    k = len(normalized)
+        block_of.setdefault(projective_normalize(line), len(block_of))
+    k = len(block_of)
     block_masks = [0] * k
     zero_block = 0
     for i, v in enumerate(sample.images):
         if v.is_zero():
             zero_block |= 1 << i
             continue
-        for j, direction in enumerate(normalized):
-            if in_span(v, [direction]):
-                block_masks[j] |= 1 << i
-                break
-        else:
+        j = block_of.get(projective_normalize(v))
+        if j is None:
             raise InvalidInputError(
                 f"image of point {sample.points[i]!r} lies outside the given lines"
             )
+        block_masks[j] |= 1 << i
     family = enumerate_family_flats(sample)
     bound = 1 << k
     if len(family) > bound:
@@ -562,7 +558,7 @@ def family_bundle(zfam: ZeroSetFamily) -> dict:
         "sets": [
             {
                 "mask": z.mask,
-                "indices": [i for i in range(len(zfam.sample.points)) if z.mask >> i & 1],
+                "indices": mask_to_indices(z.mask),
                 "witness": [scalar_to_str(x) for x in z.witness.entries],
             }
             for z in zfam.sets
@@ -570,16 +566,16 @@ def family_bundle(zfam: ZeroSetFamily) -> dict:
     }
 
 
-def verify_bundle(bundle: dict, instance: Optional[Instance] = None) -> ZeroSetFamily:
+def verify_bundle(bundle: dict) -> ZeroSetFamily:
     """Rebuild the family from a bundle and recheck every membership bit.
 
-    The instance is reconstructed from the embedded recipe unless one is
-    passed in.  Each stored witness is re-evaluated against each sample
-    image; any bit out of place raises.
+    The instance is reconstructed from the embedded recipe.  Each stored
+    witness is re-evaluated against each sample image; any bit out of
+    place raises.
     """
     from .instances import instance_from_spec
 
-    inst = instance if instance is not None else instance_from_spec(bundle["instance"])
+    inst = instance_from_spec(bundle["instance"])
     sample = Sample.take(inst, [point_from_json(p) for p in bundle["points"]])
     sets = []
     for entry in bundle["sets"]:
@@ -593,7 +589,7 @@ def verify_bundle(bundle: dict, instance: Optional[Instance] = None) -> ZeroSetF
                 f"witness bundle mismatch: stored mask {bin(entry['mask'])}, "
                 f"recomputed {bin(recomputed.mask)}"
             )
-        expected_indices = [i for i in range(len(sample.points)) if entry["mask"] >> i & 1]
+        expected_indices = mask_to_indices(recomputed.mask)
         if entry.get("indices", expected_indices) != expected_indices:
             raise InvalidInputError("witness bundle indices disagree with the mask")
         sets.append(recomputed)

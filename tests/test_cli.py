@@ -1092,7 +1092,7 @@ GOLDEN_DIGESTS = {
         "70643e26279430c75bdc09e255d1e30661a5e664c3a39ce7c9324d458a560967",
     # every check at the default seed, exact details included
     ("verify",):
-        "eedd5c644aaa6edd9b0a400c5cc54e4823cee7ae4a3e339f70dd8d428b615f1d",
+        "c3208b9839d697a9405ac80e8302669ea963a2144aa8d7dbdebc8c1df772b25d",
 }
 
 

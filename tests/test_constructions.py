@@ -19,7 +19,7 @@ from zerotrace.constructions import (
     subset_witness,
 )
 from zerotrace.errors import BudgetExhaustedError, InvalidInputError
-from zerotrace.exactalg import QQ, PrimeField, Span, Vector, dot, in_span, rank
+from zerotrace.exactalg import QQ, PrimeField, Span, Vector, dot, in_span, rank, zero_mask
 from zerotrace.instances import (
     conics,
     ellipse_carrier,
@@ -306,6 +306,40 @@ def test_grid_max_tree_counts():
         assert result.well_labeled_target == expect
         assert count_well_labeled(result.tree, result.family) == expect
         assert result.tree.depth == n
+
+
+def reference_grid_max_tree(inst, n):
+    """The per-leaf loop: (node labels, leaf labels, family masks,
+    witnesses), every leaf re-labeling each node on its path."""
+    d = inst.d
+    sample = Sample.take(inst, inst.profile_points(n))
+    node_labels, leaf_labels, witnesses, members = {}, {}, {}, []
+    for value in range(1 << n):
+        tau = format(value, f"0{n}b")
+        support = [k for k, c in enumerate(tau) if c == "1"]
+        js = tuple(support[: d - 1]) + tuple([n] * max(0, d - 1 - len(support)))
+        if js not in witnesses:
+            witnesses[js] = len(members)
+            witness = grid_witness(inst.field, d, js)
+            members.append((zero_mask(witness, sample.images), witness))
+        leaf_labels[tau] = witnesses[js]
+        for k in range(n):
+            sigma = tau[:k]
+            if sigma not in node_labels:
+                ones = sigma.count("1")
+                node_labels[sigma] = k * (d - 1) + ones if ones < d - 1 else n * (d - 1)
+    return node_labels, leaf_labels, [m for m, _ in members], [w for _, w in members]
+
+
+def test_grid_max_tree_matches_per_leaf_reference():
+    inst = high_vcden(3)
+    for n in range(1, 7):
+        result = grid_max_tree(inst, n)
+        nodes, leaves, masks, witnesses = reference_grid_max_tree(inst, n)
+        assert list(result.tree.node_labels.items()) == list(nodes.items())
+        assert list(result.tree.leaf_labels.items()) == list(leaves.items())
+        assert list(result.family.masks) == masks
+        assert list(result.witnesses) == witnesses
 
 
 def test_grid_max_tree_respects_dimension_guard():

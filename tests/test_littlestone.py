@@ -167,6 +167,60 @@ def test_level_balanced_tree_counts_members(rng):
         assert rho(fam, n) == len(fam)
 
 
+def test_complete_labels_each_position_once_in_leaf_order():
+    for depth in range(5):
+        node_calls, leaf_calls = [], []
+
+        def node_label(sigma):
+            node_calls.append(sigma)
+            return len(sigma)
+
+        def leaf_label(tau):
+            leaf_calls.append(tau)
+            return len(leaf_calls)
+
+        tree = LabeledTree.complete(depth, node_label, leaf_label)
+        nodes = [format(v, f"0{k}b") if k else "" for k in range(depth) for v in range(1 << k)]
+        leaves = [format(v, f"0{depth}b") if depth else "" for v in range(1 << depth)]
+        assert sorted(node_calls) == sorted(nodes) and len(set(node_calls)) == len(nodes)
+        assert leaf_calls == leaves  # once each, in increasing order
+        assert tree.depth == depth
+        assert tree.node_labels == {sigma: len(sigma) for sigma in nodes}
+        assert tree.leaf_labels == {tau: i for i, tau in enumerate(leaves, 1)}
+    tree = LabeledTree.complete(0, len, lambda tau: 7)
+    assert tree.node_labels == {} and tree.leaf_labels == {"": 7}
+
+
+def reference_level_balanced_tree(fam):
+    """The per-leaf loop: every leaf labels its own member and re-labels
+    each node on its path."""
+    n = fam.ground.size
+    index_of = {mask: i for i, mask in enumerate(fam.masks)}
+    tree = LabeledTree(depth=n)
+    for value in range(1 << n):
+        tau = format(value, f"0{n}b") if n else ""
+        support = 0
+        for k, c in enumerate(tau):
+            if c == "1":
+                support |= 1 << k
+        tree.leaf_labels[tau] = index_of.get(support, 0)
+        for k in range(n):
+            tree.node_labels.setdefault(tau[:k], k)
+    return tree
+
+
+def test_level_balanced_tree_matches_per_leaf_reference(rng):
+    for n in range(7):
+        for _ in range(5):
+            masks = random_mask_family(rng, n, rng.randint(1, min(12, 1 << n)))
+            rng.shuffle(masks)
+            fam = SetFamily.create(GroundSet(n), tuple(masks))
+            tree, ref = level_balanced_tree(fam), reference_level_balanced_tree(fam)
+            assert tree.depth == ref.depth == n
+            assert list(tree.node_labels.items()) == list(ref.node_labels.items())
+            assert list(tree.leaf_labels.items()) == list(ref.leaf_labels.items())
+
+
 def test_level_balanced_tree_depth_cap():
     fam = SetFamily(GroundSet(17), (0b1,))
     with pytest.raises(ResourceLimitError):

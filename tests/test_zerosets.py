@@ -505,6 +505,19 @@ def test_density_zero_partition_two_lines():
         density_zero_partition(s, [e0])  # images on the e1 line escape
 
 
+def test_density_zero_partition_keys_blocks_by_line():
+    inst = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair")
+    s = Sample.take(inst, [0, 1, -2, 3])  # images 0, (1,2), (-2,-4), (3,6)
+    line = Vector.make(QQ, (Fraction(-1, 3), Fraction(-2, 3)))
+    for lines in ([line], [line, Vector.make(QQ, (2, 4))]):  # the same line twice
+        report = density_zero_partition(s, lines)
+        assert report.block_masks == (0b1110,)  # -3, 6 and -9 times the direction
+        assert report.zero_block_mask == 0b0001
+        assert report.bound == 2
+    with pytest.raises(InvalidInputError, match="outside the given lines"):
+        density_zero_partition(s, [Vector.make(QQ, (1, 0)), Vector.make(QQ, (1, -2))])
+
+
 def test_point_json_round_trip():
     for point in (3, -2, (1, 2), (0, -4, 5)):
         assert point_from_json(point_to_json(point)) == point
