@@ -29,7 +29,7 @@ from math import comb
 from pathlib import Path
 from typing import Optional
 
-from . import __version__
+from . import __version__, zerosets
 from ._kernels import binom_le, count_restrictions
 from .claims import CHECKS, DEFAULT_SEED, run_checks
 from .constructions import dual_basis, independence_sequence
@@ -119,6 +119,10 @@ class RunConfig:
             raise InvalidInputError(f"unknown format {self.format!r}")
         if self.format == "csv" and self.command != "shatter-fn":
             raise InvalidInputError(f"{self.command} has no CSV table")
+        if self.budget > zerosets.MAX_BUDGET:
+            raise ResourceLimitError(
+                f"budget {self.budget} exceeds the limit of {zerosets.MAX_BUDGET} stream points"
+            )
 
 
 def _canonical(data) -> str:

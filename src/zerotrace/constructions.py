@@ -160,7 +160,8 @@ def independence_sequence(
     fewer than d-1 images are chosen that is one span, of all of them.
     From then on each span is a hyperplane, kept as its int normal (the
     kernel line subset_witness takes), and the candidate's int row must
-    have a nonzero dot product with every normal.  A subset's normal is
+    have a nonzero dot product with every normal; only the rows that
+    pass are boxed into image vectors.  A subset's normal is
     built once, when its last point is accepted and more are wanted, so
     the k-th point adds C(k-1, d-2) of them.  A pass that ends short of
     n points raises with the points and images chosen: evidence, not
@@ -177,9 +178,15 @@ def independence_sequence(
     normals = [] if d > 1 else [nullspace_basis(field, 1, [])[0]._ints]
     scanned = 0
     for scanned, point in enumerate(islice(inst.stream(), budget), 1):
-        v = inst.image(point)
-        if in_span(v, span) if len(images) < d - 1 else _rows_zero_mask(v, normals):
-            continue
+        if len(images) < d - 1:
+            v = inst.image(point)
+            if in_span(v, span):
+                continue
+        else:
+            row = inst.row(point)
+            if _rows_zero_mask(field.p, row, normals):
+                continue
+            v = _vector_of_ints(field, row)
         points.append(point)
         images.append(v)
         if len(points) == n:

@@ -16,11 +16,11 @@ Each ``Vector`` is held as plain ints over one positive denominator:
 residues over F_p, integers over Q.  ``Span`` rows, ``dot`` sums,
 ``zero_mask`` tests, equality and hashing all read those ints, and a
 vector boxes its entries into ``Fraction`` or ``FpElement`` values
-only when ``.entries`` is first read, so a stream scan that only tests
-images never boxes them.  The instance evaluators build images straight
-from ints (``_vector_of_ints``); ``zerosets`` and ``constructions``
-read the ints of images and kernel vectors (``Vector._ints``) for
-their zero tests.
+only when ``.entries`` is first read.  The instance evaluators return
+int rows, and the stream scans in ``zerosets`` and ``constructions``
+test those rows directly, boxing a ``Vector`` (``_vector_of_ints``)
+only for the rows they keep; their zero tests read the ints of kernel
+vectors (``Vector._ints``).
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ class Vector:
                 entries = tuple([FpElement(field, x) for x in self._ints])
             else:
                 entries = tuple([Fraction(x, den) for x in self._ints])
-            object.__setattr__(self, "_entries", entries)
+            _set_entries(self, entries)
         return entries
 
     def __setattr__(self, name, value):
@@ -419,10 +419,17 @@ def _fill(v: Vector, field: Field, ints, den: int) -> None:
             g = gcd(*ints, den)
             if g > 1:
                 ints, den = tuple([x // g for x in ints]), den // g
-    object.__setattr__(v, "field", field)
-    object.__setattr__(v, "_ints", ints)
-    object.__setattr__(v, "_den", den)
-    object.__setattr__(v, "_entries", None)
+    _set_field(v, field)
+    _set_ints(v, ints)
+    _set_den(v, den)
+    _set_entries(v, None)
+
+
+# The slots' own descriptors set them past Vector.__setattr__, which
+# keeps Vector frozen to everyone else.
+_set_field, _set_ints, _set_den, _set_entries = (
+    Vector.__dict__[name].__set__ for name in Vector.__slots__
+)
 
 
 def basis_vector(field: Field, width: int, index: int) -> Vector:
@@ -486,14 +493,12 @@ def zero_mask(a: Vector, vectors: Iterable[Vector]) -> int:
     for v in vectors:
         a._check(v)
         rows.append(v._ints)
-    return _rows_zero_mask(a, rows)
+    return _rows_zero_mask(a.field.p, a._ints, rows)
 
 
-def _rows_zero_mask(a: Vector, rows: Iterable) -> int:
-    """Bit i set iff a . rows[i] == 0, for int rows (nonzero multiples of
-    vectors' _ints) over a's field and of a's width."""
-    row = a._ints
-    p = a.field.p
+def _rows_zero_mask(p: int, row, rows: Iterable) -> int:
+    """Bit i set iff row . rows[i] == 0, mod p when p > 0, for int rows
+    of one width."""
     mask = 0
     for i, r in enumerate(rows):
         total = sum(map(mul, row, r))

@@ -12,10 +12,11 @@ integer literals, +, -, *, and nonnegative integer powers (either ** or
 ^); they are validated as an AST whitelist and evaluated exactly over
 the instance field.
 
-Every evaluator here takes integer point descriptors and computes in
-ints: exact integers over Q, residues over F_p (powers taken mod p).
-exactalg._vector_of_ints makes the image vector from those ints, which
-are its int form, without boxing an entry.
+Every evaluator here takes integer point descriptors and returns the
+image as an int row, the contract Instance.evaluate states: a tuple of d
+ints, exact integers over Q and, over F_p, ints that Instance.row
+reduces mod p (powers are taken mod p as they are computed).  A scan
+tests those rows and boxes a Vector only for the points it keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .exactalg import (
     Field,
     PrimeField,
     QQ,
-    _vector_of_ints,
     basis_vector,
     field_from_json,
     field_to_json,
@@ -124,13 +124,16 @@ class _Powers(ast.NodeTransformer):
 def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int = 0):
     """Compile polynomial expressions into one exact evaluator.
 
-    Returns a callable taking a dict of variable -> value (field elements
-    or ints) and returning the tuple of the polynomials' values, all from
-    one eval.  With a prime p the values must be ints; powers are then
-    taken mod p, and the results are right mod p.
+    Returns a function taking one value per variable, in the order of
+    variables, and returning the tuple of the polynomials' values: one
+    compiled lambda, so a call runs no eval.  Ints give exact integers.
+    With a prime p the values must be ints; powers are then taken mod p,
+    and the results are right mod p.
     """
     if _POWER in variables:  # it would hide the power function
         raise InvalidInputError(f"{_POWER!r} is not a variable name")
+    if len(set(variables)) != len(variables):
+        raise InvalidInputError("variables must be distinct names")
     bodies = []
     for text in texts:
         try:
@@ -139,15 +142,18 @@ def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int =
             raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
         _validate_poly_ast(parsed, variables)
         bodies.append(_Powers().visit(parsed.body))
-    tree = ast.fix_missing_locations(ast.Expression(ast.Tuple(bodies, ast.Load())))
+    params = ast.arguments(
+        posonlyargs=[ast.arg(arg=v) for v in variables],
+        args=[],
+        kwonlyargs=[],
+        kw_defaults=[],
+        defaults=[],
+    )
+    body = ast.Lambda(params, ast.Tuple(bodies, ast.Load()))
+    tree = ast.fix_missing_locations(ast.Expression(body))
     code = compile(tree, f"<polynomials {list(texts)!r}>", "eval")
     power = (lambda base, k: pow(base, k, p)) if p else _bounded_power
-    no_builtins = {"__builtins__": {}, _POWER: power}
-
-    def evaluate(env: dict) -> tuple:
-        return eval(code, no_builtins, env)  # noqa: S307 - AST whitelisted
-
-    return evaluate
+    return eval(code, {"__builtins__": {}, _POWER: power})  # noqa: S307 - AST whitelisted
 
 
 def polynomial_instance(
@@ -172,8 +178,7 @@ def polynomial_instance(
             raise InvalidInputError(f"point {point!r} has wrong arity, expected {dims}")
         if not all(map(_is_int, coords)):
             raise InvalidInputError(f"point {point!r} has a non-integer coordinate")
-        env = dict(zip(variables, [c % p for c in coords] if p else coords))
-        return _vector_of_ints(field, evaluate_all(env))
+        return evaluate_all(*[c % p for c in coords] if p else coords)
 
     def stream():
         if isinstance(field, PrimeField):
@@ -219,7 +224,7 @@ def moment_curve(d: int, field: Field = QQ) -> Instance:
             raise InvalidInputError(f"moment curve point {x!r} is not an integer")
         if p:
             x %= p
-        return _vector_of_ints(field, [x**k for k in range(d)])
+        return tuple([x**k for k in range(d)])
 
     def stream():
         if isinstance(field, PrimeField):
@@ -270,10 +275,10 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         i, s, t = point
         if not 0 <= i < d - 1:
             raise InvalidInputError(f"plane index {i} out of range")
-        ints = [0] * d
-        ints[0] = s
-        ints[i + 1] = t
-        return _vector_of_ints(field, ints)
+        row = [0] * d
+        row[0] = s
+        row[i + 1] = t
+        return tuple(row)
 
     def stream():
         if isinstance(field, PrimeField):
@@ -318,7 +323,7 @@ def two_lines() -> Instance:
     def evaluate(x):
         if not _is_int(x):
             raise InvalidInputError(f"two_lines point {x!r} is not an integer")
-        return _vector_of_ints(field, (x, 0) if x % 2 == 0 else (0, x))
+        return (x, 0) if x % 2 == 0 else (0, x)
 
     axes = ((basis_vector(field, 2, 0),), (basis_vector(field, 2, 1),))
     return Instance(

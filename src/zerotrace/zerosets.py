@@ -51,6 +51,9 @@ if TYPE_CHECKING:
 #: Default number of stream points a scan may consume.
 DEFAULT_BUDGET = 10_000
 
+#: A run may not give a scan a larger budget.
+MAX_BUDGET = 1_000_000
+
 #: Brute-force enumeration requires p**d at most this, and the F_p
 #: witness search gives up after this many tries.
 BRUTEFORCE_SPACE_LIMIT = 2_000_000
@@ -67,7 +70,10 @@ _RATIONAL_SEARCH_CAP = 200_000
 class Instance:
     """A coordinatized map X -> F^d with a restartable point stream.
 
-    evaluate turns a point descriptor into its image Vector of width d;
+    evaluate turns a point descriptor into its image as an int row: a
+    tuple of d ints, exact integers over Q and any ints over F_p, where
+    row() reduces them mod p.  A scan tests those rows and boxes a
+    Vector (image()) only for the points it keeps.
     stream() yields descriptors in a fixed documented order, so every
     scan in the package is deterministic.  cover optionally records a
     known finite cover of the image by proper subspaces, checked when the
@@ -88,13 +94,17 @@ class Instance:
         if self.d < 1:
             raise InvalidInputError("instance needs d >= 1")
 
+    def row(self, point) -> tuple:
+        """The image of point as d ints, residues over F_p.  Anything
+        else the evaluator returns is refused, bools and Fractions too."""
+        row = self.evaluate(point)
+        if type(row) is not tuple or len(row) != self.d or not all(type(x) is int for x in row):
+            raise InvalidInputError(f"evaluator returned a bad image for {point!r}: {row!r}")
+        p = self.field.p
+        return tuple([x % p for x in row]) if p else row
+
     def image(self, point) -> Vector:
-        v = self.evaluate(point)
-        if not isinstance(v, Vector) or v.field != self.field or len(v._ints) != self.d:
-            raise InvalidInputError(
-                f"evaluator returned a bad image for {point!r}: {v!r}"
-            )
-        return v
+        return _vector_of_ints(self.field, self.row(point))
 
 
 def _point_label(point) -> str:
@@ -214,11 +224,12 @@ def linearly_independent(
     before d points ends that way too: its annihilator proves dependence
     (an empty stream gets e_0).  Each image's int row is
     divided by the gcd of its entries, which keeps its line (over F_p
-    that gcd is a unit), and only the distinct rows are added to the
-    span and kept for that check, so a stream of multiples of a few
-    lines adds few rows.
+    that gcd is a unit), and only the distinct rows are boxed, added to
+    the span and kept for that check, so a stream of multiples of a few
+    lines builds few vectors.
     """
     inst = instance
+    field = inst.field
     if budget < inst.d:
         raise BudgetExhaustedError(f"budget {budget} cannot reach d={inst.d} points")
     span = Span()
@@ -228,15 +239,15 @@ def linearly_independent(
     exhausted = True
     stream = inst.stream()
     for point in islice(stream, budget):
-        v = inst.image(point)
+        row = inst.row(point)
         scanned += 1
-        row = v._ints
         g = gcd(*row)
         if g > 1:
             row = tuple([x // g for x in row])
         if row in rows:
             continue  # a row already seen lies in the span
         rows.add(row)
+        v = _vector_of_ints(field, row)
         if span.add(v):
             basis.append(v)
             if len(basis) == inst.d:
@@ -249,9 +260,9 @@ def linearly_independent(
                 )
     else:
         exhausted = next(stream, None) is None  # islice stopped: budget or end?
-    kernel = nullspace_basis(inst.field, inst.d, basis)
+    kernel = nullspace_basis(field, inst.d, basis)
     witness = projective_normalize(kernel[0])
-    if _rows_zero_mask(witness, rows) == (1 << len(rows)) - 1:
+    if _rows_zero_mask(field.p, witness._ints, rows) == (1 << len(rows)) - 1:
         kind = "dependent"
     else:
         kind = "inconclusive"
@@ -268,12 +279,13 @@ def distinct_image_points(instance: Instance, n: int, *, budget: int) -> Sample:
     """The sample of the first n stream points with pairwise distinct images.
 
     Fewer come back only when the stream ends first.  Scanning budget
-    stream points without finding n raises BudgetExhaustedError.
+    stream points without finding n raises BudgetExhaustedError.  Images
+    are told apart by their int rows; only the ones returned are boxed.
     """
-    found: dict = {}  # image -> its first point, in stream order
+    found: dict = {}  # int row -> its first point, in stream order
     stream = instance.stream()
     for point in islice(stream, budget):
-        found.setdefault(instance.image(point), point)
+        found.setdefault(instance.row(point), point)
         if len(found) == n:
             break
     else:
@@ -282,7 +294,8 @@ def distinct_image_points(instance: Instance, n: int, *, budget: int) -> Sample:
                 f"found only {len(found)} of {n} points with distinct images "
                 f"within budget {budget}"
             )
-    return Sample(instance, tuple(found.values()), tuple(found))
+    images = tuple(_vector_of_ints(instance.field, row) for row in found)
+    return Sample(instance, tuple(found.values()), images)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,31 @@ def test_flat_lattice_cap_is_a_resource_exit(capsys, monkeypatch):
     assert err == "resource limit: flat lattice exceeded 6 closures\n"
 
 
+def test_budget_past_the_cap_is_a_resource_exit_before_any_scan(tmp_path, capsys, monkeypatch):
+    scanned = []
+    row = zerosets.Instance.row
+    monkeypatch.setattr(zerosets.Instance, "row", lambda self, p: scanned.append(p) or row(self, p))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"budget": 100_000_000}))
+    check = ("--checks", "independence_three_way_negative")
+    for budget, argv in (
+        (100_000_000, ("verify", "--budget", "100000000", *check)),
+        (100_000_000, ("verify", "--config", str(config), *check)),
+        (1_000_001, ("analyze", "--instance", "moment_curve:3", "--budget", "1000001")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"resource limit: budget {budget} exceeds the limit of 1000000 stream points\n"
+    assert scanned == []
+    monkeypatch.setattr(zerosets, "MAX_BUDGET", 100)
+    code, _, err = run(capsys, "verify", "--budget", "101", *check)
+    assert code == 2
+    assert err == "resource limit: budget 101 exceeds the limit of 100 stream points\n"
+    assert scanned == []
+    code, _, _ = run(capsys, "verify", "--budget", "100", *check)
+    assert code == 0 and scanned
+
+
 def test_non_utf8_config_and_spec_are_invalid_input(tmp_path, capsys):
     blob = tmp_path / "binary.json"
     blob.write_bytes(b"\x7fELF\xff\xfe\x00\x81{}")

@@ -6,6 +6,7 @@ from itertools import combinations, islice
 
 import pytest
 
+from zerotrace import constructions, exactalg
 from zerotrace._kernels import binom_le
 from zerotrace.constructions import (
     dual_basis,
@@ -24,7 +25,6 @@ from zerotrace.instances import (
     conics,
     ellipse_carrier,
     high_vcden,
-    integer_spiral,
     moment_curve,
     polynomial_instance,
     two_lines,
@@ -347,46 +347,44 @@ def test_grid_max_tree_respects_dimension_guard():
         grid_max_tree(moment_curve(3), 3)  # no grid structure on this instance
 
 
-def _boxed(name, d, values):
-    """An instance whose evaluator builds its images from boxed entries."""
-    return Instance(
-        name=name,
-        field=QQ,
-        d=d,
-        evaluate=lambda x: Vector.make(QQ, values(x)),
-        stream=integer_spiral,
-    )
+def _built_rows(monkeypatch):
+    """The int rows of the vectors built while the test runs, in order."""
+    built = []
+    fill = exactalg._fill
+
+    def recording(v, field, ints, den):
+        built.append(tuple(ints))
+        fill(v, field, ints, den)
+
+    monkeypatch.setattr(exactalg, "_fill", recording)
+    return built
 
 
-def test_each_image_is_converted_to_ints_at_most_once(monkeypatch):
-    # A boxed image is converted to its int form once, when it is built
-    # (Vector.__init__); every rule after that reads the ints it holds.
-    budget = 300
-    boxed_curve = _boxed("boxed_curve", 3, lambda x: (1, x, x * x))
-    boxed_pair = _boxed("boxed_pair", 2, lambda x: (x, 2 * x))
-    int_curve = moment_curve(3)
-    int_pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
-    boxed_images = {boxed_curve.image(x).entries for x in islice(integer_spiral(), 9)}
-    boxed_images |= {boxed_pair.image(x).entries for x in islice(integer_spiral(), budget)}
-    int_images = {int_curve.image(x).entries for x in islice(integer_spiral(), 9)}
-    int_images |= {int_pair.image(x).entries for x in islice(integer_spiral(), budget)}
+def test_dependence_scan_builds_one_vector_per_distinct_row(monkeypatch):
+    # (x, 2x) streams 10,000 images on one line; divided by their gcds
+    # their rows are (0, 0), (1, 2) and (-1, -2), and only those three
+    # become vectors
+    built = _built_rows(monkeypatch)
+    verdict = linearly_independent(_SCALED_PAIR, budget=10_000)
+    assert (verdict.kind, verdict.scanned) == ("dependent", 10_000)
+    assert [row for row in built if row[1] == 2 * row[0]] == [(0, 0), (1, 2), (-1, -2)]
 
-    converted = Counter()
-    original = Vector.__init__
 
-    def counting(self, field, entries):
-        entries = tuple(entries)
-        converted[entries] += 1
-        original(self, field, entries)
-
-    monkeypatch.setattr(Vector, "__init__", counting)
-    assert len(independence_sequence(boxed_curve, 9)) == 9
-    assert linearly_independent(boxed_pair, budget=budget).kind == "dependent"
-    assert max(converted.values()) == 1
-    assert sum(converted[e] for e in boxed_images) == len(boxed_images)
-
-    # images built from ints hold their int form: none is converted at all
-    converted.clear()
-    independence_sequence(int_curve, 9)
-    linearly_independent(int_pair, budget=budget)
-    assert not int_images & set(converted)
+def test_independence_sequence_builds_only_the_vectors_it_keeps(monkeypatch):
+    # two planes cover high_vcden(3), so the pass stalls and reads all
+    # 2,000 points; once d - 1 = 2 points are chosen, only the points it
+    # accepts become vectors
+    inst = high_vcden(3)
+    imaged = []
+    image = Instance.image
+    monkeypatch.setattr(Instance, "image", lambda self, p: imaged.append(p) or image(self, p))
+    kept = []
+    keep = constructions._vector_of_ints
+    monkeypatch.setattr(constructions, "_vector_of_ints", lambda f, row: kept.append(row) or keep(f, row))
+    with pytest.raises(BudgetExhaustedError, match="after scanning 2000 stream points") as info:
+        independence_sequence(inst, 10, budget=2_000)
+    points = info.value.partial["points"]
+    assert len(points) > 2
+    assert imaged == list(islice(inst.stream(), len(imaged)))
+    assert imaged[-1] == points[1]
+    assert kept == [inst.row(p) for p in points[2:]]

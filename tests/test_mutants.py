@@ -51,7 +51,7 @@ MUTANTS = {
     ),
     "independence_sequence_accepts_all": (
         constructions, "independence_sequence",
-        "if in_span(v, span) if len(images) < d - 1 else _rows_zero_mask(v, normals):",
+        "if _rows_zero_mask(field.p, row, normals):",
         "if False:",
     ),
     "vcdim_read_at_one_short": (

@@ -60,6 +60,32 @@ def test_sample_guards():
     assert Sample.prefix(inst, 2).points == (0, 1)
 
 
+def _constant_instance(field, row):
+    """A three-dimensional instance whose evaluator returns row for every point."""
+    return zerosets.Instance(
+        name="constant", field=field, d=3, evaluate=lambda x: row, stream=lambda: iter((0,))
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+def test_rows_are_tuples_of_d_ints(field):
+    good = _constant_instance(field, (1, -2, 7))
+    assert good.row(0) == ((1, -2, 7) if field is QQ else (1, 1, 1))  # reduced mod p
+    assert good.image(0) == Vector.make(field, (1, -2, 7))
+    for bad in (
+        [1, -2, 7],
+        Vector.make(field, (1, -2, 7)),
+        (1, True, 7),
+        (1, Fraction(1, 2), 7),
+        (1, -2, 7, 0),
+        (1, -2),
+    ):
+        inst = _constant_instance(field, bad)
+        for read in (inst.row, inst.image):
+            with pytest.raises(InvalidInputError, match="bad image"):
+                read(0)
+
+
 def test_prefix_reads_k_stream_points_and_refuses_a_repeat():
     read = []
 
@@ -249,21 +275,23 @@ def test_walk_pins_its_benchmark_counted_calls(monkeypatch, field):
 
 
 def _explicit_sample(field, rows):
-    """Sample whose i-th point has exactly the image rows[i]."""
-    vectors = [Vector.make(field, row) for row in rows]
+    """Sample whose i-th image is rows[i] times the least common
+    denominator of its entries: the int row of Vector.make(field, rows[i]),
+    on the same line."""
+    ints = [Vector.make(field, row)._ints for row in rows]
     inst = zerosets.Instance(
         name="explicit",
         field=field,
         d=len(rows[0]),
-        evaluate=lambda i: vectors[i],
-        stream=lambda: iter(range(len(vectors))),
+        evaluate=lambda i: ints[i],
+        stream=lambda: iter(range(len(ints))),
     )
-    return Sample.take(inst, range(len(vectors)))
+    return Sample.take(inst, range(len(ints)))
 
 
 def _quotient_samples(field):
     """Seeded images with a zero image, equal images, v and -2v, negative
-    leading entries and, over Q, mixed denominators."""
+    leading entries and, over Q, rows cleared of mixed denominators."""
     rng = random.Random(f"quotient:{field}")
     if field is QQ:
         def entry():
@@ -554,7 +582,7 @@ def test_bundle_needs_a_recipe():
     field = QQ
 
     def evaluate(x):
-        return Vector.make(field, (1, x))
+        return (1, x)
 
     from zerotrace.zerosets import Instance
 
