@@ -165,7 +165,7 @@ def _load_instance(cfg: RunConfig):
 
 def _default_sample(inst, spec, cfg: RunConfig, verdict):
     if spec is not None and "sample" in spec:
-        return sample_from_spec(inst, spec, default_prefix=inst.d), "spec"
+        return sample_from_spec(inst, spec), "spec"
     if inst.d > MAX_POINTS:  # the walk would refuse the d points; skip finding them
         raise ResourceLimitError(f"sample of {inst.d} points exceeds the limit {MAX_POINTS}")
     if verdict.kind == "independent":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import prod
 
 from . import _kernels
 from .errors import BudgetExhaustedError, InvalidInputError
@@ -48,18 +49,19 @@ from .setsystem import SetFamily, as_mask
 from .zerosets import DEFAULT_BUDGET, Instance, Sample, ZeroSet, ZeroSetFamily
 
 
-def index_growth(j: int, field: Field):
-    """The fixed injection of grid columns into nonzero field elements.
+def index_growth(j: int, field: Field) -> int:
+    """The fixed injection of grid columns into nonzero field elements,
+    as the int g(j) = j + 1.
 
-    g(j) = j + 1, so column indices stay distinct and nonzero over Q and
-    over F_p whenever p exceeds the largest j + 1 in play.
+    Column indices stay distinct and nonzero over Q, and over F_p
+    whenever p exceeds the largest j + 1 in play; a column the field
+    collapses to 0 is refused.
     """
     if j < 0:
         raise InvalidInputError("column index must be >= 0")
-    value = field.element(j + 1)
-    if value == field.zero:
+    if field.p and not (j + 1) % field.p:
         raise InvalidInputError(f"column injection collapsed at j={j} (field too small)")
-    return value
+    return j + 1
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,6 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
         )
     sample = Sample(inst, seq.points[:n], seq.images[:n])
     sets = []
-    seen = set()
     for size in range(min(d, n + 1)):
         for subset in combinations(range(n), size):
             padded = list(subset) + list(range(n, n + (d - 1 - size)))
@@ -258,9 +259,6 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
                 raise AssertionError(
                     f"padded witness realized {bin(mask)} instead of {bin(expected)}"
                 )
-            if mask in seen:
-                raise AssertionError("duplicate trace in the realization family")
-            seen.add(mask)
             sets.append(ZeroSet(mask, witness))
     ordered = tuple(sorted(sets, key=lambda z: z.mask))
     return ZeroSetFamily(sample, ordered, "subset_realization")
@@ -275,10 +273,9 @@ def grid_point(field: Field, d: int, i: int, j: int) -> Vector:
     """c_(i,j) = e_0 + g(j) * e_(i+1): column j on plane i."""
     if not 0 <= i < d - 1:
         raise InvalidInputError(f"plane index {i} out of range for d={d}")
-    index_growth(j, field)  # rejects a column the field collapses to 0
     ints = [0] * d
     ints[0] = 1
-    ints[i + 1] = j + 1
+    ints[i + 1] = index_growth(j, field)
     return _vector_of_ints(field, ints)
 
 
@@ -293,17 +290,8 @@ def grid_witness(field: Field, d: int, js) -> Vector:
     if len(js) != d - 1:
         raise InvalidInputError(f"need d-1={d - 1} column indices, got {len(js)}")
     values = [index_growth(j, field) for j in js]
-    total = field.one
-    for v in values:
-        total = total * v
-    entries = [total]
-    for ell in range(d - 1):
-        partial = field.one
-        for k, v in enumerate(values):
-            if k != ell:
-                partial = partial * v
-        entries.append(-partial)
-    return Vector(field, tuple(entries))
+    total = prod(values)
+    return _vector_of_ints(field, [total] + [-(total // g) for g in values])
 
 
 def grid_membership(field: Field, d: int, i: int, j: int, js) -> bool:

@@ -606,12 +606,6 @@ def rank(vectors: Sequence[Vector]) -> int:
     return len(Span(vectors))
 
 
-def independent(vectors: Sequence[Vector]) -> bool:
-    """True iff the vectors are linearly independent (vacuously for [])."""
-    vectors = tuple(vectors)
-    return rank(vectors) == len(vectors)
-
-
 def in_span(v: Vector, basis: Union[Span, Sequence[Vector]]) -> bool:
     """Membership of v in span(basis); pass a Span to test many vectors."""
     return v in (basis if isinstance(basis, Span) else Span(basis))

@@ -433,11 +433,9 @@ def _string_list(value, key: str) -> list:
     return value
 
 
-def sample_from_spec(instance: Instance, spec: dict, *, default_prefix: int) -> Sample:
-    """Resolve the optional "sample" part of an instance spec."""
-    part = spec.get("sample") if isinstance(spec, dict) else None
-    if part is None:
-        return Sample.prefix(instance, default_prefix)
+def sample_from_spec(instance: Instance, spec: dict) -> Sample:
+    """Resolve the "sample" part of an instance spec that has one."""
+    part = spec["sample"]
     if not isinstance(part, dict):
         raise InvalidInputError("'sample' must be an object")
     if "prefix" in part:

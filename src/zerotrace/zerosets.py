@@ -303,34 +303,31 @@ def distinct_image_points(instance: Instance, n: int, *, budget: int) -> Sample:
 # ---------------------------------------------------------------------------
 
 
-def _projective_representatives(field: PrimeField, d: int) -> Iterator[Vector]:
-    """All lines of F_p^d, one representative each: first nonzero entry 1."""
-    for lead in range(d):
-        head = (0,) * lead + (1,)
-        for tail in residue_tuples(field.p, d - lead - 1):
-            yield _vector_of_ints(field, head + tail)
-
-
 def enumerate_family_bruteforce(sample: Sample) -> ZeroSetFamily:
     """Trace family via exhaustive projective enumeration (prime fields).
 
-    Iterates every line of coefficient space, so the sample's field must
-    be F_p with p**d below BRUTEFORCE_SPACE_LIMIT.  First witness found
-    per trace is kept (projective order is fixed, so output is stable).
+    Walks every line of coefficient space through its int tuple with
+    first nonzero entry 1, masked against the images' int rows, so the
+    sample's field must be F_p with p**d below BRUTEFORCE_SPACE_LIMIT.
+    The first tuple found per trace is kept (the order is fixed, so
+    output is stable) and boxed as its witness, already projectively
+    normalized: one Vector per trace.
     """
-    field = sample.instance.field
+    inst = sample.instance
+    field = inst.field
     if not isinstance(field, PrimeField):
         raise InvalidInputError("brute-force enumeration needs a prime field")
-    if field.p ** sample.instance.d > BRUTEFORCE_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"p^d = {field.p ** sample.instance.d} exceeds {BRUTEFORCE_SPACE_LIMIT}"
-        )
-    found: dict = {}
-    for a in _projective_representatives(field, sample.instance.d):
-        z = zero_set(sample, a)
-        if z.mask not in found:
-            found[z.mask] = z
-    sets = tuple(found[m] for m in sorted(found))
+    p, d = field.p, inst.d
+    if p**d > BRUTEFORCE_SPACE_LIMIT:
+        raise ResourceLimitError(f"p^d = {p**d} exceeds {BRUTEFORCE_SPACE_LIMIT}")
+    rows = [v._ints for v in sample.images]
+    found: dict = {}  # mask -> first lead-1 tuple realizing it
+    for lead in range(d):
+        head = (0,) * lead + (1,)
+        for tail in residue_tuples(p, d - lead - 1):
+            a = head + tail
+            found.setdefault(_rows_zero_mask(p, a, rows), a)
+    sets = tuple(ZeroSet(m, _vector_of_ints(field, found[m])) for m in sorted(found))
     return ZeroSetFamily(sample, sets, "projective_bruteforce")
 
 

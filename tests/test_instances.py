@@ -1,11 +1,11 @@
 """Built-in instances, polynomial compiler, spec round trips."""
 
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
-from zerotrace.constructions import grid_point, index_growth
+from zerotrace.constructions import grid_point, grid_witness, index_growth
 from zerotrace.errors import InvalidInputError
 from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, rank
 from zerotrace.instances import (
@@ -229,12 +229,12 @@ def test_instance_spec_rejects_malformed():
 def test_sample_from_spec_forms():
     inst = moment_curve(2)
     spec = inst.spec
-    assert sample_from_spec(inst, spec, default_prefix=3).points == (0, 1, -1)
-    assert sample_from_spec(inst, {**spec, "sample": {"prefix": 2}}, default_prefix=3).points == (0, 1)
-    got = sample_from_spec(inst, {**spec, "sample": {"points": [5, -5]}}, default_prefix=3)
+    assert sample_from_spec(inst, {**spec, "sample": {"prefix": 2}}).points == (0, 1)
+    got = sample_from_spec(inst, {**spec, "sample": {"points": [5, -5]}})
     assert got.points == (5, -5)
-    with pytest.raises(InvalidInputError):
-        sample_from_spec(inst, {**spec, "sample": {}}, default_prefix=3)
+    for bad in ({}, None, [3]):
+        with pytest.raises(InvalidInputError):
+            sample_from_spec(inst, {**spec, "sample": bad})
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,23 @@ def test_int_evaluators_match_boxed_references(field):
                 replace(inst, evaluate=bad).image(next(inst.stream()))
 
 
+def _boxed_grid_witness(field, js):
+    """Reference: b_js from field-element products, the first entry the
+    product of all g(j_k), entry i+1 minus the product over k != i."""
+    values = [field.element(j + 1) for j in js]
+    total = field.one
+    for v in values:
+        total = total * v
+    entries = [total]
+    for ell in range(len(values)):
+        partial = field.one
+        for k, v in enumerate(values):
+            if k != ell:
+                partial = partial * v
+        entries.append(-partial)
+    return Vector(field, tuple(entries))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_grid_points_match_boxed_reference(field):
     d = 4
@@ -349,3 +366,10 @@ def test_grid_points_match_boxed_reference(field):
                 index_growth(j, field)
             )
             _assert_same_vector(grid_point(field, d, i, j), want)
+    for d in (2, 3, 4):
+        for js in product(range(15), repeat=d - 1):
+            if p and any((j + 1) % p == 0 for j in js):
+                with pytest.raises(InvalidInputError):
+                    grid_witness(field, d, js)
+                continue
+            _assert_same_vector(grid_witness(field, d, js), _boxed_grid_witness(field, js))

@@ -1,6 +1,7 @@
 """Mutation tests aimed at the checklist itself: each mutant below is a
 one-edit fault that changes the program's output, and `verify`'s checks
-must catch it at the default seed (DeMillo, Lipton and Sayward 1978)."""
+must catch it at the default seed and at seeds 7 and 123 (DeMillo,
+Lipton and Sayward 1978)."""
 
 import __future__
 import inspect
@@ -9,7 +10,7 @@ import textwrap
 
 import pytest
 
-from zerotrace import _kernels, constructions, zerosets
+from zerotrace import _kernels, constructions, maximality, zerosets
 from zerotrace.claims import run_checks
 
 
@@ -57,7 +58,22 @@ MUTANTS = {
     "vcdim_read_at_one_short": (
         _kernels, "_shattered_depth", "== 2 << depth", "== (2 << depth) - 1",
     ),
+    # b_js keeps its first entry but loses the sign of the others
+    "grid_witness_sign_flipped": (
+        constructions, "grid_witness",
+        "[-(total // g) for g in values]", "[total // g for g in values]",
+    ),
+    # the lines led by the last coordinate, e_(d-1) among them, go untried
+    "bruteforce_lead_loop_one_short": (
+        zerosets, "enumerate_family_bruteforce", "for lead in range(d):", "for lead in range(d - 1):",
+    ),
+    # each reduced member is the whole member, dependent vectors included
+    "reduction_keeps_every_member_vector": (
+        maximality, "minimal_spanning_reduction", "if span.add(v))", "if span.add(v) or True)",
+    ),
 }
+
+SEEDS = (20240601, 7, 123)
 
 
 def _failed(results):
@@ -67,7 +83,8 @@ def _failed(results):
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_checklist_fails_under_each_mutant(monkeypatch, mutant):
     _install(monkeypatch, *MUTANTS[mutant])
-    assert _failed(run_checks())
+    for seed in SEEDS:
+        assert _failed(run_checks(seed=seed)), seed
 
 
 def test_truncated_child_kernel_fails_a_rational_check(monkeypatch):
@@ -82,5 +99,5 @@ def test_vcdim_mutant_fails_the_oracle_check_at_each_seed(monkeypatch):
     """The random-family check reads the oracle vcdim off its subset scan;
     that reading alone catches a vcdim read one short."""
     _install(monkeypatch, *MUTANTS["vcdim_read_at_one_short"])
-    for seed in (20240601, 7, 123):
+    for seed in SEEDS:
         assert _failed(run_checks(["oracle_equivalences_random"], seed=seed)), seed

@@ -8,7 +8,7 @@ from itertools import chain, count, product
 
 import pytest
 
-from zerotrace import zerosets
+from zerotrace import exactalg, zerosets
 
 from zerotrace.errors import (
     BudgetExhaustedError,
@@ -134,6 +134,45 @@ def test_flats_matches_bruteforce_on_prime_fields():
         assert set(flats.masks()) == set(brute.masks())
         assert flats.method == "flat_lattice"
         assert brute.method == "projective_bruteforce"
+
+
+def _boxed_bruteforce(sample):
+    """Reference: every line's lead-1 Vector through zero_set, keeping
+    the first ZeroSet per mask, in mask order."""
+    field, d = sample.instance.field, sample.instance.d
+    found = {}
+    for lead in range(d):
+        for tail in product(range(field.p), repeat=d - lead - 1):
+            z = zero_set(sample, Vector.make(field, (0,) * lead + (1,) + tail))
+            found.setdefault(z.mask, z)
+    return [found[m] for m in sorted(found)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F3, F5], ids=str)
+def test_bruteforce_matches_the_boxed_line_loop(monkeypatch, field):
+    rng = random.Random(f"bruteforce:{field}")
+    built = []
+    fill = exactalg._fill
+
+    def recording(v, f, ints, den):
+        built.append(tuple(ints))
+        fill(v, f, ints, den)
+
+    for d in (2, 3, 4):
+        for _ in range(3):
+            rows = [[rng.randrange(field.p) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+            rows += [[0] * d, list(rows[0])]  # a zero image and two equal images
+            rng.shuffle(rows)
+            sample = _explicit_sample(field, rows)
+            want = _boxed_bruteforce(sample)
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(exactalg, "_fill", recording)
+                got = enumerate_family_bruteforce(sample)
+            assert [(z.mask, z.witness) for z in got.sets] == [
+                (z.mask, z.witness) for z in want
+            ]
+            assert built == [z.witness._ints for z in got.sets]  # one vector per trace
 
 
 def _span_closure(images, basis):
