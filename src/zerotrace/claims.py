@@ -349,8 +349,7 @@ def check_maximal_profile_counts(ctx: CheckContext) -> dict:
         expected = binom_le(n, 2)
         constructed = max_vc_trace(seq, n)
         assert len(constructed.sets) == expected
-        sample = Sample.take(inst, seq.points[:n])
-        fam = _checked(enumerate_family_flats(sample)).to_set_family()
+        fam = _checked(enumerate_family_flats(constructed.sample)).to_set_family()
         assert len(fam) == expected, f"n={n}: {len(fam)} traces"
         assert pi(fam, n) == expected
         assert rho(fam, n, depth_cap=ctx.depth_cap) == expected

@@ -253,7 +253,9 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
         for subset in combinations(range(n), size):
             padded = list(subset) + list(range(n, n + (d - 1 - size)))
             witness = subset_witness(seq, padded)
-            mask = zero_mask(witness, seq.images[:n])
+            # subset_witness verified that the witness vanishes on seq
+            # exactly at padded; its first n points are the trace
+            mask = as_mask(padded, len(seq.points)) & ((1 << n) - 1)
             expected = as_mask(subset, n)
             if mask != expected:
                 raise AssertionError(

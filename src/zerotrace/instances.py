@@ -1,16 +1,19 @@
 """Built-in instances, polynomial instances, and the instance JSON spec.
 
-Streams are the documented deterministic orders:
+Streams are the documented deterministic orders, drawn for the moment
+curve, polynomial instances and the plane union from one function:
 
 * one integer variable over Q: 0, 1, -1, 2, -2, ...
 * several integer variables over Q: square shells by max-norm, radius
   ascending, lexicographic within a shell
-* prime fields: lexicographic over F_p tuples, coordinates 0..p-1
+* prime fields: 0..p-1 for one variable, lexicographic over F_p tuples
+  for several
 
 Polynomial instances accept expressions in named variables built from
 integer literals, +, -, *, and nonnegative integer powers (either ** or
-^); they are validated as an AST whitelist and evaluated exactly over
-the instance field.
+^).  One pass over each parsed expression checks every node against
+that whitelist and rewrites its powers into bounded ones; the result is
+evaluated exactly over the instance field.
 
 Every evaluator here takes integer point descriptors and returns the
 image as an int row, the contract Instance.evaluate states: a tuple of d
@@ -52,43 +55,17 @@ def integer_spiral() -> Iterator[int]:
         yield -n
 
 
+def _integer_points(field: Field, dims: int) -> Iterator:
+    """The integer points of a stream in dims coordinates, in the
+    documented order: one coordinate is an int, several a tuple."""
+    if isinstance(field, PrimeField):
+        return iter(range(field.p)) if dims == 1 else residue_tuples(field.p, dims)
+    return integer_spiral() if dims == 1 else integer_shells(dims)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expression compiler
 # ---------------------------------------------------------------------------
-
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
-
-
-def _validate_poly_ast(node: ast.AST, variables: Sequence[str]) -> None:
-    if isinstance(node, ast.Expression):
-        _validate_poly_ast(node.body, variables)
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _ALLOWED_BINOPS):
-            raise InvalidInputError("only +, -, * and integer powers are allowed")
-        if isinstance(node.op, ast.Pow):
-            if not (
-                isinstance(node.right, ast.Constant)
-                and isinstance(node.right.value, int)
-                and node.right.value >= 0
-            ):
-                raise InvalidInputError("exponents must be literal nonnegative integers")
-            _validate_poly_ast(node.left, variables)
-        else:
-            _validate_poly_ast(node.left, variables)
-            _validate_poly_ast(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.UAdd, ast.USub)):
-            raise InvalidInputError("only unary + and - are allowed")
-        _validate_poly_ast(node.operand, variables)
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            raise InvalidInputError(f"non-integer literal {node.value!r}")
-    elif isinstance(node, ast.Name):
-        if node.id not in variables:
-            raise InvalidInputError(f"unknown variable {node.id!r}")
-    else:
-        raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
-
 
 #: Over Q a power past this many bits is refused before it is taken.
 MAX_POWER_BITS = 1 << 20
@@ -107,18 +84,37 @@ def _bounded_power(base, k: int):
     return base ** k
 
 
-class _Powers(ast.NodeTransformer):
-    """Rewrites every a ** k as a call of _POWER, bound to a power that
+def _polynomial_node(node: ast.AST, variables: Sequence[str]) -> ast.AST:
+    """node checked against the polynomial whitelist, and returned with
+    every a ** k rewritten as a call of _POWER, bound to a power that
     stays small: reduced mod p as it is taken over F_p, however large k
-    is, and _bounded_power over Q."""
-
-    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.Pow):
-            return node
-        power = ast.Name(id=_POWER, ctx=ast.Load())
-        call = ast.Call(func=power, args=[node.left, node.right], keywords=[])
-        return ast.copy_location(call, node)
+    is, and _bounded_power over Q.  Operators are checked before their
+    operands, a power's exponent before its base, left before right."""
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            k = node.right
+            if not (isinstance(k, ast.Constant) and isinstance(k.value, int) and k.value >= 0):
+                raise InvalidInputError("exponents must be literal nonnegative integers")
+            base = _polynomial_node(node.left, variables)
+            power = ast.Name(id=_POWER, ctx=ast.Load())
+            return ast.copy_location(ast.Call(func=power, args=[base, k], keywords=[]), node)
+        if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            raise InvalidInputError("only +, -, * and integer powers are allowed")
+        node.left = _polynomial_node(node.left, variables)
+        node.right = _polynomial_node(node.right, variables)
+    elif isinstance(node, ast.UnaryOp):
+        if not isinstance(node.op, (ast.UAdd, ast.USub)):
+            raise InvalidInputError("only unary + and - are allowed")
+        node.operand = _polynomial_node(node.operand, variables)
+    elif isinstance(node, ast.Constant):
+        if not isinstance(node.value, int) or isinstance(node.value, bool):
+            raise InvalidInputError(f"non-integer literal {node.value!r}")
+    elif isinstance(node, ast.Name):
+        if node.id not in variables:
+            raise InvalidInputError(f"unknown variable {node.id!r}")
+    else:
+        raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
+    return node
 
 
 def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int = 0):
@@ -130,18 +126,17 @@ def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int =
     With a prime p the values must be ints; powers are then taken mod p,
     and the results are right mod p.
     """
+    if not variables or len(set(variables)) != len(variables):
+        raise InvalidInputError("variables must be a nonempty list of distinct names")
     if _POWER in variables:  # it would hide the power function
         raise InvalidInputError(f"{_POWER!r} is not a variable name")
-    if len(set(variables)) != len(variables):
-        raise InvalidInputError("variables must be distinct names")
     bodies = []
     for text in texts:
         try:
             parsed = ast.parse(text.replace("^", "**"), mode="eval")
         except SyntaxError as exc:
             raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
-        _validate_poly_ast(parsed, variables)
-        bodies.append(_Powers().visit(parsed.body))
+        bodies.append(_polynomial_node(parsed.body, variables))
     params = ast.arguments(
         posonlyargs=[ast.arg(arg=v) for v in variables],
         args=[],
@@ -166,8 +161,6 @@ def polynomial_instance(
 ) -> Instance:
     if len(polynomials) != d:
         raise InvalidInputError(f"need exactly d={d} polynomials, got {len(polynomials)}")
-    if not variables or len(set(variables)) != len(variables):
-        raise InvalidInputError("variables must be a nonempty list of distinct names")
     p = field.p
     evaluate_all = compile_polynomials(polynomials, variables, p)
     dims = len(variables)
@@ -179,16 +172,6 @@ def polynomial_instance(
         if not all(map(_is_int, coords)):
             raise InvalidInputError(f"point {point!r} has a non-integer coordinate")
         return evaluate_all(*[c % p for c in coords] if p else coords)
-
-    def stream():
-        if isinstance(field, PrimeField):
-            pts = residue_tuples(field.p, dims)
-        elif dims == 1:
-            pts = integer_spiral()
-        else:
-            pts = integer_shells(dims)
-        for pt in pts:
-            yield pt if dims > 1 else (pt[0] if isinstance(pt, tuple) else pt)
 
     resolved_name = name or f"poly[{', '.join(polynomials)}]"
     spec = {
@@ -202,7 +185,7 @@ def polynomial_instance(
         field=field,
         d=d,
         evaluate=evaluate,
-        stream=stream,
+        stream=lambda: _integer_points(field, dims),
         spec=spec,
     )
 
@@ -226,18 +209,13 @@ def moment_curve(d: int, field: Field = QQ) -> Instance:
             x %= p
         return tuple([x**k for k in range(d)])
 
-    def stream():
-        if isinstance(field, PrimeField):
-            return iter(range(field.p))
-        return integer_spiral()
-
     suffix = f"_f{field.p}" if isinstance(field, PrimeField) else ""
     return Instance(
         name=f"moment_curve_d{d}{suffix}",
         field=field,
         d=d,
         evaluate=evaluate,
-        stream=stream,
+        stream=lambda: _integer_points(field, 1),
         spec={"field": field_to_json(field), "d": d, "family": {"builtin": "moment_curve"}},
     )
 
@@ -281,11 +259,7 @@ def high_vcden(d: int, field: Field = QQ) -> Instance:
         return tuple(row)
 
     def stream():
-        if isinstance(field, PrimeField):
-            pairs: Iterator = residue_tuples(field.p, 2)
-        else:
-            pairs = integer_shells(2)
-        for s, t in pairs:
+        for s, t in _integer_points(field, 2):
             if t == 0:
                 yield (0, s, t)  # the shared e_0 axis; one copy is enough
             else:

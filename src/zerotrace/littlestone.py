@@ -120,13 +120,13 @@ def ldim(fam: SetFamily):
 
 def ldim_witness(fam: SetFamily) -> LabeledTree:
     """A fully well-labeled tree of depth ldim(fam), from the kernels'
-    split search (see _kernels.ldim_tree)."""
+    split search (see _kernels.ldim_tree).  It is not validated here:
+    the readers of a tree, count_well_labeled and tree_from_json,
+    validate it."""
     if not fam.masks:
         raise InvalidInputError("empty family has no witness tree")
     depth, nodes, leaves = _kernels.ldim_tree(fam.masks, fam.ground.size)
-    tree = LabeledTree(depth=depth, node_labels=nodes, leaf_labels=leaves)
-    tree.validate(fam)
-    return tree
+    return LabeledTree(depth=depth, node_labels=nodes, leaf_labels=leaves)
 
 
 def level_balanced_tree(fam: SetFamily) -> LabeledTree:
@@ -136,7 +136,9 @@ def level_balanced_tree(fam: SetFamily) -> LabeledTree:
     set equals the leaf's branch pattern when one exists (member 0
     otherwise), so exactly one leaf per member is well-labeled:
     count_well_labeled == len(fam).  This turns any family that
-    realizes many subsets into a one-tree certificate for rho.
+    realizes many subsets into a one-tree certificate for rho.  Like
+    every built tree it is validated by its readers, count_well_labeled
+    and tree_from_json, not here.
     """
     if not fam.masks:
         raise InvalidInputError("empty family has no tree")
@@ -148,9 +150,7 @@ def level_balanced_tree(fam: SetFamily) -> LabeledTree:
     def member_of(tau: str) -> int:
         return index_of.get(as_mask((k for k, c in enumerate(tau) if c == "1"), n), 0)
 
-    tree = LabeledTree.complete(n, len, member_of)
-    tree.validate(fam)
-    return tree
+    return LabeledTree.complete(n, len, member_of)
 
 
 def rho(fam: SetFamily, n: int, *, depth_cap: int = MAX_DEPTH) -> int:

@@ -1,12 +1,12 @@
 """Built-in instances, polynomial compiler, spec round trips."""
 
 from dataclasses import replace
-from itertools import islice, product
+from itertools import count, islice, product
 
 import pytest
 
 from zerotrace.constructions import grid_point, grid_witness, index_growth
-from zerotrace.errors import InvalidInputError
+from zerotrace.errors import InvalidInputError, ResourceLimitError
 from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, rank
 from zerotrace.instances import (
     builtin_help,
@@ -52,24 +52,47 @@ def test_compile_polynomial_evaluates_exactly():
     assert compile_polynomials(["x^5", "2*x^5 - 1"], ["x"], 3)(2) == (2, 3)
     # values are taken positionally, in the order of the variables
     assert compile_polynomials(["x - y"], ["y", "x"])(1, 5) == (4,)
-    with pytest.raises(InvalidInputError):
-        compile_polynomials(["x"], ["x", "x"])
+    for variables in (["x", "x"], []):
+        with pytest.raises(InvalidInputError, match="nonempty list of distinct names"):
+            compile_polynomials(["1"], variables)
 
 
 def test_compile_polynomial_rejects_non_polynomials():
-    for bad in (
-        "__import__('os')",
-        "x.denominator",
-        "x / 2",
-        "x ** y",
-        "x ** -1",
-        "lambda: 1",
-        "z",
-        "1.5",
-        "f(x)",
+    for bad, message in (
+        ("__import__('os')", "disallowed syntax: Call"),
+        ("x.denominator", "disallowed syntax: Attribute"),
+        ("x / 2", "only +, -, * and integer powers are allowed"),
+        ("x / y", "only +, -, * and integer powers are allowed"),
+        ("x ** y", "exponents must be literal nonnegative integers"),
+        ("x ** -1", "exponents must be literal nonnegative integers"),
+        ("x^(1+1)", "exponents must be literal nonnegative integers"),
+        # a power's exponent is checked first, then its base
+        ("(x/2)^3", "only +, -, * and integer powers are allowed"),
+        ("(x/2)^y", "exponents must be literal nonnegative integers"),
+        # an operator before its operands, the left operand before the right
+        ("z / 2", "only +, -, * and integer powers are allowed"),
+        ("z + 1.5", "unknown variable 'z'"),
+        ("~x", "only unary + and - are allowed"),
+        ("-~z", "only unary + and - are allowed"),
+        ("lambda: 1", "disallowed syntax: Lambda"),
+        ("z", "unknown variable 'z'"),
+        ("1.5", "non-integer literal 1.5"),
+        ("True", "non-integer literal True"),
+        ("f(x)", "disallowed syntax: Call"),
     ):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as caught:
             compile_polynomials(["x", bad], ["x", "y"])
+        assert str(caught.value) == message, bad
+
+
+def test_compile_polynomial_bounds_every_power():
+    # the inner power has 1001 bits, the outer one would have 2,000,001
+    nested = compile_polynomials(["(x^1000)^2000"], ["x"])
+    assert nested(1) == (1,)
+    with pytest.raises(ResourceLimitError):
+        nested(2)
+    # over F_5 both powers are taken mod 5: 2^1000003 = 3, 3^1000003 = 2
+    assert compile_polynomials(["(x^1000003)^1000003"], ["x"], 5)(2) == (2,)
 
 
 def test_polynomial_instance_guards():
@@ -128,6 +151,57 @@ def test_builtin_covers_are_certificates_of_their_own_instance():
     assert covered == {"two_lines"} | {
         f"high_vcden_d{d}{suffix}" for d in (3, 4, 5) for suffix in ("", "_f5")
     }
+
+
+# ---------------------------------------------------------------------------
+# Stream orders against a reference written from the documented orders
+# ---------------------------------------------------------------------------
+
+STREAM_PREFIX = 300
+
+
+def _reference_points(field, dims):
+    """The documented order of integer points in dims coordinates."""
+    if field.p:
+        if dims == 1:
+            yield from range(field.p)
+        else:
+            yield from product(range(field.p), repeat=dims)
+        return
+    for r in count():
+        if dims == 1:
+            yield from (0,) if r == 0 else (r, -r)
+        else:
+            for point in product(range(-r, r + 1), repeat=dims):
+                if max(map(abs, point)) == r:
+                    yield point
+
+
+def _reference_planes(field, d):
+    """(s, t) in the documented order, as (i, s, t) on every plane i;
+    a point of the shared axis t = 0 once, on plane 0."""
+    for s, t in _reference_points(field, 2):
+        yield from [(0, s, t)] if t == 0 else [(i, s, t) for i in range(d - 1)]
+
+
+def _first(points):
+    return list(islice(points, STREAM_PREFIX))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+def test_stream_orders_match_the_documented_orders(field):
+    for d in (1, 2, 4):
+        assert _first(moment_curve(d, field).stream()) == _first(_reference_points(field, 1))
+    for d in (2, 3, 5):
+        assert _first(high_vcden(d, field).stream()) == _first(_reference_planes(field, d))
+    for variables in (["x"], ["x", "y"], ["u", "v", "w"]):
+        inst = polynomial_instance(field, 2, ["1", " + ".join(variables)], variables)
+        expected = _first(_reference_points(field, len(variables)))
+        assert _first(inst.stream()) == expected, variables
+    if not field.p:
+        assert _first(two_lines().stream()) == _first(_reference_points(QQ, 1))
+        for inst in (conics(), ellipse_carrier()):
+            assert _first(inst.stream()) == _first(_reference_points(QQ, 2))
 
 
 def test_high_vcden_stream_dedupes_shared_axis():
