@@ -587,7 +587,10 @@ def check_json_round_trips(ctx: CheckContext) -> dict:
     assert json.dumps(tree_to_json(tree2), sort_keys=True) == json.dumps(
         tblob, sort_keys=True
     )
-    assert count_well_labeled(tree2, fam) == count_well_labeled(tree, fam)
+    # tree_from_json validated tree2, so its leaves are counted directly
+    assert sum(leaf_well_labeled(tree2, fam, leaf) for leaf in tree2.leaf_labels) == (
+        count_well_labeled(tree, fam)
+    )
     return {"family_masks": len(fam.masks), "tree_depth": tree.depth}
 
 

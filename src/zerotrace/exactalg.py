@@ -16,11 +16,11 @@ Each ``Vector`` is held as plain ints over one positive denominator:
 residues over F_p, integers over Q.  ``Span`` rows, ``dot`` sums,
 ``zero_mask`` tests, equality and hashing all read those ints, and a
 vector boxes its entries into ``Fraction`` or ``FpElement`` values
-only when ``.entries`` is first read.  The instance evaluators return
-int rows, and the stream scans in ``zerosets`` and ``constructions``
-test those rows directly, boxing a ``Vector`` (``_vector_of_ints``)
-only for the rows they keep; their zero tests read the ints of kernel
-vectors (``Vector._ints``).
+only when ``.entries`` is read, anew on each read.  The instance
+evaluators return int rows, and the stream scans in ``zerosets`` and
+``constructions`` test those rows directly, boxing a ``Vector``
+(``_vector_of_ints``) only for the rows they keep; their zero tests
+read the ints of kernel vectors (``Vector._ints``).
 """
 
 from __future__ import annotations
@@ -305,12 +305,12 @@ class Vector:
     _ints over the positive int _den gives the entries: entries[i] ==
     _ints[i] / _den.  Over F_p _den is 1 and _ints holds residues; over
     Q gcd(*_ints, _den) == 1.  That form is canonical, so equality and
-    hashing read it; the Fraction or FpElement entries are boxed once,
-    on the first read of .entries.  Vector(field, entries), Vector.make
-    and _vector_of_ints are the constructors.
+    hashing read it; .entries boxes the Fraction or FpElement entries
+    anew on each read.  Vector(field, entries), Vector.make and
+    _vector_of_ints are the constructors, and _fill is the only writer.
     """
 
-    __slots__ = ("field", "_ints", "_den", "_entries")
+    __slots__ = ("field", "_ints", "_den")
 
     def __init__(self, field: Field, entries: Iterable):
         if field.p:
@@ -328,15 +328,11 @@ class Vector:
 
     @property
     def entries(self) -> tuple:
-        entries = self._entries
-        if entries is None:
-            field, den = self.field, self._den
-            if field.p:
-                entries = tuple([FpElement(field, x) for x in self._ints])
-            else:
-                entries = tuple([Fraction(x, den) for x in self._ints])
-            _set_entries(self, entries)
-        return entries
+        field = self.field
+        if field.p:
+            return tuple([FpElement(field, x) for x in self._ints])
+        den = self._den
+        return tuple([Fraction(x, den) for x in self._ints])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -422,12 +418,11 @@ def _fill(v: Vector, field: Field, ints, den: int) -> None:
     _set_field(v, field)
     _set_ints(v, ints)
     _set_den(v, den)
-    _set_entries(v, None)
 
 
 # The slots' own descriptors set them past Vector.__setattr__, which
 # keeps Vector frozen to everyone else.
-_set_field, _set_ints, _set_den, _set_entries = (
+_set_field, _set_ints, _set_den = (
     Vector.__dict__[name].__set__ for name in Vector.__slots__
 )
 

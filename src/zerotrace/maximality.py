@@ -6,7 +6,9 @@ equals {x in sample : image(x) in ker(a)} and only the span of the
 image set matters.  Consequences, each with a direct checker:
 
 * taking spans is injective on the image family of any enumerated
-  trace family, and no member spans all of F^d;
+  trace family, and no member spans all of F^d
+  (require_span_injective, which raises on the first failure; the
+  reduction and the bound check below both start with it);
 * each member reduces to an independent spanning subset of size < d,
   preserving the family's cardinality;
 * if every sampled image lies in one of k proper subspaces and the
@@ -105,45 +107,33 @@ def image_family(zfam: ZeroSetFamily) -> SpanFamily:
     return SpanFamily.create(zfam.sample.instance.d, members)
 
 
-@dataclass(frozen=True)
-class SpanInjectivityReport:
-    """Verdict with a counterexample pair or member index on failure."""
-
-    injective: bool
-    reason: Optional[str] = None  # "full_span" | "equal_spans"
-    indices: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.injective
-
-
-def span_injective(fam: SpanFamily) -> SpanInjectivityReport:
-    """True iff no member spans F^d and distinct members span distinct spaces."""
+def require_span_injective(fam: SpanFamily) -> None:
+    """Raise InvalidInputError unless no member spans F^d and distinct
+    members span distinct spaces; the message names the first failure."""
     seen: dict = {}
     for idx, member in enumerate(fam.members):
         span = row_space_canonical(member)
         if len(span) >= fam.d:
-            return SpanInjectivityReport(False, "full_span", (idx,))
-        if span in seen:
-            return SpanInjectivityReport(False, "equal_spans", (seen[span], idx))
-        seen[span] = idx
-    return SpanInjectivityReport(True)
+            failure = f"full_span at {(idx,)}"
+        elif span in seen:
+            failure = f"equal_spans at {(seen[span], idx)}"
+        else:
+            seen[span] = idx
+            continue
+        raise InvalidInputError(f"family is not span injective ({failure})")
 
 
 def minimal_spanning_reduction(fam: SpanFamily) -> SpanFamily:
     """Replace each member by a greedy independent subset with equal span.
 
-    Requires span injectivity.  One Span over the member picks the
-    subset and holds the member's span; a second Span over the subset
-    re-verifies on the way out that it is independent, of size < d, and
-    spans what the member spans.  Equal spans carry the family's
-    cardinality and injectivity over to the reduced family.
+    Requires span injectivity (require_span_injective).  One Span over
+    the member picks the subset and holds the member's span; a second
+    Span over the subset re-verifies on the way out that it is
+    independent, of size < d, and spans what the member spans.  Equal
+    spans carry the family's cardinality and injectivity over to the
+    reduced family.
     """
-    verdict = span_injective(fam)
-    if not verdict:
-        raise InvalidInputError(
-            f"family is not span injective ({verdict.reason} at {verdict.indices})"
-        )
+    require_span_injective(fam)
     reduced_members = []
     for member in fam.members:
         span = Span()
@@ -282,11 +272,7 @@ def _pigeonhole_bound(
 ) -> BoundCheckReport:
     """The bound check on distinct vectors S, S[i] covered by subspace
     assignment[i]: fam must be span injective and drawn from S."""
-    verdict = span_injective(fam)
-    if not verdict:
-        raise InvalidInputError(
-            f"family is not span injective ({verdict.reason} at {verdict.indices})"
-        )
+    require_span_injective(fam)
     vectors = set(S)
     for member in fam.members:
         for v in member:

@@ -202,7 +202,6 @@ class IndependenceVerdict:
     independent images.  kind "dependent": witness_coeffs is a
     nonzero vector annihilating every streamed image (a proof when the
     stream was exhausted, budget-bounded evidence otherwise).
-    "inconclusive" is a defensive arm for misbehaving evaluators.
     """
 
     kind: str
@@ -217,16 +216,19 @@ def linearly_independent(
 ) -> IndependenceVerdict:
     """Scan the stream for d points with linearly independent images.
 
-    Success stops at the d-th such point.  If the scan ends with image rank
-    r < d, the nullspace of the accumulated span gives a candidate
-    annihilator, which is re-verified against every streamed image
-    before the dependent verdict is issued.  A finite stream that ends
-    before d points ends that way too: its annihilator proves dependence
-    (an empty stream gets e_0).  Each image's int row is
-    divided by the gcd of its entries, which keeps its line (over F_p
-    that gcd is a unit), and only the distinct rows are boxed, added to
-    the span and kept for that check, so a stream of multiples of a few
-    lines builds few vectors.
+    Success stops at the d-th such point.  If the scan ends with image
+    rank r < d, the nullspace of the accumulated span gives the
+    annihilator.  A finite stream that ends before d points ends that
+    way too: its annihilator proves dependence (an empty stream gets
+    e_0).  Each image's int row is divided by the gcd of its entries,
+    which keeps its line (over F_p that gcd is a unit), and only the
+    distinct rows are boxed, added to the span and kept, so a stream of
+    multiples of a few lines builds few vectors.
+
+    The annihilator is a kernel vector of a span that holds every kept
+    row, so no evaluator can make it miss one.  It is still checked
+    against each kept row, as a cross-check of Span and nullspace_basis,
+    and a miss raises AssertionError.
     """
     inst = instance
     field = inst.field
@@ -236,7 +238,6 @@ def linearly_independent(
     basis: list = []
     rows: set = set()
     scanned = 0
-    exhausted = True
     stream = inst.stream()
     for point in islice(stream, budget):
         row = inst.row(point)
@@ -258,16 +259,15 @@ def linearly_independent(
                     rank=inst.d,
                     stream_exhausted=False,
                 )
-    else:
-        exhausted = next(stream, None) is None  # islice stopped: budget or end?
+    exhausted = next(stream, None) is None  # islice stopped: budget or end?
     kernel = nullspace_basis(field, inst.d, basis)
     witness = projective_normalize(kernel[0])
-    if _rows_zero_mask(field.p, witness._ints, rows) == (1 << len(rows)) - 1:
-        kind = "dependent"
-    else:
-        kind = "inconclusive"
+    if _rows_zero_mask(field.p, witness._ints, rows) != (1 << len(rows)) - 1:
+        raise AssertionError(
+            f"{inst.name}: the kernel of the streamed images misses one of them"
+        )
     return IndependenceVerdict(
-        kind=kind,
+        kind="dependent",
         witness_coeffs=witness,
         scanned=scanned,
         rank=len(basis),

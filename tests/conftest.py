@@ -27,15 +27,15 @@ def random_mask_family(rng, n_points, n_sets):
 @pytest.fixture
 def boxed(monkeypatch):
     """The vectors that box their entries while the test runs, in order:
-    the Vector.entries property is wrapped to record each first read."""
+    the Vector.entries property is wrapped to record each read, since
+    every read boxes the entries anew."""
     from zerotrace.exactalg import Vector
 
     seen = []
     read = Vector.entries.fget
 
     def counting(self):
-        if self._entries is None:
-            seen.append(self)
+        seen.append(self)
         return read(self)
 
     monkeypatch.setattr(Vector, "entries", property(counting))

@@ -16,6 +16,7 @@ import zerotrace
 from zerotrace import cli, littlestone, setsystem, zerosets
 from zerotrace.cli import main
 from zerotrace.errors import ResourceLimitError
+from zerotrace.exactalg import basis_vector
 from zerotrace.instances import instance_from_spec, moment_curve, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
 from zerotrace.zerosets import Sample, enumerate_family_flats, point_from_json, verify_bundle
@@ -951,6 +952,18 @@ def _spec_file(tmp_path, field, d, polynomials, variables):
     family = {"polynomials": polynomials, "variables": variables}
     path.write_text(json.dumps({"field": field, "d": d, "family": family}))
     return str(path)
+
+
+def test_a_faulty_independence_kernel_fails_analyze(tmp_path, capsys, monkeypatch):
+    # e_0 is no kernel vector of the line through (1, 2)
+    path = _spec_file(tmp_path, "rational", 2, ["x", "2*x"], ["x"])
+    monkeypatch.setattr(
+        zerosets, "nullspace_basis", lambda field, d, basis: [basis_vector(field, d, 0)]
+    )
+    code, out, err = run(capsys, "analyze", "--instance", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("assertion failed: ") and err.count("\n") == 1
+    assert err.endswith(": the kernel of the streamed images misses one of them\n")
 
 
 def test_shatter_fn_stalled_sequence_falls_back_to_the_whole_table(tmp_path, capsys):

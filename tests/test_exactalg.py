@@ -516,14 +516,14 @@ def test_projective_normalize_matches_scale_by_inverse(field):
         assert all(type(x) is entry_type for x in got)
 
 
-# -- vectors made from ints box their entries on first read -----------------
+# -- vectors made from ints box their entries only when read ----------------
 
 INT_ROWS = [(0, 0, 0), (3, -6, 9), (-2, 0, 5), (4, 8, -12), (0, -7, 0), (6, 3, 0), (-1, 2, -3)]
 
 
 @pytest.mark.parametrize("field", [QQ, F13], ids=["Q", "F13"])
 def test_vector_made_from_ints_behaves_like_an_eager_one(field):
-    def lazy():  # a fresh vector each time, so no read below sees boxed entries
+    def lazy():  # a fresh vector each time
         return exactalg._vector_of_ints(field, ints)
 
     for ints in INT_ROWS:
@@ -544,7 +544,6 @@ def test_vector_made_from_ints_behaves_like_an_eager_one(field):
                 setattr(v, name, value)
             with pytest.raises(FrozenInstanceError):
                 delattr(v, name)
-        assert v.entries is v.entries  # boxed once, then a plain slot read
         assert v == eager
 
 

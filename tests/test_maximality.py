@@ -16,7 +16,7 @@ from zerotrace.maximality import (
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
-    span_injective,
+    require_span_injective,
 )
 from zerotrace.zerosets import Sample, enumerate_family_flats
 
@@ -44,18 +44,30 @@ def test_image_family_alignment():
         assert {v.entries for v in member} == {v.entries for v in picked}
 
 
+COLLIDE = SpanFamily.create(2, [(vq(1, 0),), (vq(2, 0),)])
+FULL = SpanFamily.create(2, [(vq(1, 0), vq(0, 1))])
+REFUSALS = [
+    (COLLIDE, r"family is not span injective \(equal_spans at \(0, 1\)\)"),
+    (FULL, r"family is not span injective \(full_span at \(0,\)\)"),
+]
+
+
 def test_span_injective_positive_and_negative():
     s = Sample.take(moment_curve(3), [0, 1, -1, 2])
-    report = span_injective(image_family(enumerate_family_flats(s)))
-    assert report.injective and bool(report)
-    collide = SpanFamily.create(2, [(vq(1, 0),), (vq(2, 0),)])
-    bad = span_injective(collide)
-    assert not bad.injective
-    assert bad.reason == "equal_spans"
-    assert bad.indices == (0, 1)
-    full = SpanFamily.create(2, [(vq(1, 0), vq(0, 1))])
-    report = span_injective(full)
-    assert not report.injective and report.reason == "full_span"
+    assert require_span_injective(image_family(enumerate_family_flats(s))) is None
+    for fam, message in REFUSALS:
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            require_span_injective(fam)
+
+
+@pytest.mark.parametrize("fam, message", REFUSALS, ids=["equal_spans", "full_span"])
+def test_span_injectivity_refusals_reach_both_callers(fam, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        minimal_spanning_reduction(fam)
+    # S is the collinear pair under a one-line cover: |S| = 2 > k(d-1) = 1
+    on_line = CoverCertificate(QQ, 2, ((basis_vector(QQ, 2, 0),),))
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        not_maximal_bound_check([vq(1, 0), vq(2, 0)], on_line, fam)
 
 
 def test_minimal_spanning_reduction():
@@ -68,9 +80,9 @@ def test_minimal_spanning_reduction():
         assert rank(after) == len(after)
         assert len(after) < sf.d
         assert len(after) == rank(before)
-    assert span_injective(reduced).injective
+    require_span_injective(reduced)
     with pytest.raises(InvalidInputError):
-        minimal_spanning_reduction(SpanFamily.create(2, [(vq(1, 0),), (vq(2, 0),)]))
+        minimal_spanning_reduction(COLLIDE)
 
 
 def test_cover_certificate_guards_and_assignment():

@@ -21,6 +21,7 @@ from zerotrace.exactalg import (
     Span,
     Vector,
     _int_columns,
+    basis_vector,
     dot,
     in_span,
     nullspace_basis,
@@ -546,6 +547,17 @@ def test_streamed_multiples_of_one_line_add_one_row_each(monkeypatch):
     scan, kernel = added.values()  # the scan's span, then the kernel's span of its basis
     assert scan <= 3
     assert kernel == verdict.rank
+
+
+def test_a_kernel_missing_a_streamed_image_is_an_assertion(monkeypatch):
+    # e_0 is no kernel vector of the line through (1, 2): only a fault in
+    # nullspace_basis can produce it, and the verdict must not be issued
+    monkeypatch.setattr(
+        zerosets, "nullspace_basis", lambda field, d, basis: [basis_vector(field, d, 0)]
+    )
+    pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    with pytest.raises(AssertionError, match=r"^poly\[x, 2\*x\]: the kernel of the streamed"):
+        linearly_independent(pair, budget=50)
 
 
 def test_independence_budget_below_d_is_exhausted_not_invalid():
