@@ -15,7 +15,7 @@ import pytest
 import zerotrace
 from zerotrace import cli, littlestone, setsystem, zerosets
 from zerotrace.cli import main
-from zerotrace.errors import ResourceLimitError
+from zerotrace.errors import ResourceLimitError, StreamExhaustedError
 from zerotrace.exactalg import basis_vector
 from zerotrace.instances import instance_from_spec, moment_curve, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
@@ -1049,6 +1049,27 @@ def test_verify_budget_limit_exits_2_and_other_failures_exit_1(monkeypatch, caps
     assert json.loads(out)["failed"] == 2
 
 
+def test_verify_stream_exhaustion_exits_2_and_with_a_crash_exits_1(monkeypatch, capsys):
+    def exhaust(ctx):
+        raise StreamExhaustedError("designed end of stream")
+
+    def crash(ctx):
+        raise ValueError("designed crash")
+
+    for name, check in (("json_round_trips", exhaust), ("grid_membership_pattern", crash)):
+        assertion, _ = cli.CHECKS[name]
+        monkeypatch.setitem(cli.CHECKS, name, (assertion, check))
+    code, out, err = run(capsys, "verify", "--checks", "json_round_trips")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["passed"], report["failed"]) == (0, 1)
+    assert report["results"][0]["error"] == "StreamExhaustedError: designed end of stream"
+    assert err.startswith("FAIL json_round_trips:")
+    code, out, _ = run(capsys, "verify", "--checks", "json_round_trips,grid_membership_pattern")
+    assert code == 1
+    assert json.loads(out)["failed"] == 2
+
+
 def test_verify_budget_below_d_is_a_resource_exit(capsys):
     code, out, _ = run(capsys, "verify", "--budget", "1")
     assert code == 2
@@ -1227,3 +1248,51 @@ def test_designed_grid_export_matches_golden_digests(tmp_path, capsys):
     assert code == 0
     for name, digest in GOLDEN_EXPORT_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+#: Exit code, sha256 of stdout without timings, and sha256 of stderr, for
+#: the limit exits, refusals and CSV output that GOLDEN_DIGESTS does not
+#: cover.  "{spec}" stands for the Q spec x^2 - y, x*y, x^2 - y + 3*x*y;
+#: its report drops config.instance, the file's path.
+EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN_EXITS = {
+    ("analyze", "--instance", "moment_curve:13"):
+        (2, EMPTY, "b8b68130f153ee7336b954903b2b15ba1ff28edfa6d3536c2053495cdbdcbfac"),
+    ("analyze", "--instance", "moment_curve:12,p=2"):
+        (2, EMPTY, "82db6db7177e0813a010ab005cddd4e1d246f62761bf92a3d4bf2c0b13ecae2c"),
+    ("analyze", "--instance", "moment_curve:3", "--budget", "1000001"):
+        (2, EMPTY, "53208e2a886a7f7fa2371c33ff17eefedb18f82d27e5d276aef8436ce1953242"),
+    ("shatter-fn", "--instance", "moment_curve:3", "--n-max", "30", "--depth-cap", "2"):
+        (2, EMPTY, "f7bde66aafce2cbd612153189083ffeca7a05ed94cf6f1d27e1707b69299b67a"),
+    ("verify", "--budget", "3", "--checks", "dichotomy_on_builtins"):
+        (2, "c974e7baab3c07a560c80c667de42e4db0d0244162a2671c48b0ab16611179f1",
+         "332fcff69b2832f2b28dc5245c9d9988b31610556b1d520960291ab010caa91a"),
+    ("verify", "--depth-cap", "1"):
+        (2, "b757eaaf6f9bdbb99d436c494d59a5621c26400732befcccd9879679b26abbc5",
+         "ba860ce2066fc626cee8c2562439975019d75e98db4e16a9461b34adbe4fb0bb"),
+    ("analyze", "--instance", "nope"):
+        (3, EMPTY, "cb821f0525a6c161123f4a3e1127bf1b8a244cb327d1374a443edcff14b9527d"),
+    ("verify", "--checks", "nonsense"):
+        (3, EMPTY, "fda55ff54e617b0869d356ad7fc2bc298f92e55a683c8ad623f89eb45805764c"),
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6", "--format", "csv"):
+        (0, "c2baa4737b3f0d670a793e7b4c848d1272f79f1d9d0c123227087ba5583d3cd2", EMPTY),
+    ("analyze", "--instance", "{spec}"):
+        (0, "ed0c7e194728f48d5dff21b8ff9f9f656c6d51bad710504338a53db1f79084c2", EMPTY),
+}
+
+
+def _golden_outputs(tmp_path, capsys, argv):
+    spec = _spec_file(tmp_path, "rational", 3, ["x^2 - y", "x*y", "x^2 - y + 3*x*y"], ["x", "y"])
+    code, out, err = run(capsys, *(spec if a == "{spec}" else a for a in argv))
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["timings"]
+        if "{spec}" in argv:
+            del report["config"]["instance"]
+        out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_EXITS), ids=" ".join)
+def test_exits_and_outputs_match_golden_table(tmp_path, capsys, argv):
+    assert _golden_outputs(tmp_path, capsys, argv) == GOLDEN_EXITS[argv]
