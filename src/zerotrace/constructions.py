@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
 
-from . import _kernels
 from .errors import BudgetExhaustedError, InvalidInputError
 from .exactalg import (
     Field,
@@ -112,10 +111,11 @@ def dual_basis(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> DualBasis
     images: list = []
     rows: list = []  # rows[i] spans only the first k coordinates at step k
     for k in range(d):
-        # g' = e_k - sum_i f_k(c_i) * g_i  (coefficients w.r.t. the functions)
+        # g' = e_k - sum_i f_k(c_i) * g_i  (coefficients w.r.t. the functions);
+        # an image is an int row over denominator 1, so f_k(c_i) is img._ints[k]
         corrected = basis_vector(field, d, k)
         for img, row in zip(images, rows):
-            corrected = corrected - row.scale(img[k])
+            corrected = corrected - row.scale(img._ints[k])
         for point, img in rescan():
             value = dot(corrected, img)
             if value != field.zero:
@@ -303,13 +303,13 @@ def grid_membership(field: Field, d: int, i: int, j: int, js) -> bool:
 
 @dataclass(frozen=True)
 class GridTreeResult:
-    """The depth-n tree over grid points plus its referenced traces."""
+    """The depth-n tree over grid points plus its referenced traces; the
+    tree has C(n,0) + ... + C(n,d-1) well-labeled leaves."""
 
     tree: LabeledTree
     family: SetFamily
     witnesses: tuple  # witnesses[i]: the coefficient vector of family member i
     sample: Sample
-    well_labeled_target: int  # C(n,0) + ... + C(n,d-1)
 
 
 def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
@@ -368,5 +368,4 @@ def grid_max_tree(instance: Instance, n: int) -> GridTreeResult:
         family=SetFamily(sample.ground_set(), tuple(z.mask for z in family_sets)),
         witnesses=tuple(z.witness for z in family_sets),
         sample=sample,
-        well_labeled_target=_kernels.binom_le(n, d - 1),
     )

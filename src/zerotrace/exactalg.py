@@ -306,8 +306,10 @@ class Vector:
     _ints[i] / _den.  Over F_p _den is 1 and _ints holds residues; over
     Q gcd(*_ints, _den) == 1.  That form is canonical, so equality and
     hashing read it; .entries boxes the Fraction or FpElement entries
-    anew on each read.  Vector(field, entries), Vector.make and
-    _vector_of_ints are the constructors, and _fill is the only writer.
+    anew on each read.  A Vector is neither iterated nor indexed: one
+    entry is read off _ints and _den.  Vector(field, entries),
+    Vector.make and _vector_of_ints are the constructors, and _fill is
+    the only writer.
     """
 
     __slots__ = ("field", "_ints", "_den")
@@ -352,12 +354,6 @@ class Vector:
 
     def __len__(self) -> int:
         return len(self._ints)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def _check(self, other: "Vector") -> None:
         if not isinstance(other, Vector):

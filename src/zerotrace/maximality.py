@@ -158,9 +158,10 @@ def minimal_spanning_reduction(fam: SpanFamily) -> SpanFamily:
 class CoverCertificate:
     """Claim: the instance image lies in the union of these subspaces.
 
-    Each subspace is a spanning tuple of vectors of rank < d; coverage
-    of one image is decided exactly by in_span, and the claim itself is
-    only ever validated against sampled points.
+    Each subspace is a spanning tuple of vectors of rank < d; assign
+    decides coverage of one image exactly by in_span (None when the
+    image escapes), and the claim itself is only ever validated against
+    sampled points.
     """
 
     field: Field
@@ -190,9 +191,6 @@ class CoverCertificate:
             if in_span(v, spanning):
                 return idx
         return None
-
-    def covers(self, v: Vector) -> bool:
-        return self.assign(v) is not None
 
 
 def cover_to_json(cert: CoverCertificate) -> dict:
@@ -226,12 +224,12 @@ def cover_from_json(data: dict) -> CoverCertificate:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Strict pigeonhole bound on a span-injective family over S."""
+    """Strict pigeonhole bound on a span-injective family over S: its
+    size, the ceiling it stays below, and a subspace that holds d of S."""
 
     count: int
     bound: int  # C(|S|, 0) + ... + C(|S|, d-1)
     crowded_subspace: int  # cover index holding >= d vectors of S
-    crowded_count: int
 
 
 def not_maximal_bound_check(
@@ -288,12 +286,7 @@ def _pigeonhole_bound(
     count = len(fam)
     if not count < bound:
         raise AssertionError(f"family size {count} is not below the ceiling {bound}")
-    return BoundCheckReport(
-        count=count,
-        bound=bound,
-        crowded_subspace=crowded,
-        crowded_count=sizes[crowded],
-    )
+    return BoundCheckReport(count=count, bound=bound, crowded_subspace=crowded)
 
 
 # ---------------------------------------------------------------------------

@@ -143,15 +143,7 @@ class Sample:
         return len(self.points)
 
     def ground_set(self) -> GroundSet:
-        labels = []
-        used = set()
-        for i, p in enumerate(self.points):
-            lab = _point_label(p)
-            if lab in used:  # defensive: descriptors stringify identically
-                lab = f"{lab}#{i}"
-            used.add(lab)
-            labels.append(lab)
-        return GroundSet(len(self.points), tuple(labels))
+        return GroundSet(len(self.points), tuple(_point_label(p) for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -462,14 +454,14 @@ class LinePartitionReport:
     block_masks[i] collects sample points whose nonzero image spans the
     i-th distinct given line; zero_block_mask collects points with zero image.  Every
     trace must be the zero block united with some of the blocks, so the
-    family has at most 2**k members.
+    family has at most 2**k members; density_zero_partition raises on a
+    trace that misses part of the zero block or splits a block.
     """
 
     block_masks: tuple
     zero_block_mask: int
     family: ZeroSetFamily
     bound: int
-    decompositions: tuple  # per trace, sorted tuple of block indices
 
 
 def density_zero_partition(sample: Sample, lines: Sequence[Vector]) -> LinePartitionReport:
@@ -501,25 +493,17 @@ def density_zero_partition(sample: Sample, lines: Sequence[Vector]) -> LineParti
         raise AssertionError(
             f"line collapse bound violated: {len(family)} traces > 2^{k}"
         )
-    decompositions = []
     for z in family.sets:
         if z.mask & zero_block != zero_block:
             raise AssertionError("a trace misses part of the zero-image block")
-        cover = []
-        rest = z.mask & ~zero_block
-        for j in range(k):
-            piece = rest & block_masks[j]
-            if piece == block_masks[j] and piece:
-                cover.append(j)
-            elif piece:
+        for j, block in enumerate(block_masks):
+            if z.mask & block not in (0, block):
                 raise AssertionError(f"trace {bin(z.mask)} splits block {j}")
-        decompositions.append(tuple(cover))
     return LinePartitionReport(
         block_masks=tuple(block_masks),
         zero_block_mask=zero_block,
         family=family,
         bound=bound,
-        decompositions=tuple(decompositions),
     )
 
 

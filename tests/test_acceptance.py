@@ -144,17 +144,18 @@ def test_criterion_5_two_line_image_collapses_traces():
         report = density_zero_partition(sample, lines)
         assert report.bound == 4
         assert len(report.family) <= 4
-        for z, blocks in zip(report.family.sets, report.decompositions):
+        for z in report.family.sets:
             rebuilt = report.zero_block_mask
-            for b in blocks:
-                rebuilt |= report.block_masks[b]
+            for block in report.block_masks:
+                if z.mask & block:
+                    rebuilt |= block
             assert z.mask == rebuilt
 
 
 def test_criterion_6_oracle_equivalences_on_seeded_families():
     rng = random.Random(DEFAULT_SEED)
     for _ in range(200):
-        fam = random_family(rng, max_points=6, max_sets=12)
+        fam = random_family(rng)
         n = fam.ground.size
         vc = vcdim(fam)
         ld = ldim(fam)

@@ -512,8 +512,10 @@ def test_projective_normalize_matches_scale_by_inverse(field):
             continue
         got, expected = projective_normalize(v), _ref_projective_normalize(v)
         assert got == expected
-        assert [scalar_to_str(x) for x in got] == [scalar_to_str(x) for x in expected]
-        assert all(type(x) is entry_type for x in got)
+        assert [scalar_to_str(x) for x in got.entries] == [
+            scalar_to_str(x) for x in expected.entries
+        ]
+        assert all(type(x) is entry_type for x in got.entries)
 
 
 # -- vectors made from ints box their entries only when read ----------------
@@ -534,7 +536,7 @@ def test_vector_made_from_ints_behaves_like_an_eager_one(field):
         assert lazy() in {eager} and eager in {lazy()}
         assert {lazy(): "x"}[eager] == "x" and {eager: "x"}[lazy()] == "x"
         assert repr(lazy()) == repr(eager)
-        assert [type(x) for x in lazy()] == [type(x) for x in eager]
+        assert [type(x) for x in lazy().entries] == [type(x) for x in eager.entries]
         assert (lazy()._ints, lazy()._den) == (eager._ints, eager._den)
         v = lazy()
         for name, value in (

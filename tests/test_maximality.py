@@ -92,7 +92,7 @@ def test_cover_certificate_guards_and_assignment():
     assert cert.assign(vq(1, 2, 0)) == 0
     assert cert.assign(vq(1, 0, 2)) == 1
     assert cert.assign(vq(1, 1, 1)) is None
-    assert cert.covers(vq(0, 5, 0))
+    assert cert.assign(vq(0, 5, 0)) is not None
     with pytest.raises(InvalidInputError):
         CoverCertificate(QQ, 2, ((vq(1, 0), vq(0, 1)),))  # not a proper subspace
 
@@ -128,7 +128,7 @@ def test_not_maximal_bound_check_preconditions():
     assert report.count == 2
     assert report.bound == binom_le(3, 1) == 4
     assert report.count < report.bound
-    assert report.crowded_count == 2
+    assert [cover.assign(v) for v in on_axes].count(report.crowded_subspace) == 2
 
 
 def test_non_maximality_certificate_verified_on_plane_union():
@@ -157,7 +157,7 @@ def test_non_maximality_certificate_refuted_on_independent_instance():
     assert report.escape_point is not None
     assert report.trace_count is report.bound is report.missing_subset is report.family is None
     img = conics().image(report.escape_point)
-    assert not fake.covers(img)
+    assert fake.assign(img) is None
 
 
 def test_maximal_profile_check_moment_curve():

@@ -121,7 +121,7 @@ def test_oracles_match_references_on_seeded_families():
     rng = random.Random(20240601)
     sizes = set()
     for _ in range(500):
-        fam = random_family(rng, max_points=6, max_sets=12)
+        fam = random_family(rng)
         sizes.add((fam.ground.size, len(fam.masks)))
         assert vcdim(fam) == reference_vcdim(fam), fam
         for n in range(4):

@@ -61,6 +61,15 @@ def test_sample_guards():
     assert Sample.prefix(inst, 2).points == (0, 1)
 
 
+def test_points_with_one_display_label_are_refused():
+    # no descriptor the program makes prints like another; a hand-built
+    # sample whose points both print as "1" has no ground set
+    inst = moment_curve(2)
+    image = inst.image(1)
+    with pytest.raises(InvalidInputError, match="display labels must be distinct"):
+        Sample(inst, (1, "1"), (image, image)).ground_set()
+
+
 def _constant_instance(field, row):
     """A three-dimensional instance whose evaluator returns row for every point."""
     return zerosets.Instance(
@@ -575,10 +584,11 @@ def test_density_zero_partition_two_lines():
     assert report.bound == 4
     assert len(report.family) <= 4
     assert bin(report.zero_block_mask).count("1") == 1  # the x = 0 point
-    for z, blocks in zip(report.family.sets, report.decompositions):
+    for z in report.family.sets:
         rebuilt = report.zero_block_mask
-        for j in blocks:
-            rebuilt |= report.block_masks[j]
+        for block in report.block_masks:
+            if z.mask & block:
+                rebuilt |= block
         assert z.mask == rebuilt
     with pytest.raises(InvalidInputError):
         density_zero_partition(s, [e0])  # images on the e1 line escape
