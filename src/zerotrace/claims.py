@@ -36,7 +36,7 @@ from .constructions import (
     max_vc_trace,
     shattering_witness,
 )
-from .errors import BudgetExhaustedError, InvalidInputError, ZerotraceError
+from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError, ZerotraceError
 from .exactalg import QQ, PrimeField, Span, Vector, basis_vector, dot, rank, zero_mask
 from .instances import (
     conics,
@@ -103,6 +103,7 @@ class CheckResult:
     details: dict
     error: Optional[str] = None
     wall_s: float = 0.0
+    limit: bool = False  # the check stopped at a ResourceLimitError
 
 
 @dataclass
@@ -139,8 +140,8 @@ def _dual_basis(ctx: CheckContext, inst) -> DualBasis:
 def _proven_verdict(inst, budget: int):
     """The scan verdict, if it is a proof: d independent images, or an
     annihilator of the whole (finite) stream.  A scan the budget stopped
-    first raises BudgetExhaustedError, so a check reads it as a resource
-    limit, not a refuted claim."""
+    first raises BudgetExhaustedError, a ResourceLimitError, so the
+    check's result is a resource limit, not a refuted claim."""
     verdict = linearly_independent(inst, budget=budget)
     if verdict.kind != "independent" and not verdict.stream_exhausted:
         raise BudgetExhaustedError(
@@ -752,25 +753,29 @@ def run_checks(
 ) -> list:
     """Run the checklist (all of it by default) and collect results.
 
-    Each result carries its check's wall time in seconds (wall_s).  The
-    checks are assert statements, which python -O strips, so under -O
-    none runs: that is invalid input, not a list of passes.
+    Each result carries its check's wall time in seconds (wall_s), and
+    a failed one whether its check stopped at a ResourceLimitError
+    (limit).  An unknown name raises KeyError before any check runs.
+    The checks are assert statements, which python -O strips, so under
+    -O none runs: that is invalid input, not a list of passes.
     """
     if not __debug__:
         raise InvalidInputError("the checks are assert statements; run python without -O")
-    ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)
     selected = list(CHECKS) if names is None else list(names)
-    results = []
     for name in selected:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
+    ctx = CheckContext(budget=budget, seed=seed, depth_cap=depth_cap)
+    results = []
+    for name in selected:
         assertion, fn = CHECKS[name]
         start = time.perf_counter()
         try:
             details = fn(ctx)
-            passed, error = True, None
+            passed, error, limit = True, None, False
         except Exception as e:  # noqa: BLE001 - a crashing check fails, the rest still run
             details, passed, error = {}, False, f"{type(e).__name__}: {e}"
+            limit = isinstance(e, ResourceLimitError)
         wall_s = time.perf_counter() - start
-        results.append(CheckResult(name, assertion, passed, details, error, wall_s))
+        results.append(CheckResult(name, assertion, passed, details, error, wall_s, limit))
     return results

@@ -12,10 +12,11 @@ Subcommands:
   tree, optional cover) and the shatter CSV, re-verified on write.
 
 Reports are deterministic given the config; wall-clock timings live
-under a separate key excluded from that guarantee.  Exit codes: 0 all
-pass, 1 assertion or check failure, 2 resource limit (also when every
-failed verify check stopped at one), 3 invalid input (also a usage
-error).
+under a separate key excluded from that guarantee.  Each command
+returns its exit code with its report: 0 all pass, 1 assertion or
+check failure, 2 resource limit (a ResourceLimitError, also when every
+failed verify check stopped at one), 3 invalid input (any other
+ZerotraceError, also a usage error).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _dimension(profile: list, search, fam) -> int:
     return short - 1 if short else search(fam)
 
 
-def cmd_analyze(cfg: RunConfig) -> dict:
+def cmd_analyze(cfg: RunConfig) -> tuple:
     inst, spec = _load_instance(cfg)
     verdict = linearly_independent(inst, budget=cfg.budget)
     sample, sample_kind = _default_sample(inst, spec, cfg, verdict)
@@ -219,6 +220,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
                 "values": {"vcdim": vc, "ldim": ld, "d": inst.d},
             }
         )
+    failed = any(not a["passed"] for a in assertions)
     return {
         "command": "analyze",
         "config": asdict(cfg),
@@ -252,7 +254,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
             "binom_le_dminus1": [binom_le(n, inst.d - 1) for n in range(rho_top + 1)],
         },
         "assertions": assertions,
-    }
+    }, EXIT_ASSERTION if failed else EXIT_OK
 
 
 def _independent_traces(inst, k: int) -> int:
@@ -336,7 +338,7 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_shatter_fn(cfg: RunConfig) -> dict:
+def cmd_shatter_fn(cfg: RunConfig) -> tuple:
     inst, _ = _load_instance(cfg)
     rows, sampling, points = _shatter_rows(inst, cfg)
     return {
@@ -346,16 +348,26 @@ def cmd_shatter_fn(cfg: RunConfig) -> dict:
         "sampling": sampling,
         "points": [point_to_json(p) for p in points],
         "rows": rows,
-    }
+    }, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> dict:
+def cmd_verify(cfg: RunConfig) -> tuple:
+    """The checklist report; one PASS/FAIL line per check goes to stderr."""
     results = run_checks(
         cfg.checks,
         budget=cfg.budget,
         seed=cfg.seed,
         depth_cap=cfg.depth_cap,
     )
+    for r in results:
+        line = f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.assertion}"
+        if r.error:
+            line += f" [{r.error}]"
+        sys.stderr.write(line + "\n")
+    failed = [r for r in results if not r.passed]
+    code = EXIT_OK
+    if failed:  # a resource limit only if every failed check stopped at one
+        code = EXIT_RESOURCE if all(r.limit for r in failed) else EXIT_ASSERTION
     return {
         "command": "verify",
         "config": asdict(cfg),
@@ -370,12 +382,12 @@ def cmd_verify(cfg: RunConfig) -> dict:
             }
             for r in results
         ],
-        "passed": sum(r.passed for r in results),
-        "failed": sum(not r.passed for r in results),
-    }
+        "passed": len(results) - len(failed),
+        "failed": len(failed),
+    }, code
 
 
-def cmd_export(cfg: RunConfig) -> dict:
+def cmd_export(cfg: RunConfig) -> tuple:
     if not cfg.out:
         raise InvalidInputError("export needs --out DIR")
     inst, spec = _load_instance(cfg)
@@ -422,7 +434,7 @@ def cmd_export(cfg: RunConfig) -> dict:
         "sampling": sampling,
         "files": sorted(written),
         "out": str(out),
-    }
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -520,24 +532,6 @@ def _emit(report: dict, cfg: RunConfig, elapsed: float) -> None:
         (out / name).write_text(_canonical(report))
 
 
-#: Errors that make a failed verify check a resource limit, not a refuted
-#: claim; the report names them in each result's `error`.
-_LIMIT_ERRORS = (ResourceLimitError, BudgetExhaustedError, StreamExhaustedError)
-
-
-def _exit_code(report: dict) -> int:
-    if report["command"] == "verify":
-        errors = [r["error"] for r in report["results"] if not r["passed"]]
-        limits = {e.__name__ for e in _LIMIT_ERRORS}
-        if errors and all(e.split(":", 1)[0] in limits for e in errors):
-            return EXIT_RESOURCE
-        return EXIT_ASSERTION if errors else EXIT_OK
-    if report["command"] == "analyze":
-        if any(not a["passed"] for a in report["assertions"]):
-            return EXIT_ASSERTION
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -549,18 +543,11 @@ def main(argv=None) -> int:
             "export": cmd_export,
         }[cfg.command]
         start = time.perf_counter()
-        report = runner(cfg)
+        report, code = runner(cfg)
         elapsed = time.perf_counter() - start
-        if cfg.command == "verify":
-            for r in report["results"]:
-                mark = "PASS" if r["passed"] else "FAIL"
-                line = f"{mark} {r['name']}: {r['assertion']}"
-                if r["error"]:
-                    line += f" [{r['error']}]"
-                sys.stderr.write(line + "\n")
         _emit(report, cfg, elapsed)
-        return _exit_code(report)
-    except _LIMIT_ERRORS as e:
+        return code
+    except ResourceLimitError as e:
         sys.stderr.write(f"resource limit: {e}\n")
         return EXIT_RESOURCE
     except AssertionError as e:

@@ -254,14 +254,8 @@ def max_vc_trace(seq: Sample, n: int) -> ZeroSetFamily:
             padded = list(subset) + list(range(n, n + (d - 1 - size)))
             witness = subset_witness(seq, padded)
             # subset_witness verified that the witness vanishes on seq
-            # exactly at padded; its first n points are the trace
-            mask = as_mask(padded, len(seq.points)) & ((1 << n) - 1)
-            expected = as_mask(subset, n)
-            if mask != expected:
-                raise AssertionError(
-                    f"padded witness realized {bin(mask)} instead of {bin(expected)}"
-                )
-            sets.append(ZeroSet(mask, witness))
+            # exactly at padded, whose indices below n are subset's
+            sets.append(ZeroSet(as_mask(subset, n), witness))
     ordered = tuple(sorted(sets, key=lambda z: z.mask))
     return ZeroSetFamily(sample, ordered, "subset_realization")
 

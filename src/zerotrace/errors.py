@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class ZerotraceError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Outside the
+    ResourceLimitError tree, each one is the CLI's exit 3."""
 
 
 class FieldMismatchError(ZerotraceError):
@@ -22,10 +23,10 @@ class InvalidInputError(ZerotraceError):
 class ResourceLimitError(ZerotraceError):
     """A soft size limit (ground set, family size, recursion depth, flat
     count) was exceeded.  Raising instead of grinding keeps runs at desk
-    scale and maps to a dedicated CLI exit code."""
+    scale; this class and its subclasses are the CLI's exit 2."""
 
 
-class BudgetExhaustedError(ZerotraceError):
+class BudgetExhaustedError(ResourceLimitError):
     """A stream scan ran out of budget before reaching its goal.
 
     Carries the partial state so callers can report evidence (for
@@ -38,7 +39,7 @@ class BudgetExhaustedError(ZerotraceError):
         self.partial = partial
 
 
-class StreamExhaustedError(ZerotraceError):
+class StreamExhaustedError(ResourceLimitError):
     """The instance's point stream ended before enough points were found."""
 
 

@@ -262,16 +262,7 @@ def not_maximal_bound_check(
         if idx is None:
             raise InvalidInputError(f"sample vector {v} escapes the cover")
         assignment.append(idx)
-    return _pigeonhole_bound(S, assignment, d, fam)
-
-
-def _pigeonhole_bound(
-    S: tuple, assignment: list, d: int, fam: SpanFamily
-) -> BoundCheckReport:
-    """The bound check on distinct vectors S, S[i] covered by subspace
-    assignment[i]: fam must be span injective and drawn from S."""
     require_span_injective(fam)
-    vectors = set(S)
     for member in fam.members:
         for v in member:
             if v not in vectors:
@@ -355,7 +346,7 @@ def non_maximality_certificate(
         assignment.append(idx)
 
     zfam = enumerate_family_flats(sample)
-    report = _pigeonhole_bound(images, assignment, d, image_family(zfam))
+    report = not_maximal_bound_check(images, cert, image_family(zfam))
 
     # The explicit non-trace: inside the crowded subspace, a spanning
     # d-1 points force one leftover point into every containing trace.

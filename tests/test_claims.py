@@ -6,7 +6,7 @@ import pytest
 
 from zerotrace import claims, zerosets
 from zerotrace.claims import CHECKS, CheckResult, run_checks
-from zerotrace.errors import InvalidInputError
+from zerotrace.errors import InvalidInputError, StreamExhaustedError
 
 
 def test_full_registry_passes():
@@ -27,9 +27,14 @@ def test_subset_selection_preserves_request_order():
     assert all(r.passed for r in results)
 
 
-def test_unknown_check_name_rejected():
+def test_unknown_check_name_rejected(monkeypatch):
+    ran = []
+    monkeypatch.setitem(CHECKS, "designed_recorder", ("records its run", ran.append))
     with pytest.raises(KeyError):
         run_checks(["no_such_check"])
+    with pytest.raises(KeyError):
+        run_checks(["designed_recorder", "no_such_check"])
+    assert ran == []  # every name is checked before any check runs
 
 
 def test_failing_check_is_captured_not_raised():
@@ -39,16 +44,23 @@ def test_failing_check_is_captured_not_raised():
     def invalid(ctx):
         raise InvalidInputError("designed invalid input")
 
+    def exhausted(ctx):
+        raise StreamExhaustedError("designed end of stream")
+
     CHECKS["designed_failure"] = ("always fails", boom)
     CHECKS["designed_invalid"] = ("always invalid", invalid)
+    CHECKS["designed_limit"] = ("always out of stream", exhausted)
     try:
-        results = run_checks(["designed_failure", "designed_invalid"])
+        results = run_checks(["designed_failure", "designed_invalid", "designed_limit"])
     finally:
         del CHECKS["designed_failure"]
         del CHECKS["designed_invalid"]
-    assert [r.passed for r in results] == [False, False]
+        del CHECKS["designed_limit"]
+    assert [r.passed for r in results] == [False, False, False]
     assert "AssertionError: designed failure" in results[0].error
     assert "InvalidInputError: designed invalid input" in results[1].error
+    assert "StreamExhaustedError: designed end of stream" in results[2].error
+    assert [r.limit for r in results] == [False, False, True]
     assert results[0].details == {}
 
 

@@ -15,7 +15,7 @@ import pytest
 import zerotrace
 from zerotrace import cli, littlestone, setsystem, zerosets
 from zerotrace.cli import main
-from zerotrace.errors import ResourceLimitError, StreamExhaustedError
+from zerotrace.errors import BudgetExhaustedError, ResourceLimitError, StreamExhaustedError
 from zerotrace.exactalg import basis_vector
 from zerotrace.instances import instance_from_spec, moment_curve, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
@@ -1049,9 +1049,19 @@ def test_verify_budget_limit_exits_2_and_other_failures_exit_1(monkeypatch, caps
     assert json.loads(out)["failed"] == 2
 
 
-def test_verify_stream_exhaustion_exits_2_and_with_a_crash_exits_1(monkeypatch, capsys):
+class _DesignedLimitError(ResourceLimitError):
+    """A limit error no module of the package raises."""
+
+
+@pytest.mark.parametrize(
+    "error",
+    [StreamExhaustedError, BudgetExhaustedError, _DesignedLimitError],
+    ids=lambda error: error.__name__,
+)
+def test_verify_stream_exhaustion_exits_2_and_with_a_crash_exits_1(error, monkeypatch, capsys):
+    # exit 2 follows the ResourceLimitError tree, not a list of names
     def exhaust(ctx):
-        raise StreamExhaustedError("designed end of stream")
+        raise error("designed end of stream")
 
     def crash(ctx):
         raise ValueError("designed crash")
@@ -1063,7 +1073,7 @@ def test_verify_stream_exhaustion_exits_2_and_with_a_crash_exits_1(monkeypatch, 
     assert code == 2
     report = json.loads(out)
     assert (report["passed"], report["failed"]) == (0, 1)
-    assert report["results"][0]["error"] == "StreamExhaustedError: designed end of stream"
+    assert report["results"][0]["error"] == f"{error.__name__}: designed end of stream"
     assert err.startswith("FAIL json_round_trips:")
     code, out, _ = run(capsys, "verify", "--checks", "json_round_trips,grid_membership_pattern")
     assert code == 1
