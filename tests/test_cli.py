@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import golden_corpus
 import pytest
 
 import zerotrace
@@ -1306,3 +1307,11 @@ def _golden_outputs(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", list(GOLDEN_EXITS), ids=" ".join)
 def test_exits_and_outputs_match_golden_table(tmp_path, capsys, argv):
     assert _golden_outputs(tmp_path, capsys, argv) == GOLDEN_EXITS[argv]
+
+
+GOLDEN_CORPUS = json.loads(golden_corpus.MANIFEST.read_text())
+
+
+@pytest.mark.parametrize("argv", golden_corpus.REQUESTS, ids=golden_corpus.key)
+def test_request_matches_golden_corpus(tmp_path, argv):
+    assert golden_corpus.outputs(argv, tmp_path / "out") == GOLDEN_CORPUS[golden_corpus.key(argv)]
