@@ -36,7 +36,7 @@ from .constructions import (
     max_vc_trace,
     shattering_witness,
 )
-from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError, ZerotraceError
+from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
 from .exactalg import QQ, PrimeField, Span, Vector, basis_vector, dot, rank, zero_mask
 from .instances import (
     conics,
@@ -62,8 +62,6 @@ from .littlestone import (
 )
 from .maximality import (
     CoverCertificate,
-    SpanFamily,
-    image_family,
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
@@ -480,15 +478,16 @@ def check_span_injectivity_suite(ctx: CheckContext) -> dict:
     hv_sample = Sample.take(hv, [(i, 1, j + 1) for i in range(2) for j in range(3)])
     targets.append((hv, _checked(enumerate_family_flats(hv_sample))))
     for inst, zfam in targets:
-        fam = image_family(zfam)
-        reduced = minimal_spanning_reduction(fam)
+        images = zfam.sample.images
+        fam = zfam.to_set_family()
+        reduced = minimal_spanning_reduction(images, fam, inst.d)
         assert len(reduced) == len(fam)
-        for member in reduced.members:
-            assert len(member) < inst.d
-            assert rank(member) == len(member)
+        for m in reduced.masks:
+            assert m.bit_count() < inst.d
+            assert rank([images[i] for i in mask_to_indices(m)]) == m.bit_count()
         details[inst.name] = {
             "members": len(fam),
-            "max_reduced_size": max((len(m) for m in reduced.members), default=0),
+            "max_reduced_size": max((m.bit_count() for m in reduced.masks), default=0),
         }
     return details
 
@@ -502,29 +501,28 @@ def check_strict_bound_under_cover(ctx: CheckContext) -> dict:
     cover = CoverCertificate(field=QQ, d=2, subspaces=((v,),))
     # Over two collinear vectors only two spans exist (trivial and the
     # line), so span-injective families top out at 2 < C(2,<2) = 3.
-    fam = SpanFamily.create(2, [(), (v, w)])
+    fam = SetFamily(GroundSet(2), (0, 0b11))
     report = not_maximal_bound_check((v, w), cover, fam)
     assert report.count == 2 < report.bound == 3
     details["collinear_pair"] = {"count": report.count, "bound": report.bound}
 
     # Guard: |S| == k(d-1) is rejected, not bounded.
     try:
-        not_maximal_bound_check((v,), cover, SpanFamily.create(2, [(v,)]))
+        not_maximal_bound_check((v,), cover, SetFamily(GroundSet(1), (1,)))
         raise AssertionError("undersized S must be rejected")
-    except ZerotraceError:
-        pass
+    except InvalidInputError as e:
+        assert "does not exceed k(d-1)" in str(e), f"refused for another reason: {e}"
 
     # Plane-union instance, 7 grid points, a 3-plane cover: 7 > 3*(3-1).
     hv = high_vcden(3)
     pts = [(i, 1, j + 1) for i in range(2) for j in range(3)] + [(0, 1, 4)]
     sample = Sample.take(hv, pts)
     zfam = _checked(enumerate_family_flats(sample))
-    fam_hv = image_family(zfam)
     e = [basis_vector(QQ, 3, i) for i in range(3)]
     cover3 = CoverCertificate(
         field=QQ, d=3, subspaces=((e[0], e[1]), (e[0], e[2]), (e[1], e[2]))
     )
-    report_hv = not_maximal_bound_check(sample.images, cover3, fam_hv)
+    report_hv = not_maximal_bound_check(sample.images, cover3, zfam.to_set_family())
     assert report_hv.count < report_hv.bound == binom_le(7, 2)
     details["plane_union_3cover"] = {
         "S": len(sample.points),

@@ -106,9 +106,11 @@ class RunConfig:
                 raise InvalidInputError(f"checks must be a list of names, got {self.checks!r}")
             if not self.checks:
                 raise InvalidInputError("no checks selected")
-            for name in self.checks:
+            for i, name in enumerate(self.checks):
                 if name not in CHECKS:
                     raise InvalidInputError(f"unknown check {name!r}")
+                if name in self.checks[:i]:  # a report would count it twice
+                    raise InvalidInputError(f"check {name!r} is selected twice")
         if self.n_max < 1:
             raise InvalidInputError("n-max must be >= 1")
         if self.depth_cap < 1 or self.budget < 1:

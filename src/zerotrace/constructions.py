@@ -140,7 +140,7 @@ def dual_basis(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> DualBasis
 def shattering_witness(basis: DualBasis, trace) -> Vector:
     """a_S = the sum of the dual rows over S = {0..d-1} minus trace.
 
-    The zero set of a_S meets the dual points exactly outside S, so on
+    The zero set of a_S holds exactly the dual points not in S, so on
     the first d-1 of them it cuts out trace.
     """
     d = len(basis.rows)

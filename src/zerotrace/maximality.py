@@ -3,13 +3,16 @@
 The central observation mechanized here: a trace is recoverable from
 the span of the images of its points, because the trace of a witness a
 equals {x in sample : image(x) in ker(a)} and only the span of the
-image set matters.  Consequences, each with a direct checker:
+image set matters.  A span family is therefore a SetFamily over a
+list of vectors, bit i standing for the i-th vector; an enumerated
+trace family is one over its sample's images.  Consequences, each with
+a direct checker:
 
-* taking spans is injective on the image family of any enumerated
-  trace family, and no member spans all of F^d
-  (require_span_injective, which raises on the first failure; the
-  reduction and the bound check below both start with it);
-* each member reduces to an independent spanning subset of size < d,
+* taking spans is injective on any enumerated trace family, and no
+  member spans all of F^d (require_span_injective, which raises on the
+  first failure; the reduction and the bound check below both start
+  with it);
+* each member reduces to an independent spanning sub-mask of size < d,
   preserving the family's cardinality;
 * if every sampled image lies in one of k proper subspaces and the
   sample holds more than k*(d-1) distinct images, some subspace holds
@@ -45,7 +48,7 @@ from .exactalg import (
     scalar_from_str,
     scalar_to_str,
 )
-from .setsystem import as_mask, mask_to_indices
+from .setsystem import SetFamily, as_mask, mask_to_indices
 from .zerosets import (
     DEFAULT_BUDGET,
     Instance,
@@ -55,65 +58,26 @@ from .zerosets import (
 )
 
 
-@dataclass(frozen=True)
-class SpanFamily:
-    """A collection of finite vector sets in F^d, kept in input order.
+def require_span_injective(vectors: Sequence[Vector], fam: SetFamily, d: int) -> None:
+    """Raise unless fam, a family of subsets of the list vectors (bit i
+    standing for vectors[i]), is span injective in F^d.
 
-    Members are tuples of Vectors.  Duplicate vectors inside a member
-    are dropped on construction; duplicate members are rejected, since
-    the family is a set of sets.
+    DimensionMismatchError if fam is over a ground set of another size
+    or a vector's width is not d.  Otherwise InvalidInputError unless no
+    member spans F^d and distinct members span distinct spaces; the
+    message names the first failure.
     """
-
-    d: int
-    members: tuple
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidInputError("ambient dimension must be >= 1")
-        seen = set()
-        for member in self.members:
-            for v in member:
-                if len(v) != self.d:
-                    raise DimensionMismatchError(
-                        f"member vector of width {len(v)}, ambient is {self.d}"
-                    )
-            key = frozenset(member)
-            if key in seen:
-                raise InvalidInputError("duplicate member vector set")
-            seen.add(key)
-
-    @staticmethod
-    def create(d: int, members: Sequence[Sequence[Vector]]) -> "SpanFamily":
-        cleaned = []
-        for member in members:
-            cleaned.append(tuple(dict.fromkeys(member)))
-        return SpanFamily(d, tuple(cleaned))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def image_family(zfam: ZeroSetFamily) -> SpanFamily:
-    """The vector sets {image(x) : x in trace}, one member per trace.
-
-    Members stay aligned with zfam.sets.  Distinct traces always give
-    distinct image sets: a zero set contains either all sample points
-    sharing an image or none of them.
-    """
-    images = zfam.sample.images
-    members = [
-        tuple(images[i] for i in mask_to_indices(zs.mask)) for zs in zfam.sets
-    ]
-    return SpanFamily.create(zfam.sample.instance.d, members)
-
-
-def require_span_injective(fam: SpanFamily) -> None:
-    """Raise InvalidInputError unless no member spans F^d and distinct
-    members span distinct spaces; the message names the first failure."""
+    if fam.ground.size != len(vectors):
+        raise DimensionMismatchError(
+            f"family over {fam.ground.size} points, given {len(vectors)} vectors"
+        )
+    for v in vectors:
+        if len(v) != d:
+            raise DimensionMismatchError(f"vector of width {len(v)}, ambient is {d}")
     seen: dict = {}
-    for idx, member in enumerate(fam.members):
-        span = row_space_canonical(member)
-        if len(span) >= fam.d:
+    for idx, mask in enumerate(fam.masks):
+        span = row_space_canonical([vectors[i] for i in mask_to_indices(mask)])
+        if len(span) >= d:
             failure = f"full_span at {(idx,)}"
         elif span in seen:
             failure = f"equal_spans at {(seen[span], idx)}"
@@ -123,30 +87,31 @@ def require_span_injective(fam: SpanFamily) -> None:
         raise InvalidInputError(f"family is not span injective ({failure})")
 
 
-def minimal_spanning_reduction(fam: SpanFamily) -> SpanFamily:
-    """Replace each member by a greedy independent subset with equal span.
+def minimal_spanning_reduction(vectors: Sequence[Vector], fam: SetFamily, d: int) -> SetFamily:
+    """Replace each member by a greedy independent sub-mask with equal span.
 
-    Requires span injectivity (require_span_injective).  One Span over
-    the member picks the subset and holds the member's span; a second
-    Span over the subset re-verifies on the way out that it is
+    fam is over the list vectors, as for require_span_injective, which
+    runs first.  One Span over the member picks the sub-mask, first
+    copies of repeated vectors first, and holds the member's span; a
+    second Span over the sub-mask re-verifies on the way out that it is
     independent, of size < d, and spans what the member spans.  Equal
     spans carry the family's cardinality and injectivity over to the
-    reduced family.
+    reduced family, which is over fam.ground.
     """
-    require_span_injective(fam)
-    reduced_members = []
-    for member in fam.members:
+    require_span_injective(vectors, fam, d)
+    reduced_masks = []
+    for mask in fam.masks:
         span = Span()
-        reduced = tuple(v for v in member if span.add(v))
-        check = Span(reduced)
+        reduced = [i for i in mask_to_indices(mask) if span.add(vectors[i])]
+        check = Span(vectors[i] for i in reduced)
         if check.canonical() != span.canonical():
             raise AssertionError("greedy reduction changed a member's span")
         if len(check) != len(reduced):
             raise AssertionError("greedy reduction kept a dependent set")
-        if len(reduced) >= fam.d:
+        if len(reduced) >= d:
             raise AssertionError("reduced member reached the ambient dimension")
-        reduced_members.append(reduced)
-    return SpanFamily(fam.d, tuple(reduced_members))
+        reduced_masks.append(as_mask(reduced, fam.ground.size))
+    return SetFamily(fam.ground, tuple(reduced_masks))
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +198,14 @@ class BoundCheckReport:
 
 
 def not_maximal_bound_check(
-    S: Sequence[Vector], cover: CoverCertificate, fam: SpanFamily
+    S: Sequence[Vector], cover: CoverCertificate, fam: SetFamily
 ) -> BoundCheckReport:
     """Assert |fam| < C(|S|, <d) for a covered S with |S| > k(d-1).
 
+    fam is a family of subsets of S, bit i standing for S[i].
     Preconditions verified here, each with its own error: the vectors
     of S are pairwise distinct and each lies in some cover subspace;
-    |S| exceeds k(d-1); fam is span injective and its members draw
-    only from S.
+    |S| exceeds k(d-1); fam is over |S| points and span injective.
     """
     S = tuple(S)
     d = cover.d
@@ -262,11 +227,7 @@ def not_maximal_bound_check(
         if idx is None:
             raise InvalidInputError(f"sample vector {v} escapes the cover")
         assignment.append(idx)
-    require_span_injective(fam)
-    for member in fam.members:
-        for v in member:
-            if v not in vectors:
-                raise InvalidInputError("family member uses a vector outside S")
+    require_span_injective(S, fam, d)
 
     sizes = Counter(assignment)
     crowded = max(sizes, key=sizes.get)
@@ -346,7 +307,7 @@ def non_maximality_certificate(
         assignment.append(idx)
 
     zfam = enumerate_family_flats(sample)
-    report = not_maximal_bound_check(images, cert, image_family(zfam))
+    report = not_maximal_bound_check(images, cert, zfam.to_set_family())
 
     # The explicit non-trace: inside the crowded subspace, a spanning
     # d-1 points force one leftover point into every containing trace.

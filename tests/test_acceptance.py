@@ -32,12 +32,11 @@ from zerotrace.instances import (
 )
 from zerotrace.littlestone import count_well_labeled, ldim, rho, rho_via_trees
 from zerotrace.maximality import (
-    image_family,
     minimal_spanning_reduction,
     non_maximality_certificate,
     require_span_injective,
 )
-from zerotrace.setsystem import NEG_INF, pi, pi_via_subsets, vcdim
+from zerotrace.setsystem import NEG_INF, mask_to_indices, pi, pi_via_subsets, vcdim
 from zerotrace.zerosets import (
     Sample,
     enumerate_family_bruteforce,
@@ -206,15 +205,15 @@ def test_criterion_8_span_structure_suite():
     samples.append(Sample.take(high_vcden(3), [(i, 1, j + 1) for i in range(2) for j in range(3)]))
     samples.append(Sample.prefix(two_lines(), 5))
     for sample in samples:
-        zfam = enumerate_family_flats(sample)
-        sf = image_family(zfam)
-        require_span_injective(sf)
-        reduced = minimal_spanning_reduction(sf)
-        assert len(reduced) == len(sf)
+        fam = enumerate_family_flats(sample).to_set_family()
         d = sample.instance.d
-        for member in reduced.members:
+        require_span_injective(sample.images, fam, d)
+        reduced = minimal_spanning_reduction(sample.images, fam, d)
+        assert len(reduced) == len(fam)
+        for mask in reduced.masks:
+            member = [sample.images[i] for i in mask_to_indices(mask)]
             assert len(member) < d
-            assert rank(list(member)) == len(member)
+            assert rank(member) == len(member)
     # strict ceiling on every covered instance tested
     for inst in (high_vcden(3), two_lines()):
         report = non_maximality_certificate(inst)

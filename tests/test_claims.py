@@ -6,7 +6,7 @@ import pytest
 
 from zerotrace import claims, zerosets
 from zerotrace.claims import CHECKS, CheckResult, run_checks
-from zerotrace.errors import InvalidInputError, StreamExhaustedError
+from zerotrace.errors import DimensionMismatchError, InvalidInputError, StreamExhaustedError
 
 
 def test_full_registry_passes():
@@ -138,3 +138,19 @@ def test_checks_catch_output_faults_the_masks_and_bounds_miss(monkeypatch, name,
     [result] = run_checks([name])
     assert not result.passed
     assert result.error.startswith("AssertionError: ") and message in result.error
+
+
+def test_undersized_cover_guard_accepts_only_its_own_refusal(monkeypatch):
+    # a one-vector S refused for its family's shape is not the
+    # |S| <= k(d-1) refusal the guard is there to see
+    bound_check = claims.not_maximal_bound_check
+
+    def refuse_shape(S, cover, fam):
+        if len(S) == 1:
+            raise DimensionMismatchError("family over 2 points, given 1 vectors")
+        return bound_check(S, cover, fam)
+
+    monkeypatch.setattr(claims, "not_maximal_bound_check", refuse_shape)
+    [result] = run_checks(["strict_bound_under_cover"])
+    assert not result.passed
+    assert result.error.startswith("DimensionMismatchError:")

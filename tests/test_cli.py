@@ -229,6 +229,19 @@ def test_verify_with_no_checks_selected_is_invalid_input(tmp_path, capsys):
     assert "no checks selected" in err
 
 
+def test_verify_repeated_check_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # a repeat would run twice, count two passes and keep one time
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: pytest.fail("a check ran"))
+    expected = "invalid input: check 'json_round_trips' is selected twice\n"
+    code, out, err = run(capsys, "verify", "--checks", "json_round_trips,json_round_trips")
+    assert (code, out, err) == (3, "", expected)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"checks": ["json_round_trips", "dimensions_match",
+                                          "json_round_trips"]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out, err) == (3, "", expected)
+
+
 def test_verify_under_python_O_is_invalid_input():
     # -O strips the checks' assert statements, so none of them would run
     env = dict(
@@ -1285,6 +1298,8 @@ GOLDEN_EXITS = {
         (3, EMPTY, "cb821f0525a6c161123f4a3e1127bf1b8a244cb327d1374a443edcff14b9527d"),
     ("verify", "--checks", "nonsense"):
         (3, EMPTY, "fda55ff54e617b0869d356ad7fc2bc298f92e55a683c8ad623f89eb45805764c"),
+    ("verify", "--checks", "json_round_trips,json_round_trips"):
+        (3, EMPTY, "1fbf6a8d1cee604e304477ccd196164fb97ad17fe6fcd35dfd337cf031d80e51"),
     ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6", "--format", "csv"):
         (0, "c2baa4737b3f0d670a793e7b4c848d1272f79f1d9d0c123227087ba5583d3cd2", EMPTY),
     ("analyze", "--instance", "{spec}"):

@@ -9,15 +9,14 @@ from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, rank, row_s
 from zerotrace.instances import conics, high_vcden, moment_curve, two_lines
 from zerotrace.maximality import (
     CoverCertificate,
-    SpanFamily,
     cover_from_json,
     cover_to_json,
-    image_family,
     minimal_spanning_reduction,
     non_maximality_certificate,
     not_maximal_bound_check,
     require_span_injective,
 )
+from zerotrace.setsystem import GroundSet, SetFamily, mask_to_indices
 from zerotrace.zerosets import Sample, enumerate_family_flats
 
 
@@ -26,63 +25,69 @@ def vq(*xs):
 
 
 def test_span_family_guards():
-    with pytest.raises(DimensionMismatchError):
-        SpanFamily.create(2, [(vq(1, 0, 0),)])  # width 3 in d = 2
-    with pytest.raises(InvalidInputError):
-        SpanFamily.create(2, [(vq(1, 0),), (vq(1, 0),)])  # duplicate member
-    fam = SpanFamily.create(2, [(vq(1, 0), vq(1, 0)), (vq(0, 1),)])
-    assert len(fam.members[0]) == 1  # within-member duplicates collapse
+    pair = [vq(1, 0), vq(0, 1)]
+    fam = SetFamily(GroundSet(2), (0b01, 0b10))
+    with pytest.raises(DimensionMismatchError, match="family over 2 points, given 3 vectors"):
+        require_span_injective([*pair, vq(1, 1)], fam, 2)
+    with pytest.raises(DimensionMismatchError, match="vector of width 3, ambient is 2"):
+        require_span_injective([vq(1, 0), vq(0, 1, 0)], fam, 2)
+    # a repeated vector leaves the member's span, and its reduction, as they were
+    repeated = [vq(1, 0), vq(0, 1), vq(1, 0)]
+    fam = SetFamily(GroundSet(3), (0b101, 0b010))
+    assert require_span_injective(repeated, fam, 2) is None
+    assert minimal_spanning_reduction(repeated, fam, 2).masks == (0b001, 0b010)
 
 
-def test_image_family_alignment():
-    s = Sample.take(moment_curve(3), [0, 1, -1, 2])
-    zfam = enumerate_family_flats(s)
-    sf = image_family(zfam)
-    assert len(sf) == len(zfam)
-    for z, member in zip(zfam.sets, sf.members):
-        picked = [s.images[i] for i in range(len(s)) if z.mask >> i & 1]
-        assert {v.entries for v in member} == {v.entries for v in picked}
-
-
-COLLIDE = SpanFamily.create(2, [(vq(1, 0),), (vq(2, 0),)])
-FULL = SpanFamily.create(2, [(vq(1, 0), vq(0, 1))])
+# two vectors on the first axis and one on the second
+ON_AXES = [vq(1, 0), vq(2, 0), vq(0, 1)]
+AXES = CoverCertificate(QQ, 2, ((basis_vector(QQ, 2, 0),), (basis_vector(QQ, 2, 1),)))
+COLLIDE = (ON_AXES, SetFamily(GroundSet(3), (0b001, 0b010)))
+FULL = (ON_AXES, SetFamily(GroundSet(3), (0b101,)))
 REFUSALS = [
     (COLLIDE, r"family is not span injective \(equal_spans at \(0, 1\)\)"),
     (FULL, r"family is not span injective \(full_span at \(0,\)\)"),
 ]
 
 
+def enumerated(points):
+    """The trace family of moment_curve(3) on points, over its images."""
+    zfam = enumerate_family_flats(Sample.take(moment_curve(3), points))
+    return zfam.sample.images, zfam.to_set_family()
+
+
 def test_span_injective_positive_and_negative():
-    s = Sample.take(moment_curve(3), [0, 1, -1, 2])
-    assert require_span_injective(image_family(enumerate_family_flats(s))) is None
-    for fam, message in REFUSALS:
+    assert require_span_injective(*enumerated([0, 1, -1, 2]), 3) is None
+    for (vectors, fam), message in REFUSALS:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            require_span_injective(fam)
+            require_span_injective(vectors, fam, 2)
 
 
-@pytest.mark.parametrize("fam, message", REFUSALS, ids=["equal_spans", "full_span"])
-def test_span_injectivity_refusals_reach_both_callers(fam, message):
+@pytest.mark.parametrize("vectors_fam, message", REFUSALS, ids=["equal_spans", "full_span"])
+def test_span_injectivity_refusals_reach_both_callers(vectors_fam, message):
+    vectors, fam = vectors_fam
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
-        minimal_spanning_reduction(fam)
-    # S is the collinear pair under a one-line cover: |S| = 2 > k(d-1) = 1
-    on_line = CoverCertificate(QQ, 2, ((basis_vector(QQ, 2, 0),),))
+        minimal_spanning_reduction(vectors, fam, 2)
+    # |S| = 3 > k(d-1) = 2 under the two axes
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
-        not_maximal_bound_check([vq(1, 0), vq(2, 0)], on_line, fam)
+        not_maximal_bound_check(vectors, AXES, fam)
 
 
 def test_minimal_spanning_reduction():
-    s = Sample.take(moment_curve(3), [0, 1, -1, 2])
-    sf = image_family(enumerate_family_flats(s))
-    reduced = minimal_spanning_reduction(sf)
-    assert len(reduced) == len(sf)
-    for before, after in zip(sf.members, reduced.members):
+    images, fam = enumerated([0, 1, -1, 2])
+    reduced = minimal_spanning_reduction(images, fam, 3)
+    assert reduced.ground == fam.ground
+    assert len(reduced) == len(fam)
+    for before, after in zip(fam.masks, reduced.masks):
+        assert after & before == after
+        before = [images[i] for i in mask_to_indices(before)]
+        after = [images[i] for i in mask_to_indices(after)]
         assert row_space_canonical(after) == row_space_canonical(before)
         assert rank(after) == len(after)
-        assert len(after) < sf.d
+        assert len(after) < 3
         assert len(after) == rank(before)
-    require_span_injective(reduced)
+    require_span_injective(images, reduced, 3)
     with pytest.raises(InvalidInputError):
-        minimal_spanning_reduction(COLLIDE)
+        minimal_spanning_reduction(*COLLIDE, 2)
 
 
 def test_cover_certificate_guards_and_assignment():
@@ -111,24 +116,22 @@ def test_cover_json_round_trip():
 
 
 def test_not_maximal_bound_check_preconditions():
-    e = [basis_vector(QQ, 2, i) for i in range(2)]
-    cover = CoverCertificate(QQ, 2, ((e[0],), (e[1],)))
-    on_axes = [vq(1, 0), vq(2, 0), vq(0, 1)]
-    fam = SpanFamily.create(2, [(), (vq(1, 0), vq(2, 0))])
+    fam = SetFamily(GroundSet(3), (0, 0b011))
     # |S| = 2 equals k(d-1): rejected
-    with pytest.raises(InvalidInputError):
-        not_maximal_bound_check(on_axes[:2], cover, SpanFamily.create(2, [()]))
-    with pytest.raises(InvalidInputError):
-        not_maximal_bound_check([vq(1, 0), vq(1, 0), vq(0, 1)], cover, fam)
-    with pytest.raises(InvalidInputError):
-        not_maximal_bound_check([vq(1, 0), vq(0, 1), vq(1, 1)], cover, fam)
-    with pytest.raises(InvalidInputError):
-        not_maximal_bound_check(on_axes, cover, SpanFamily.create(2, [(vq(1, 1),)]))
-    report = not_maximal_bound_check(on_axes, cover, fam)
+    with pytest.raises(InvalidInputError, match="does not exceed k"):
+        not_maximal_bound_check(ON_AXES[:2], AXES, SetFamily(GroundSet(2), (0,)))
+    with pytest.raises(InvalidInputError, match="pairwise distinct"):
+        not_maximal_bound_check([vq(1, 0), vq(1, 0), vq(0, 1)], AXES, fam)
+    with pytest.raises(InvalidInputError, match="escapes the cover"):
+        not_maximal_bound_check([vq(1, 0), vq(0, 1), vq(1, 1)], AXES, fam)
+    # a family over four points cannot be a family of subsets of three vectors
+    with pytest.raises(DimensionMismatchError, match="family over 4 points, given 3 vectors"):
+        not_maximal_bound_check(ON_AXES, AXES, SetFamily(GroundSet(4), (0b1000,)))
+    report = not_maximal_bound_check(ON_AXES, AXES, fam)
     assert report.count == 2
     assert report.bound == binom_le(3, 1) == 4
     assert report.count < report.bound
-    assert [cover.assign(v) for v in on_axes].count(report.crowded_subspace) == 2
+    assert [AXES.assign(v) for v in ON_AXES].count(report.crowded_subspace) == 2
 
 
 def test_non_maximality_certificate_verified_on_plane_union():

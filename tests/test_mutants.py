@@ -69,7 +69,8 @@ MUTANTS = {
     ),
     # each reduced member is the whole member, dependent vectors included
     "reduction_keeps_every_member_vector": (
-        maximality, "minimal_spanning_reduction", "if span.add(v))", "if span.add(v) or True)",
+        maximality, "minimal_spanning_reduction",
+        "if span.add(vectors[i])]", "if span.add(vectors[i]) or True]",
     ),
 }
 
