@@ -91,12 +91,12 @@ def minimal_spanning_reduction(vectors: Sequence[Vector], fam: SetFamily, d: int
     """Replace each member by a greedy independent sub-mask with equal span.
 
     fam is over the list vectors, as for require_span_injective, which
-    runs first.  One Span over the member picks the sub-mask, first
-    copies of repeated vectors first, and holds the member's span; a
-    second Span over the sub-mask re-verifies on the way out that it is
-    independent, of size < d, and spans what the member spans.  Equal
-    spans carry the family's cardinality and injectivity over to the
-    reduced family, which is over fam.ground.
+    runs first.  One Span over the member, in index order, picks the
+    sub-mask (of a repeated vector it keeps the first copy) and holds
+    the member's span; a second Span over the sub-mask re-verifies on
+    the way out that it is independent, of size < d, and spans what the
+    member spans.  Equal spans carry the family's cardinality and
+    injectivity over to the reduced family, which is over fam.ground.
     """
     require_span_injective(vectors, fam, d)
     reduced_masks = []
