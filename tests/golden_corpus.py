@@ -3,8 +3,10 @@
 Each request is one command line.  Its manifest entry holds the exit
 code, the sha256 of stdout without `timings`, the sha256 of stderr and
 the sha256 of each file the request writes under --out.  "{out}" in a
-request stands for a fresh directory, and stdout writes that directory
-as "{out}" too, so no entry depends on where the run took place.
+request stands for a fresh directory, and "{tests}" for the directory
+of this file, which holds the spec files the corpus reads.  Stdout
+writes those directories as "{out}" and "{tests}" too, so no entry
+depends on where the run took place.
 
 An entry changes only with an intended change of output.  After one,
 regenerate the manifest and show the diff of its entries:
@@ -21,8 +23,10 @@ from pathlib import Path
 
 from zerotrace.cli import main
 
-MANIFEST = Path(__file__).with_name("golden_corpus.json")
+TESTS_DIR = Path(__file__).parent
+MANIFEST = TESTS_DIR / "golden_corpus.json"
 OUT = "{out}"
+TESTS = "{tests}"
 
 SHORTHANDS = (
     "moment_curve:3",
@@ -61,6 +65,17 @@ REQUESTS = [
     *(("shatter-fn", "--instance", name, "--n-max", "6", "--format", "csv")
       for name in SHORTHANDS),
     *(("export", "--instance", name, "--out", OUT) for name in SHORTHANDS),
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6"),
+    ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"),
+    ("shatter-fn", "--instance", "high_vcden:4", "--n-max", "5"),
+    ("shatter-fn", "--instance", "moment_curve:3", "--n-max", "30", "--depth-cap", "2"),
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6", "--format", "csv"),
+    ("verify", "--checks", "json_round_trips,json_round_trips"),
+    # x^2 - y, x*y, x^2 - y + 3*x*y over Q: a dependent triple
+    ("analyze", "--instance", TESTS + "/quadrics.json"),
+    # rho(0..12) of the 20-point d=3 family on -10..9, a search that was
+    # exhaustive until each side of a split got its own ldim bound
+    ("analyze", "--instance", TESTS + "/moment_curve_3.json", "--n-max", "12"),
 ]
 
 
@@ -75,8 +90,9 @@ def _sha256(data: bytes) -> str:
 def outputs(argv, out_dir: Path) -> dict:
     """Run one request in-process with out_dir as "{out}"; its manifest entry."""
     stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [str(out_dir) if a == OUT else a.replace(TESTS, str(TESTS_DIR)) for a in argv]
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([str(out_dir) if a == OUT else a for a in argv])
+        code = main(argv)
     out = stdout.getvalue()
     if out.startswith("{"):
         report = json.loads(out)
@@ -85,7 +101,7 @@ def outputs(argv, out_dir: Path) -> dict:
     files = sorted(out_dir.iterdir()) if out_dir.is_dir() else []
     return {
         "exit": code,
-        "stdout": _sha256(out.replace(str(out_dir), OUT).encode()),
+        "stdout": _sha256(out.replace(str(out_dir), OUT).replace(str(TESTS_DIR), TESTS).encode()),
         "stderr": _sha256(stderr.getvalue().encode()),
         "files": {path.name: _sha256(path.read_bytes()) for path in files},
     }
