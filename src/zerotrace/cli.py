@@ -41,7 +41,7 @@ from .errors import (
     StreamExhaustedError,
     ZerotraceError,
 )
-from .exactalg import _printed
+from .exactalg import scalar_to_str
 from .instances import (
     builtin_help,
     instance_from_spec,
@@ -233,7 +233,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple:
             "rank": verdict.rank,
             "stream_exhausted": verdict.stream_exhausted,
             "witness_coeffs": (
-                [_printed(x) for x in verdict.witness_coeffs.entries]
+                [scalar_to_str(x) for x in verdict.witness_coeffs.entries]
                 if verdict.witness_coeffs is not None
                 else None
             ),
@@ -246,7 +246,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple:
             "method": zfam.method,
             "count": len(zfam.sets),
             "masks": [z.mask for z in zfam.sets],
-            "witnesses": [[_printed(x) for x in z.witness.entries] for z in zfam.sets],
+            "witnesses": [[scalar_to_str(x) for x in z.witness.entries] for z in zfam.sets],
         },
         "vcdim": vc,
         "ldim": ld,

@@ -2,10 +2,11 @@
 
 Every computation in this package reduces to linear algebra over an exact
 field: rationals with arbitrary precision, or F_p for a prime p.  Floats
-never appear.  Rationals are plain ``fractions.Fraction`` values (already
-kept in lowest terms with positive denominator); prime-field elements are
-canonical representatives in [0, p) wrapped so that mixed-field arithmetic
-fails loudly instead of silently coercing.
+never appear.  Each field has one scalar form, and it prints one way
+(``scalar_to_str``): over Q a plain ``fractions.Fraction`` (already in
+lowest terms with positive denominator), printed "n" or "n/d"; over F_p
+a plain int residue in [0, p), printed "r".  A field is a tag on each
+``Vector``, so vectors of different fields or widths never mix.
 
 Every span question (rank, membership, canonical basis, nullspace) is
 answered by one echelon form, ``Span``.  Its canonical basis and
@@ -15,8 +16,8 @@ vectors, so witnesses built from them are stable.
 Each ``Vector`` is held as plain ints over one positive denominator:
 residues over F_p, integers over Q.  ``Span`` rows, ``dot`` sums,
 ``zero_mask`` tests, equality and hashing all read those ints, and a
-vector boxes its entries into ``Fraction`` or ``FpElement`` values
-only when ``.entries`` is read, anew on each read.  The instance
+vector over Q boxes its entries into ``Fraction`` values only when
+``.entries`` is read, anew on each read.  The instance
 evaluators return int rows, and the stream scans in ``zerosets`` and
 ``constructions`` test those rows directly, boxing a ``Vector``
 (``_vector_of_ints``) only for the rows they keep; their zero tests
@@ -41,8 +42,8 @@ from .errors import (
     ResourceLimitError,
 )
 
-# Elements are Fraction (rational) or FpElement (prime field).
-Scalar = Union[Fraction, "FpElement"]
+# A scalar is a Fraction over Q or an int residue in [0, p) over F_p.
+Scalar = Union[Fraction, int]
 
 
 def _is_prime(n: int) -> bool:
@@ -96,121 +97,12 @@ class PrimeField:
         if not _is_prime(self.p):
             raise InvalidInputError(f"modulus is not prime: {self.p}")
 
-    # -- element construction ------------------------------------------
-    def element(self, value: int) -> "FpElement":
-        return FpElement(self, value % self.p)
-
-    @property
-    def zero(self) -> "FpElement":
-        return self.element(0)
-
-    @property
-    def one(self) -> "FpElement":
-        return self.element(1)
-
-    def coerce(self, x) -> "FpElement":
-        if isinstance(x, FpElement):
-            if x.field != self:
-                raise FieldMismatchError(f"element of F_{x.field.p} used in F_{self.p}")
-            return x
-        if isinstance(x, int) and not isinstance(x, bool):
-            return self.element(x)
-        raise FieldMismatchError(f"cannot coerce {x!r} into F_{self.p}")
-
     @property
     def name(self) -> str:
         return f"F_{self.p}"
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-
-@dataclass(frozen=True, slots=True)
-class FpElement:
-    """Canonical representative of a residue class mod a prime."""
-
-    field: PrimeField
-    value: int
-
-    def _check(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed moduli: F_{self.field.p} vs F_{other.field.p}"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, (self.value + other.value) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, (self.value - other.value) % self.field.p)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, (self.value * other.value) % self.field.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.field.p}")
-        inv = pow(other.value, -1, self.field.p)
-        return FpElement(self.field, (self.value * inv) % self.field.p)
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0 and self.value == 0:
-            raise ZeroDivisionError(f"inverting zero in F_{self.field.p}")
-        return FpElement(self.field, pow(self.value, exponent, self.field.p))
-
-    def __neg__(self):
-        return FpElement(self.field, (-self.value) % self.field.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FpElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value}(mod {self.field.p})"
 
 
 class RationalField:
@@ -224,24 +116,6 @@ class RationalField:
     """
 
     p = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def element(self, numerator, denominator=1) -> Fraction:
-        return Fraction(numerator, denominator)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int) and not isinstance(x, bool):
-            return Fraction(x)
-        raise FieldMismatchError(f"cannot coerce {x!r} into Q")
 
     @property
     def name(self) -> str:
@@ -270,8 +144,9 @@ def field_from_json(data) -> Field:
     raise InvalidInputError(f"unrecognized field descriptor: {data!r}")
 
 
-def _printed(x) -> str:
-    """str(x); an int past sys.get_int_max_str_digits() is a resource limit."""
+def scalar_to_str(x: Scalar) -> str:
+    """str(x), "n" or "n/d" for a Fraction and "r" for a residue; an int
+    past sys.get_int_max_str_digits() is a resource limit."""
     try:
         return str(x)
     except ValueError:
@@ -280,15 +155,10 @@ def _printed(x) -> str:
         ) from None
 
 
-def scalar_to_str(x: Scalar) -> str:
-    # Fraction renders as "n" or "n/d"
-    return _printed(x.value if isinstance(x, FpElement) else x)
-
-
 def scalar_from_str(field: Field, text: str) -> Scalar:
     try:
-        if isinstance(field, PrimeField):
-            return field.element(int(text))
+        if field.p:
+            return int(text) % field.p
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad scalar {text!r}: {exc}") from None
@@ -302,37 +172,33 @@ def scalar_from_str(field: Field, text: str) -> Scalar:
 class Vector:
     """Immutable fixed-width vector with a field tag, held in one int form.
 
-    _ints over the positive int _den gives the entries: entries[i] ==
-    _ints[i] / _den.  Over F_p _den is 1 and _ints holds residues; over
-    Q gcd(*_ints, _den) == 1.  That form is canonical, so equality and
-    hashing read it; .entries boxes the Fraction or FpElement entries
-    anew on each read.  A Vector is neither iterated nor indexed: one
-    entry is read off _ints and _den.  Vector(field, entries),
-    Vector.make and _vector_of_ints are the constructors, and _fill is
-    the only writer.
+    Vector(field, entries) takes ints over either field, and Fractions
+    over Q; over F_p it reduces them mod p.  _ints over the positive int
+    _den gives the entries: entries[i] == _ints[i] / _den.  Over F_p
+    _den is 1 and _ints holds residues, which .entries returns as they
+    are; over Q gcd(*_ints, _den) == 1, and .entries boxes Fractions
+    anew on each read.  That form is canonical, so equality and hashing
+    read it.  A Vector is neither iterated nor indexed: one entry is
+    read off _ints and _den.  Vector and _vector_of_ints are the
+    constructors, and _fill is the only writer.
     """
 
     __slots__ = ("field", "_ints", "_den")
 
     def __init__(self, field: Field, entries: Iterable):
-        if field.p:
-            ints, den = [x.value for x in entries], 1
-        else:
-            entries = tuple(entries)
-            dens = [x.denominator for x in entries]
-            den = lcm(*dens)
-            ints = [x.numerator * (den // d) for x, d in zip(entries, dens)]
-        _fill(self, field, ints, den)
-
-    @staticmethod
-    def make(field: Field, values: Iterable) -> "Vector":
-        return Vector(field, tuple(field.coerce(v) for v in values))
+        entries = tuple(entries)
+        kinds = int if field.p else (int, Fraction)
+        for x in entries:
+            if isinstance(x, bool) or not isinstance(x, kinds):
+                raise FieldMismatchError(f"cannot coerce {x!r} into {field.name}")
+        dens = [x.denominator for x in entries]
+        den = lcm(*dens)
+        _fill(self, field, [x.numerator * (den // d) for x, d in zip(entries, dens)], den)
 
     @property
     def entries(self) -> tuple:
-        field = self.field
-        if field.p:
-            return tuple([FpElement(field, x) for x in self._ints])
+        if self.field.p:
+            return self._ints
         den = self._den
         return tuple([Fraction(x, den) for x in self._ints])
 
@@ -377,10 +243,9 @@ class Vector:
         return _vector_of_ints(self.field, ints, da * db)
 
     def scale(self, c) -> "Vector":
-        field = self.field
-        c = field.coerce(c)
-        num, den = (c.value, 1) if field.p else (c.numerator, c.denominator)
-        return _vector_of_ints(field, [num * a for a in self._ints], den * self._den)
+        """c times self, for an int c, or a Fraction c over Q."""
+        num = c.numerator
+        return _vector_of_ints(self.field, [num * a for a in self._ints], c.denominator * self._den)
 
     def is_zero(self) -> bool:
         return not any(self._ints)
@@ -433,9 +298,9 @@ def dot(a: Vector, b: Vector) -> Scalar:
     """Exact inner product; errors on width or field mismatch."""
     a._check(b)
     total = sum(map(mul, a._ints, b._ints))
-    field = a.field
-    if field.p:
-        return FpElement(field, total % field.p)
+    p = a.field.p
+    if p:
+        return total % p
     return Fraction(total, a._den * b._den)
 
 
@@ -501,7 +366,7 @@ def _rows_zero_mask(p: int, row, rows: Iterable) -> int:
 class Span:
     """A subspace of F^width, held as echelon rows of the vectors added.
 
-    Rows are plain ints; field elements appear only at the API boundary.
+    Rows are plain ints; Fractions appear only at the API boundary.
     Over F_p a row holds residues with 1 at its pivot.  Over Q a row is
     the primitive integer multiple of its echelon row, with a positive
     entry at its pivot, and reduction stays in the integers (Bareiss):

@@ -132,11 +132,11 @@ def test_criterion_5_two_line_image_collapses_traces():
 
     cases = [
         (two_lines(), Sample.take(two_lines(), [1, 2, 3, 4]),
-         [Vector.make(QQ, (1, 0)), Vector.make(QQ, (0, 1))]),
+         [Vector(QQ, (1, 0)), Vector(QQ, (0, 1))]),
         (
             polynomial_instance(F3, 2, ["x^2", "x"], ["x"], name="square_linear_f3"),
             Sample.take(polynomial_instance(F3, 2, ["x^2", "x"], ["x"]), [0, 1, 2]),
-            [Vector.make(F3, (1, 1)), Vector.make(F3, (1, 2))],
+            [Vector(F3, (1, 1)), Vector(F3, (1, 2))],
         ),
     ]
     for _, sample, lines in cases:
@@ -228,7 +228,7 @@ def test_criterion_9_negative_controls():
     assert verdict.kind == "dependent"
     w = verdict.witness_coeffs
     for x in range(-10, 11):
-        assert dot(w, scaled.image(x)) == QQ.zero
+        assert dot(w, scaled.image(x)) == 0
     # path two: streamed image rank never reaches d
     basis = []
     for x in range(-40, 41):
@@ -246,4 +246,4 @@ def test_criterion_9_negative_controls():
     assert proof.kind == "dependent"
     assert proof.stream_exhausted
     for x in range(3):
-        assert dot(proof.witness_coeffs, frobenius.image(x)) == F3.zero
+        assert dot(proof.witness_coeffs, frobenius.image(x)) == 0

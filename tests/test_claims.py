@@ -7,6 +7,7 @@ import pytest
 from zerotrace import claims, zerosets
 from zerotrace.claims import CHECKS, CheckResult, run_checks
 from zerotrace.errors import DimensionMismatchError, InvalidInputError, StreamExhaustedError
+from zerotrace.setsystem import SetFamily
 
 
 def test_full_registry_passes():
@@ -154,3 +155,19 @@ def test_undersized_cover_guard_accepts_only_its_own_refusal(monkeypatch):
     [result] = run_checks(["strict_bound_under_cover"])
     assert not result.passed
     assert result.error.startswith("DimensionMismatchError:")
+
+
+def test_span_injectivity_suite_fails_when_the_reduction_merges_members(monkeypatch):
+    # the reduced family is a SetFamily, which refuses a repeated mask, so
+    # a reduction that maps two members to one sub-mask fails the check
+    reduce = claims.minimal_spanning_reduction
+
+    def merging(vectors, fam, d):
+        masks = list(reduce(vectors, fam, d).masks)
+        masks[1] = masks[0]
+        return SetFamily(fam.ground, tuple(masks))
+
+    monkeypatch.setattr(claims, "minimal_spanning_reduction", merging)
+    [result] = run_checks(["span_injectivity_suite"])
+    assert not result.passed
+    assert result.error.startswith("InvalidInputError: duplicate member set")

@@ -16,7 +16,7 @@ import zerotrace
 from zerotrace import cli, littlestone, setsystem, zerosets
 from zerotrace.cli import main
 from zerotrace.errors import BudgetExhaustedError, ResourceLimitError, StreamExhaustedError
-from zerotrace.exactalg import basis_vector
+from zerotrace.exactalg import PrimeField, basis_vector, scalar_from_str, scalar_to_str
 from zerotrace.instances import instance_from_spec, moment_curve, parse_instance_name
 from zerotrace.setsystem import GroundSet, SetFamily
 from zerotrace.zerosets import Sample, enumerate_family_flats, point_from_json, verify_bundle
@@ -364,6 +364,24 @@ def test_export_is_deterministic(tmp_path, capsys):
         assert code == 0
     for name in ("instance.json", "family.json", "tree.json", "shatter.csv", "cover.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, p", [("moment_curve:3,p=5", 5), ("high_vcden:3,p=7", 7)])
+def test_analyze_and_export_print_fp_scalars_one_way(tmp_path, capsys, name, p):
+    # an F_p scalar prints as its residue in analyze and in export alike,
+    # and scalar_from_str reads back every scalar that analyze prints
+    code, out, _ = run(capsys, "analyze", "--instance", name)
+    assert code == 0
+    report = json.loads(out)
+    code, _, _ = run(capsys, "export", "--instance", name, "--out", str(tmp_path))
+    assert code == 0
+    bundle = json.loads((tmp_path / "family.json").read_text())
+    witnesses = report["family"]["witnesses"]
+    assert witnesses == [entry["witness"] for entry in bundle["sets"]]
+    printed = [x for w in witnesses for x in w] + (report["independence"]["witness_coeffs"] or [])
+    assert printed
+    for text in printed:
+        assert scalar_to_str(scalar_from_str(PrimeField(p), text)) == text
 
 
 def test_export_round_trips_cover_json(tmp_path, capsys, monkeypatch):

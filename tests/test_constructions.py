@@ -48,16 +48,24 @@ def test_binom_le_table():
     assert binom_le(3, 9) == 8  # saturates at the full power set
 
 
-def test_dual_basis_kronecker():
-    inst = moment_curve(3)
+@pytest.mark.parametrize(
+    "inst, points",
+    [
+        pytest.param(moment_curve(3), (0, 1, -1), id="Q"),
+        # pivots such as 2 mod 5 are not their own inverses, so a wrong
+        # inverse in dual_basis fails here, as it does not over F_3
+        pytest.param(moment_curve(3, PrimeField(5)), (0, 1, 2), id="F5"),
+        pytest.param(moment_curve(4, PrimeField(13)), (0, 1, 2, 3), id="F13"),
+    ],
+)
+def test_dual_basis_kronecker(inst, points):
     db = dual_basis(inst)
-    assert db.sample.points == (0, 1, -1)
+    assert db.sample.points == points
     assert db.sample.images == tuple(inst.image(c) for c in db.sample.points)
     db.verify()
     for i, c in enumerate(db.sample.points):
-        for j in range(3):
-            value = dot(db.rows[j], inst.image(c))
-            assert value == (QQ.one if i == j else QQ.zero)
+        for j in range(inst.d):
+            assert dot(db.rows[j], inst.image(c)) == int(i == j)
 
 
 def test_dual_basis_evaluates_each_stream_point_once():
@@ -106,11 +114,10 @@ def test_shattered_set_realizes_every_subset():
     inst = moment_curve(4)
     db = dual_basis(inst)
     sample = Sample.take(inst, db.sample.points[:3])
-    zero = QQ.zero
     for size in range(0, 3 + 1):
         for subset in map(frozenset, combinations(range(3), size)):
             w = shattering_witness(db, subset)
-            got = {i for i, v in enumerate(sample.images) if dot(w, v) == zero}
+            got = {i for i, v in enumerate(sample.images) if dot(w, v) == 0}
             assert got == subset
     fam = enumerate_family_flats(sample).to_set_family()
     assert shatters(fam, range(3))
@@ -248,9 +255,8 @@ def test_scans_leave_the_images_they_only_test_unboxed(boxed):
 def test_subset_witness_separation():
     seq = independence_sequence(moment_curve(3), 5)
     w = subset_witness(seq, (1, 3))
-    zero = QQ.zero
     for i, v in enumerate(seq.images):
-        assert (dot(w, v) == zero) == (i in (1, 3))
+        assert (dot(w, v) == 0) == (i in (1, 3))
     with pytest.raises(InvalidInputError):
         subset_witness(seq, (1,))
     with pytest.raises(InvalidInputError):
@@ -271,9 +277,9 @@ def test_max_vc_trace_counts():
 
 
 def test_grid_point_and_witness_values():
-    assert grid_point(QQ, 3, 0, 0).entries == Vector.make(QQ, (1, 1, 0)).entries
-    assert grid_point(QQ, 3, 1, 2).entries == Vector.make(QQ, (1, 0, 3)).entries
-    assert grid_witness(QQ, 3, (0, 1)).entries == Vector.make(QQ, (2, -2, -1)).entries
+    assert grid_point(QQ, 3, 0, 0).entries == Vector(QQ, (1, 1, 0)).entries
+    assert grid_point(QQ, 3, 1, 2).entries == Vector(QQ, (1, 0, 3)).entries
+    assert grid_witness(QQ, 3, (0, 1)).entries == Vector(QQ, (2, -2, -1)).entries
     with pytest.raises(InvalidInputError):
         grid_point(QQ, 3, 2, 0)
     with pytest.raises(InvalidInputError):
@@ -296,7 +302,7 @@ def test_grid_membership_matches_dot_product():
             for js in ((0, 0), (1, 2), (2, 1)):
                 c = grid_point(QQ, 3, i, j)
                 b = grid_witness(QQ, 3, js)
-                assert (dot(b, c) == QQ.zero) == grid_membership(QQ, 3, i, j, js)
+                assert (dot(b, c) == 0) == grid_membership(QQ, 3, i, j, js)
 
 
 def test_grid_max_tree_counts():

@@ -18,7 +18,6 @@ from zerotrace.errors import (
 )
 from zerotrace.exactalg import (
     QQ,
-    FpElement,
     PrimeField,
     Span,
     Vector,
@@ -57,40 +56,17 @@ def test_residue_tuples_are_lexicographic_and_lazy():
     assert QQ.p == 0 and F13.p == 13
 
 
-def test_fp_inverse_exhaustive():
-    for a in range(1, 7):
-        x = F7.element(a)
-        assert x * (F7.one / x) == F7.one
-        assert x ** 6 == F7.one  # Fermat
-
-
-def test_fp_mixed_field_arithmetic_rejected():
-    with pytest.raises(FieldMismatchError):
-        F3.element(1) + F5.element(1)
-
-
-def test_fp_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        F3.one / F3.zero
-
-
-def test_rational_exactness():
-    a = QQ.element(1, 3)
-    b = QQ.element(1, 6)
-    assert a + b == QQ.element(1, 2)
-    assert QQ.coerce(Fraction(2, 4)) == QQ.element(1, 2)
-
-
 @given(st.integers(-40, 40), st.integers(1, 40))
 def test_scalar_str_round_trip_rational(num, den):
-    x = QQ.element(num, den)
+    x = Fraction(num, den)
     assert scalar_from_str(QQ, scalar_to_str(x)) == x
 
 
 @given(st.integers(0, 4))
 def test_scalar_str_round_trip_fp(v):
-    x = F5.element(v)
-    assert scalar_from_str(F5, scalar_to_str(x)) == x
+    assert scalar_to_str(v) == str(v)
+    assert scalar_from_str(F5, scalar_to_str(v)) == v
+    assert scalar_from_str(F5, str(v - 5)) == v
 
 
 def test_field_json_round_trip():
@@ -99,22 +75,36 @@ def test_field_json_round_trip():
 
 
 def test_vector_arithmetic():
-    v = Vector.make(QQ, (1, 2, 3))
-    w = Vector.make(QQ, (4, 5, 6))
-    assert (v + w).entries == Vector.make(QQ, (5, 7, 9)).entries
-    assert (w - v).entries == Vector.make(QQ, (3, 3, 3)).entries
-    assert v.scale(QQ.element(2)).entries == Vector.make(QQ, (2, 4, 6)).entries
-    assert basis_vector(QQ, 3, 1).entries == Vector.make(QQ, (0, 1, 0)).entries
+    v = Vector(QQ, (1, 2, 3))
+    w = Vector(QQ, (4, 5, 6))
+    assert (v + w).entries == Vector(QQ, (5, 7, 9)).entries
+    assert (w - v).entries == Vector(QQ, (3, 3, 3)).entries
+    assert v.scale(2).entries == Vector(QQ, (2, 4, 6)).entries
+    half = Vector(QQ, (Fraction(1, 2), 1, Fraction(3, 2)))
+    assert v.scale(Fraction(1, 2)).entries == half.entries
+    assert Vector(F5, (4, 7, -1)).scale(3).entries == (2, 1, 2)
+    assert basis_vector(QQ, 3, 1).entries == Vector(QQ, (0, 1, 0)).entries
 
 
 def test_vector_width_mismatch():
     with pytest.raises(DimensionMismatchError):
-        Vector.make(QQ, (1, 2)) + Vector.make(QQ, (1, 2, 3))
+        Vector(QQ, (1, 2)) + Vector(QQ, (1, 2, 3))
 
 
 def test_vector_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        Vector.make(QQ, (1, 2)) + Vector.make(F3, (1, 2))
+        Vector(QQ, (1, 2)) + Vector(F3, (1, 2))
+    with pytest.raises(FieldMismatchError):
+        Vector(F3, (1, 2)) - Vector(F5, (1, 2))
+
+
+def test_vector_takes_ints_and_rationals_only():
+    assert Vector(F5, (7, -1, 0)).entries == (2, 4, 0)
+    assert Vector(QQ, (Fraction(2, 4), 3)).entries == (Fraction(1, 2), Fraction(3))
+    for field, bad in ((QQ, True), (QQ, 1.5), (QQ, "1"), (F5, Fraction(1, 2)), (F5, False),
+                       (F5, 2.0), (F5, "3")):
+        with pytest.raises(FieldMismatchError):
+            Vector(field, (1, bad))
 
 
 @given(
@@ -123,17 +113,17 @@ def test_vector_field_mismatch():
     st.integers(-4, 4),
 )
 def test_dot_is_bilinear(a, b, c):
-    va, vb = Vector.make(QQ, a), Vector.make(QQ, b)
-    scaled = dot(va.scale(QQ.element(c)), vb)
-    assert scaled == QQ.element(c) * dot(va, vb)
+    va, vb = Vector(QQ, a), Vector(QQ, b)
+    scaled = dot(va.scale(c), vb)
+    assert scaled == c * dot(va, vb)
     assert dot(va + vb, vb) == dot(va, vb) + dot(vb, vb)
 
 
 def test_vandermonde_rank():
     nodes = [0, 1, 2]
-    rows = [Vector.make(QQ, (1, x, x * x)) for x in nodes]
+    rows = [Vector(QQ, (1, x, x * x)) for x in nodes]
     assert rank(rows) == 3
-    rows.append(Vector.make(QQ, (1, 2, 4)))  # repeated node
+    rows.append(Vector(QQ, (1, 2, 4)))  # repeated node
     assert rank(rows) == 3
     assert rank(rows) != len(rows)
 
@@ -142,7 +132,7 @@ def test_vandermonde_rank():
 def f5_vectors(draw, width=3, count=4):
     n = draw(st.integers(1, count))
     return [
-        Vector.make(F5, [draw(st.integers(0, 4)) for _ in range(width)])
+        Vector(F5, [draw(st.integers(0, 4)) for _ in range(width)])
         for _ in range(n)
     ]
 
@@ -159,8 +149,7 @@ def test_row_space_canonical_is_span_invariant(vectors):
     canon = row_space_canonical(vectors)
     assert len(canon) == rank(vectors)
     # invariant under reordering and rescaling by units
-    two = F5.element(2)
-    mangled = [v.scale(two) for v in reversed(vectors)]
+    mangled = [v.scale(2) for v in reversed(vectors)]
     assert row_space_canonical(mangled) == canon
     # canonical rows lie in the original span and vice versa
     assert all(in_span(row, vectors) for row in canon)
@@ -168,21 +157,21 @@ def test_row_space_canonical_is_span_invariant(vectors):
 
 
 def test_row_space_canonical_separates_spans():
-    a = row_space_canonical([Vector.make(QQ, (1, 0))])
-    b = row_space_canonical([Vector.make(QQ, (0, 1))])
-    c = row_space_canonical([Vector.make(QQ, (2, 0))])
+    a = row_space_canonical([Vector(QQ, (1, 0))])
+    b = row_space_canonical([Vector(QQ, (0, 1))])
+    c = row_space_canonical([Vector(QQ, (2, 0))])
     assert a != b
     assert a == c
     assert row_space_canonical([]) == ()
 
 
 def test_projective_normalize():
-    v = Vector.make(QQ, (0, -3, 6))
+    v = Vector(QQ, (0, -3, 6))
     n = projective_normalize(v)
-    assert n.entries == Vector.make(QQ, (0, 1, -2)).entries
-    assert projective_normalize(v.scale(QQ.element(7, 2))).entries == n.entries
+    assert n.entries == Vector(QQ, (0, 1, -2)).entries
+    assert projective_normalize(v.scale(Fraction(7, 2))).entries == n.entries
     with pytest.raises(InvalidInputError):
-        projective_normalize(Vector.make(QQ, (0, 0)))
+        projective_normalize(Vector(QQ, (0, 0)))
 
 
 @given(f5_vectors(width=4))
@@ -191,7 +180,7 @@ def test_nullspace_basis_is_orthogonal_complement(vectors):
     kernel = nullspace_basis(F5, width, vectors)
     assert len(kernel) == width - rank(vectors)
     for k in kernel:
-        assert all(dot(v, k) == F5.zero for v in vectors)
+        assert all(dot(v, k) == 0 for v in vectors)
     assert rank(kernel) == len(kernel)
 
 
@@ -203,23 +192,32 @@ def test_nullspace_basis_no_rows_is_standard_basis():
 # -- reference implementations ---------------------------------------------
 # Independent of Span: textbook forward elimination with the first
 # nonzero entry in row-major order as pivot, membership by rank
-# comparison, and the kernel by back-substitution.
+# comparison, and the kernel by back-substitution, on the entries as
+# read: Fractions over Q, residues over F_p reduced after each step.
+
+
+def _scalar(field, x):
+    """x as a scalar of field: a Fraction over Q, a residue over F_p."""
+    return x % field.p if field.p else Fraction(x)
+
+
+def _inverse(field, x):
+    return pow(x, -1, field.p) if field.p else 1 / x
 
 
 def _ref_echelon(rows, width, field):
-    zero = field.zero
     pivot_cols = []
     pivot_row = 0
     for col in range(width):
-        found = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != zero), None)
+        found = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
         if found is None:
             continue
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         pivot = rows[pivot_row][col]
         for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col] != zero:
-                factor = rows[r][col] / pivot
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+            if rows[r][col] != 0:
+                factor = rows[r][col] * _inverse(field, pivot)
+                rows[r] = [_scalar(field, a - factor * b) for a, b in zip(rows[r], rows[pivot_row])]
         pivot_cols.append(col)
         pivot_row += 1
         if pivot_row == len(rows):
@@ -245,16 +243,18 @@ def _ref_canonical_rows(vectors):
     if not vectors:
         return []
     field = vectors[0].field
-    zero = field.zero
     pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], len(vectors[0]), field)
     reduced = rows[: len(pivot_cols)]
     for i in range(len(pivot_cols) - 1, -1, -1):
         col = pivot_cols[i]
-        reduced[i] = [a / reduced[i][col] for a in reduced[i]]
+        inverse = _inverse(field, reduced[i][col])
+        reduced[i] = [_scalar(field, a * inverse) for a in reduced[i]]
         for r in range(i):
             factor = reduced[r][col]
-            if factor != zero:
-                reduced[r] = [a - factor * b for a, b in zip(reduced[r], reduced[i])]
+            if factor != 0:
+                reduced[r] = [
+                    _scalar(field, a - factor * b) for a, b in zip(reduced[r], reduced[i])
+                ]
     return [tuple(row) for row in reduced]
 
 
@@ -264,20 +264,17 @@ def _ref_row_space_canonical(vectors):
 
 def _ref_kernel_rows(field, width, vectors):
     """The kernel basis, by back-substitution, as tuples of boxed scalars."""
-    zero = field.zero
     pivot_cols, rows = _ref_echelon([list(v.entries) for v in vectors], width, field)
     basis = []
     for free_col in range(width):
         if free_col in pivot_cols:
             continue
-        solution = [zero] * width
-        solution[free_col] = field.one
+        solution = [_scalar(field, 0)] * width
+        solution[free_col] = _scalar(field, 1)
         for i in range(len(pivot_cols) - 1, -1, -1):
             col = pivot_cols[i]
-            acc = zero
-            for j in range(col + 1, width):
-                acc = acc + rows[i][j] * solution[j]
-            solution[col] = -acc / rows[i][col]
+            acc = sum(rows[i][j] * solution[j] for j in range(col + 1, width))
+            solution[col] = _scalar(field, -acc * _inverse(field, rows[i][col]))
         basis.append(tuple(solution))
     return basis
 
@@ -289,7 +286,7 @@ def _ref_nullspace_basis(field, width, vectors):
 def _random_system(rng, field, width):
     """Small row lists mixing the edge cases: zero rows, repeats, full rank."""
     if isinstance(field, PrimeField):
-        entry = lambda: field.element(rng.randrange(field.p))  # noqa: E731
+        entry = lambda: rng.randrange(field.p)  # noqa: E731
     else:
         entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
     rows = [Vector(field, tuple(entry() for _ in range(width))) for _ in range(rng.randint(0, width + 2))]
@@ -297,7 +294,7 @@ def _random_system(rng, field, width):
     if shape == 0 and rows:
         rows.append(rows[rng.randrange(len(rows))])  # repeated row
     elif shape == 1:
-        rows.insert(rng.randint(0, len(rows)), Vector(field, (field.zero,) * width))
+        rows.insert(rng.randint(0, len(rows)), Vector(field, (0,) * width))
     elif shape == 2:
         rows += [basis_vector(field, width, i) for i in rng.sample(range(width), width)]
     rng.shuffle(rows)
@@ -329,12 +326,12 @@ def _wide_system(rng, field, width):
     normalization: entries up to +-60 (Q denominators up to 9), negative
     leading entries, zero rows, repeated and negated rows, full rank."""
     if isinstance(field, PrimeField):
-        entry = lambda: field.element(rng.randint(-60, 60))  # noqa: E731
+        entry = lambda: rng.randint(-60, 60) % field.p  # noqa: E731
     else:
         entry = lambda: Fraction(rng.randint(-60, 60), rng.randint(1, 9))  # noqa: E731
     rows = []
     for _ in range(rng.randint(0, width + 3)):
-        entries = [entry() if rng.random() < 0.8 else field.zero for _ in range(width)]
+        entries = [entry() if rng.random() < 0.8 else 0 for _ in range(width)]
         lead = next((i for i, a in enumerate(entries) if a), None)
         if lead is not None and not isinstance(field, PrimeField):
             entries[lead] = -abs(entries[lead])
@@ -342,13 +339,13 @@ def _wide_system(rng, field, width):
     shape = rng.randrange(4)
     if shape == 0 and rows:
         rows.append(rows[rng.randrange(len(rows))])
-        rows.append(rows[rng.randrange(len(rows))].scale(field.element(-1)))
+        rows.append(rows[rng.randrange(len(rows))].scale(-1))
     elif shape == 1:
-        rows.insert(rng.randint(0, len(rows)), Vector(field, (field.zero,) * width))
+        rows.insert(rng.randint(0, len(rows)), Vector(field, (0,) * width))
     elif shape == 2:  # triangular with a nonzero diagonal: full rank
         for i in range(width):
             tail = tuple(entry() for _ in range(width - i - 1))
-            rows.append(Vector(field, (field.zero,) * i + (entry() or field.one,) + tail))
+            rows.append(Vector(field, (0,) * i + (entry() or 1,) + tail))
     rng.shuffle(rows)
     return rows
 
@@ -370,10 +367,7 @@ def test_span_matches_reference_on_wide_systems(field):
 
 
 def _ref_dot(a, b):
-    total = a.field.zero
-    for x, y in zip(a.entries, b.entries):
-        total = total + x * y
-    return total
+    return _scalar(a.field, sum(x * y for x, y in zip(a.entries, b.entries)))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
@@ -382,7 +376,7 @@ def test_dot_matches_reference_sum(field):
     for _ in range(300):
         width = rng.randint(0, 7)
         if isinstance(field, PrimeField):
-            entry = lambda: field.element(rng.randint(-60, 60))  # noqa: E731
+            entry = lambda: rng.randint(-60, 60)  # noqa: E731
         elif rng.random() < 0.5:  # integer vectors
             entry = lambda: Fraction(rng.randint(-60, 60))  # noqa: E731
         else:  # mixed denominators
@@ -392,7 +386,7 @@ def test_dot_matches_reference_sum(field):
         got = dot(a, b)
         assert got == _ref_dot(a, b)
         if isinstance(field, PrimeField):
-            assert type(got) is FpElement and got.field == field
+            assert type(got) is int and 0 <= got < field.p
         else:
             assert type(got) is Fraction
 
@@ -400,13 +394,13 @@ def test_dot_matches_reference_sum(field):
 def test_mixed_vectors_are_rejected_before_int_conversion(monkeypatch):
     # Every vector already holds its int form, so a rejected one must be
     # turned away without building or boxing any vector.
-    q2 = Vector.make(QQ, (1, 0))
-    q_span, f7_span = Span([q2]), Span([Vector.make(F7, (1, 0))])
-    f5 = Vector.make(F5, (1, 2))
+    q2 = Vector(QQ, (1, 0))
+    q_span, f7_span = Span([q2]), Span([Vector(F7, (1, 0))])
+    f5 = Vector(F5, (1, 2))
     wrong_field = [(q_span, f5), (f7_span, f5), (f7_span, q2), (q_span, (1, 2))]
-    wrong_width = [(q_span, Vector.make(QQ, (1, 2, 3))), (f7_span, Vector.make(F7, (1,)))]
-    bad_dots = [(q2, f5), (Vector.make(F7, (1, 2)), f5)]
-    bad_dots += [(q2, Vector.make(QQ, (1, 2, 3))), (Vector.make(F7, (1, 2)), Vector.make(F7, (1,)))]
+    wrong_width = [(q_span, Vector(QQ, (1, 2, 3))), (f7_span, Vector(F7, (1,)))]
+    bad_dots = [(q2, f5), (Vector(F7, (1, 2)), f5)]
+    bad_dots += [(q2, Vector(QQ, (1, 2, 3))), (Vector(F7, (1, 2)), Vector(F7, (1,)))]
 
     def no_conversion(*args):
         raise AssertionError("converted before the field and width checks")
@@ -426,17 +420,17 @@ def test_mixed_vectors_are_rejected_before_int_conversion(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_empty_span_membership_is_a_zero_test(field):
-    assert Vector.make(field, (0, 0, 0)) in Span()
-    assert Vector.make(field, (0, 3, 0)) not in Span()
-    assert in_span(Vector.make(field, (0, 0)), [])
-    assert not in_span(Vector.make(field, (1, 0)), [])
+    assert Vector(field, (0, 0, 0)) in Span()
+    assert Vector(field, (0, 3, 0)) not in Span()
+    assert in_span(Vector(field, (0, 0)), [])
+    assert not in_span(Vector(field, (1, 0)), [])
 
 
 def test_span_runs_without_fraction_arithmetic(monkeypatch):
     rows = [
-        Vector.make(QQ, r) for r in ((2, -4, 6, 0), (-3, 6, 1, 5), (1, -2, 3, 0), (0, 0, 10, 5))
+        Vector(QQ, r) for r in ((2, -4, 6, 0), (-3, 6, 1, 5), (1, -2, 3, 0), (0, 0, 10, 5))
     ]
-    probes = [Vector.make(QQ, r) for r in ((0, 0, 2, 1), (1, 0, 0, 0), (-1, 2, 7, 5))]
+    probes = [Vector(QQ, r) for r in ((0, 0, 2, 1), (1, 0, 0, 0), (-1, 2, 7, 5))]
     canonical = row_space_canonical(rows)
     kernel = nullspace_basis(QQ, 4, rows)
 
@@ -459,7 +453,7 @@ def _small_vector(rng, field, width):
     """Entries in -3..3 (over Q with denominators 1 to 3), so that dot
     products vanish often."""
     if isinstance(field, PrimeField):
-        return Vector(field, tuple(field.element(rng.randint(-3, 3)) for _ in range(width)))
+        return Vector(field, tuple(rng.randint(-3, 3) for _ in range(width)))
     return Vector(
         field, tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(width))
     )
@@ -473,27 +467,27 @@ def test_zero_mask_matches_dot_per_vector(field):
         width = rng.randint(1, 5)
         a = _small_vector(rng, field, width)
         vectors = [_small_vector(rng, field, width) for _ in range(rng.randint(0, 8))]
-        zeros = [_ref_dot(a, v) == field.zero for v in vectors]
+        zeros = [_ref_dot(a, v) == 0 for v in vectors]
         outcomes.update(zeros)
         assert zero_mask(a, vectors) == sum(1 << i for i, z in enumerate(zeros) if z)
     assert outcomes == {True, False}
 
 
 def test_zero_mask_rejects_field_and_width_mismatch():
-    q2, f5 = Vector.make(QQ, (1, 2)), Vector.make(F5, (1, 2))
+    q2, f5 = Vector(QQ, (1, 2)), Vector(F5, (1, 2))
     assert zero_mask(q2, []) == 0
-    for a, vectors in ((q2, [q2, f5]), (f5, [Vector.make(F7, (1, 2))]), (q2, [(1, 2)])):
+    for a, vectors in ((q2, [q2, f5]), (f5, [Vector(F7, (1, 2))]), (q2, [(1, 2)])):
         with pytest.raises(FieldMismatchError):
             zero_mask(a, vectors)
-    for a, vectors in ((q2, [Vector.make(QQ, (1, 2, 3))]), (f5, [Vector.make(F5, (1,))])):
+    for a, vectors in ((q2, [Vector(QQ, (1, 2, 3))]), (f5, [Vector(F5, (1,))])):
         with pytest.raises(DimensionMismatchError):
             zero_mask(a, vectors)
 
 
 def _ref_unit_lead_entries(v):
-    lead = next(x for x in v.entries if x != v.field.zero)
-    inverse = v.field.one / lead
-    return tuple(x * inverse for x in v.entries)
+    lead = next(x for x in v.entries if x != 0)
+    inverse = _inverse(v.field, lead)
+    return tuple(_scalar(v.field, x * inverse) for x in v.entries)
 
 
 def _ref_projective_normalize(v):
@@ -503,7 +497,7 @@ def _ref_projective_normalize(v):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), F3, PrimeField(13)], ids=str)
 def test_projective_normalize_matches_scale_by_inverse(field):
     rng = random.Random(1968)
-    entry_type = FpElement if isinstance(field, PrimeField) else Fraction
+    entry_type = int if isinstance(field, PrimeField) else Fraction
     for _ in range(300):
         v = _small_vector(rng, field, rng.randint(1, 6))
         if v.is_zero():
@@ -529,9 +523,9 @@ def test_vector_made_from_ints_behaves_like_an_eager_one(field):
         return exactalg._vector_of_ints(field, ints)
 
     for ints in INT_ROWS:
-        eager = Vector.make(field, ints)
+        eager = Vector(field, ints)
         assert lazy() == eager and eager == lazy()
-        assert lazy() != Vector.make(field, (1, 1, 1))
+        assert lazy() != Vector(field, (1, 1, 1))
         assert hash(lazy()) == hash(eager)
         assert lazy() in {eager} and eager in {lazy()}
         assert {lazy(): "x"}[eager] == "x" and {eager: "x"}[lazy()] == "x"
@@ -554,7 +548,7 @@ def test_vectors_made_from_ints_give_the_same_algebra(field):
     def lazy():
         return [exactalg._vector_of_ints(field, r) for r in INT_ROWS]
 
-    eager = [Vector.make(field, r) for r in INT_ROWS]
+    eager = [Vector(field, r) for r in INT_ROWS]
     for i, a in enumerate(eager):
         for j, b in enumerate(eager):
             got = [dot(lazy()[i], lazy()[j]), dot(lazy()[i], b), dot(a, lazy()[j])]
@@ -612,10 +606,10 @@ def _int_form_system(rng, field, width):
     rows = _wide_system(rng, field, width)
     for v in rng.sample(rows, min(len(rows), 3)):
         k = rng.choice((-6, -2, 2, 3, 4, 6))
-        scaled = tuple(field.element(k) * x for x in v.entries)
+        scaled = tuple(_scalar(field, k * x) for x in v.entries)
         rows.append(rng.choice((
             Vector(field, scaled),
-            Vector.make(field, scaled),
+            Vector(field, scaled),
             exactalg._vector_of_ints(field, [k * x for x in v._ints], v._den),
         )))
     rng.shuffle(rows)
@@ -659,13 +653,13 @@ def test_every_constructor_gives_the_one_canonical_form(field):
         ints = [rng.randint(-40, 40) if rng.random() < 0.8 else 0 for _ in range(width)]
         if p:
             inverse = pow(den, -1, p)
-            entries = tuple(field.element(x * inverse) for x in ints)
+            entries = tuple(x * inverse % p for x in ints)
         else:
             entries = tuple(Fraction(x, den) for x in ints)
         k = rng.choice([c for c in (1, 2, 5) if not p or c % p])  # a factor the form cancels
         made = [
             Vector(field, entries),
-            Vector.make(field, entries),
+            Vector(field, entries),
             exactalg._vector_of_ints(field, [k * x for x in ints], k * den),
         ]
         if den == 1:

@@ -21,7 +21,7 @@ from zerotrace.zerosets import Sample, enumerate_family_flats
 
 
 def vq(*xs):
-    return Vector.make(QQ, xs)
+    return Vector(QQ, xs)
 
 
 def test_span_family_guards():

@@ -81,10 +81,10 @@ def _constant_instance(field, row):
 def test_rows_are_tuples_of_d_ints(field):
     good = _constant_instance(field, (1, -2, 7))
     assert good.row(0) == ((1, -2, 7) if field is QQ else (1, 1, 1))  # reduced mod p
-    assert good.image(0) == Vector.make(field, (1, -2, 7))
+    assert good.image(0) == Vector(field, (1, -2, 7))
     for bad in (
         [1, -2, 7],
-        Vector.make(field, (1, -2, 7)),
+        Vector(field, (1, -2, 7)),
         (1, True, 7),
         (1, Fraction(1, 2), 7),
         (1, -2, 7, 0),
@@ -114,11 +114,11 @@ def test_zero_set_mask_and_witness_normalization():
     inst = moment_curve(2)
     s = Sample.take(inst, [0, 1, 2])
     # -3 + 3x vanishes exactly at x = 1
-    z = zero_set(s, Vector.make(QQ, (-3, 3)))
+    z = zero_set(s, Vector(QQ, (-3, 3)))
     assert z.mask == 0b010
-    assert z.witness.entries == Vector.make(QQ, (1, -1)).entries
+    assert z.witness.entries == Vector(QQ, (1, -1)).entries
     with pytest.raises(InvalidInputError):
-        zero_set(s, Vector.make(QQ, (0, 0)))
+        zero_set(s, Vector(QQ, (0, 0)))
 
 
 def test_flats_enumeration_moment_curve():
@@ -153,7 +153,7 @@ def _boxed_bruteforce(sample):
     found = {}
     for lead in range(d):
         for tail in product(range(field.p), repeat=d - lead - 1):
-            z = zero_set(sample, Vector.make(field, (0,) * lead + (1,) + tail))
+            z = zero_set(sample, Vector(field, (0,) * lead + (1,) + tail))
             found.setdefault(z.mask, z)
     return [found[m] for m in sorted(found)]
 
@@ -194,7 +194,6 @@ def _span_closure(images, basis):
 def _reference_witness(field, kernel, off_images):
     """The earlier witness search on exact vectors: combine every candidate
     coefficient tuple and take dot products with each off image."""
-    zero = field.zero
 
     def combine(coeffs):
         acc = kernel[0].scale(coeffs[0])
@@ -207,7 +206,7 @@ def _reference_witness(field, kernel, off_images):
             head = [0] * lead + [1]
             for tail in product(range(field.p), repeat=len(kernel) - lead - 1):
                 a = combine(head + list(tail))
-                if all(dot(a, v) != zero for v in off_images):
+                if all(dot(a, v) != 0 for v in off_images):
                     return a
         return None
     radius = 1
@@ -215,7 +214,7 @@ def _reference_witness(field, kernel, off_images):
         for coeffs in product(range(-radius, radius + 1), repeat=len(kernel)):
             if max(abs(c) for c in coeffs) == radius:
                 a = combine(coeffs)
-                if all(dot(a, v) != zero for v in off_images):
+                if all(dot(a, v) != 0 for v in off_images):
                     return a
         radius += 1
 
@@ -325,9 +324,9 @@ def test_walk_pins_its_benchmark_counted_calls(monkeypatch, field):
 
 def _explicit_sample(field, rows):
     """Sample whose i-th image is rows[i] times the least common
-    denominator of its entries: the int row of Vector.make(field, rows[i]),
+    denominator of its entries: the int row of Vector(field, rows[i]),
     on the same line."""
-    ints = [Vector.make(field, row)._ints for row in rows]
+    ints = [Vector(field, row)._ints for row in rows]
     inst = zerosets.Instance(
         name="explicit",
         field=field,
@@ -518,7 +517,7 @@ def test_independence_verdicts():
     assert not verdict.stream_exhausted
     w = verdict.witness_coeffs
     for x in (0, 1, -1, 5):
-        assert dot(w, scaled.image(x)) == QQ.zero
+        assert dot(w, scaled.image(x)) == 0
     frobenius = polynomial_instance(F3, 2, ["x", "x^3"], ["x"], name="frobenius_pair_f3")
     proof = linearly_independent(frobenius, budget=100)
     assert proof.kind == "dependent"
@@ -532,16 +531,16 @@ def test_a_stream_ending_before_d_points_proves_dependence():
     verdict = linearly_independent(short)
     assert (verdict.kind, verdict.rank, verdict.scanned) == ("dependent", 2, 2)
     assert verdict.stream_exhausted
-    assert verdict.witness_coeffs == Vector.make(short.field, (0, 1, 1, 0, 0))
+    assert verdict.witness_coeffs == Vector(short.field, (0, 1, 1, 0, 0))
     for x in short.stream():
-        assert dot(verdict.witness_coeffs, short.image(x)) == short.field.zero
+        assert dot(verdict.witness_coeffs, short.image(x)) == 0
     empty = zerosets.Instance(
         name="empty", field=QQ, d=3, evaluate=lambda x: None, stream=lambda: iter(())
     )
     verdict = linearly_independent(empty)
     assert (verdict.kind, verdict.rank, verdict.scanned) == ("dependent", 0, 0)
     assert verdict.stream_exhausted
-    assert verdict.witness_coeffs == Vector.make(QQ, (1, 0, 0))
+    assert verdict.witness_coeffs == Vector(QQ, (1, 0, 0))
 
 
 def test_streamed_multiples_of_one_line_add_one_row_each(monkeypatch):
@@ -578,8 +577,8 @@ def test_independence_budget_below_d_is_exhausted_not_invalid():
 def test_density_zero_partition_two_lines():
     inst = two_lines()
     s = Sample.prefix(inst, 7)
-    e0 = Vector.make(QQ, (1, 0))
-    e1 = Vector.make(QQ, (0, 1))
+    e0 = Vector(QQ, (1, 0))
+    e1 = Vector(QQ, (0, 1))
     report = density_zero_partition(s, [e0, e1])
     assert report.bound == 4
     assert len(report.family) <= 4
@@ -597,14 +596,14 @@ def test_density_zero_partition_two_lines():
 def test_density_zero_partition_keys_blocks_by_line():
     inst = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair")
     s = Sample.take(inst, [0, 1, -2, 3])  # images 0, (1,2), (-2,-4), (3,6)
-    line = Vector.make(QQ, (Fraction(-1, 3), Fraction(-2, 3)))
-    for lines in ([line], [line, Vector.make(QQ, (2, 4))]):  # the same line twice
+    line = Vector(QQ, (Fraction(-1, 3), Fraction(-2, 3)))
+    for lines in ([line], [line, Vector(QQ, (2, 4))]):  # the same line twice
         report = density_zero_partition(s, lines)
         assert report.block_masks == (0b1110,)  # -3, 6 and -9 times the direction
         assert report.zero_block_mask == 0b0001
         assert report.bound == 2
     with pytest.raises(InvalidInputError, match="outside the given lines"):
-        density_zero_partition(s, [Vector.make(QQ, (1, 0)), Vector.make(QQ, (1, -2))])
+        density_zero_partition(s, [Vector(QQ, (1, 0)), Vector(QQ, (1, -2))])
 
 
 def test_point_json_round_trip():
