@@ -1228,3 +1228,79 @@ GOLDEN_CORPUS = json.loads(golden_corpus.MANIFEST.read_text())
 @pytest.mark.parametrize("argv", golden_corpus.REQUESTS, ids=golden_corpus.key)
 def test_request_matches_golden_corpus(tmp_path, argv):
     assert golden_corpus.outputs(argv, tmp_path / "out") == GOLDEN_CORPUS[golden_corpus.key(argv)]
+
+
+def _matches_corpus(tmp_path, argv):
+    """Whether request argv gives its manifest entry; the entry itself."""
+    entry = GOLDEN_CORPUS[golden_corpus.key(argv)]
+    return golden_corpus.outputs(argv, tmp_path / "out") == entry, entry
+
+
+#: The requests whose report digests were pinned before the corpus was;
+#: each has exit code 0 and its corpus entry.
+GOLDEN_DIGEST_REQUESTS = [
+    ("analyze", "--instance", "moment_curve:3"),
+    ("analyze", "--instance", "moment_curve:3,p=5"),
+    ("analyze", "--instance", "two_lines"),
+    # witnesses with rational denominators, and with F_13 entries
+    ("analyze", "--instance", "conics"),
+    ("analyze", "--instance", "moment_curve:4,p=13"),
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6"),
+    ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "7"),
+    # pi(n) < C(n, <= 2) for n >= 5, so those depths never stop at their cap
+    ("shatter-fn", "--instance", "high_vcden:3", "--n-max", "8"),
+    ("shatter-fn", "--instance", "high_vcden:4", "--n-max", "5"),
+    # every check at the default seed, exact details included
+    ("verify",),
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_DIGEST_REQUESTS, ids=" ".join)
+def test_report_matches_golden_digest(tmp_path, argv):
+    matches, entry = _matches_corpus(tmp_path, argv)
+    assert matches
+    assert entry["exit"] == 0
+
+
+#: The limit exits, refusals and CSV output pinned before the corpus was,
+#: with their exit codes.  "{spec}" stands for the checked-in Q spec
+#: x^2 - y, x*y, x^2 - y + 3*x*y.
+GOLDEN_EXIT_REQUESTS = {
+    ("analyze", "--instance", "moment_curve:13"): 2,
+    ("analyze", "--instance", "moment_curve:12,p=2"): 2,
+    ("analyze", "--instance", "moment_curve:3", "--budget", "1000001"): 2,
+    ("shatter-fn", "--instance", "moment_curve:3", "--n-max", "30", "--depth-cap", "2"): 2,
+    ("verify", "--budget", "3", "--checks", "dichotomy_on_builtins"): 2,
+    ("verify", "--depth-cap", "1"): 2,
+    ("analyze", "--instance", "nope"): 3,
+    ("verify", "--checks", "nonsense"): 3,
+    ("verify", "--checks", "json_round_trips,json_round_trips"): 3,
+    ("shatter-fn", "--instance", "moment_curve:4", "--n-max", "6", "--format", "csv"): 0,
+    ("analyze", "--instance", "{spec}"): 0,
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_EXIT_REQUESTS), ids=" ".join)
+def test_exits_and_outputs_match_golden_table(tmp_path, argv):
+    spec = golden_corpus.TESTS + "/quadrics.json"
+    matches, entry = _matches_corpus(tmp_path, tuple(spec if a == "{spec}" else a for a in argv))
+    assert matches
+    assert entry["exit"] == GOLDEN_EXIT_REQUESTS[argv]
+
+
+def test_deep_analyze_profile_matches_golden_digest(tmp_path):
+    # rho(0..12) of the 20-point d=3 family, a search that was exhaustive
+    # until each side of a split got its own ldim bound
+    argv = ("analyze", "--instance", golden_corpus.TESTS + "/moment_curve_3.json", "--n-max", "12")
+    matches, entry = _matches_corpus(tmp_path, argv)
+    assert matches
+    assert entry["exit"] == 0
+
+
+def test_designed_grid_export_matches_golden_digests(tmp_path):
+    # the witness tree and the rho column read off the grid family
+    matches, entry = _matches_corpus(tmp_path, ("export", "--instance", "high_vcden:3", "--out",
+                                                golden_corpus.OUT))
+    assert matches
+    assert entry["exit"] == 0
+    assert {"tree.json", "shatter.csv"} <= set(entry["files"])
