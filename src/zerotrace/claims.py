@@ -137,9 +137,10 @@ def _dual_basis(ctx: CheckContext, inst) -> DualBasis:
 
 def _proven_verdict(inst, budget: int):
     """The scan verdict, if it is a proof: d independent images, or an
-    annihilator of the whole (finite) stream.  A scan the budget stopped
-    first raises BudgetExhaustedError, a ResourceLimitError, so the
-    check's result is a resource limit, not a refuted claim."""
+    annihilator of the whole (finite) stream or of its horizon.  A scan
+    the budget stopped first raises BudgetExhaustedError, a
+    ResourceLimitError, so the check's result is a resource limit, not a
+    refuted claim."""
     verdict = linearly_independent(inst, budget=budget)
     if verdict.kind != "independent" and not verdict.stream_exhausted:
         raise BudgetExhaustedError(
@@ -196,7 +197,7 @@ def check_independence_three_way_positive(ctx: CheckContext) -> dict:
 def check_independence_three_way_negative(ctx: CheckContext) -> dict:
     """f = (x, 2x): all three independence tests fail, consistently."""
     inst = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair")
-    verdict = linearly_independent(inst, budget=ctx.budget)
+    verdict = _proven_verdict(inst, ctx.budget)
     assert verdict.kind == "dependent", f"verdict {verdict.kind}"
     w = verdict.witness_coeffs
     assert w is not None

@@ -12,8 +12,9 @@ curve, polynomial instances and the plane union from one function:
 Polynomial instances accept expressions in named variables built from
 integer literals, +, -, *, and nonnegative integer powers (either ** or
 ^).  One pass over each parsed expression checks every node against
-that whitelist and rewrites its powers into bounded ones; the result is
-evaluated exactly over the instance field.
+that whitelist, rewrites its powers into bounded ones and bounds its
+degree in each variable; the result is evaluated exactly over the
+instance field, and the degree bound gives the instance its horizon.
 
 Every evaluator here takes integer point descriptors and returns the
 image as an int row, the contract Instance.evaluate states: a tuple of d
@@ -25,8 +26,9 @@ tests those rows and boxes a Vector only for the points it keeps.
 from __future__ import annotations
 
 import ast
+import operator
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .exactalg import (
@@ -41,7 +43,7 @@ from .exactalg import (
 )
 from .maximality import CoverCertificate
 from .setsystem import MAX_POINTS
-from .zerosets import Instance, Sample, point_from_json
+from .zerosets import MAX_BUDGET, Instance, Sample, point_from_json
 
 
 def _is_int(x) -> bool:
@@ -84,59 +86,67 @@ def _bounded_power(base, k: int):
     return base ** k
 
 
-def _polynomial_node(node: ast.AST, variables: Sequence[str]) -> ast.AST:
+def _polynomial_node(node: ast.AST, variables: Sequence[str], cap: int) -> tuple:
     """node checked against the polynomial whitelist, and returned with
     every a ** k rewritten as a call of _POWER, bound to a power that
     stays small: reduced mod p as it is taken over F_p, however large k
     is, and _bounded_power over Q.  Operators are checked before their
-    operands, a power's exponent before its base, left before right."""
+    operands, a power's exponent before its base, left before right.
+
+    Also returns the degree bound of the subtree in each variable, a
+    tuple in the order of variables: a sum takes the larger bound, a
+    product the sum, a k-th power k times the base's, cut to cap.
+    Cutting each power leaves min(bound, cap) as it was and keeps the
+    numbers small under nested powers of long exponents."""
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
             k = node.right
             if not (isinstance(k, ast.Constant) and isinstance(k.value, int) and k.value >= 0):
                 raise InvalidInputError("exponents must be literal nonnegative integers")
-            base = _polynomial_node(node.left, variables)
+            base, degrees = _polynomial_node(node.left, variables, cap)
             power = ast.Name(id=_POWER, ctx=ast.Load())
-            return ast.copy_location(ast.Call(func=power, args=[base, k], keywords=[]), node)
+            call = ast.Call(func=power, args=[base, k], keywords=[])
+            return ast.copy_location(call, node), tuple([min(e * k.value, cap) for e in degrees])
         if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
             raise InvalidInputError("only +, -, * and integer powers are allowed")
-        node.left = _polynomial_node(node.left, variables)
-        node.right = _polynomial_node(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
+        node.left, left = _polynomial_node(node.left, variables, cap)
+        node.right, right = _polynomial_node(node.right, variables, cap)
+        combine = operator.add if isinstance(node.op, ast.Mult) else max
+        return node, tuple(map(combine, left, right))
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             raise InvalidInputError("only unary + and - are allowed")
-        node.operand = _polynomial_node(node.operand, variables)
-    elif isinstance(node, ast.Constant):
+        node.operand, degrees = _polynomial_node(node.operand, variables, cap)
+        return node, degrees
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, int) or isinstance(node.value, bool):
             raise InvalidInputError(f"non-integer literal {node.value!r}")
-    elif isinstance(node, ast.Name):
+        return node, (0,) * len(variables)
+    if isinstance(node, ast.Name):
         if node.id not in variables:
             raise InvalidInputError(f"unknown variable {node.id!r}")
-    else:
-        raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
-    return node
+        return node, tuple([int(v == node.id) for v in variables])
+    raise InvalidInputError(f"disallowed syntax: {type(node).__name__}")
 
 
-def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int = 0):
-    """Compile polynomial expressions into one exact evaluator.
-
-    Returns a function taking one value per variable, in the order of
-    variables, and returning the tuple of the polynomials' values: one
-    compiled lambda, so a call runs no eval.  Ints give exact integers.
-    With a prime p the values must be ints; powers are then taken mod p,
-    and the results are right mod p.
-    """
+def _compile(texts: Sequence[str], variables: Sequence[str], p: int) -> tuple:
+    """compile_polynomials's evaluator, and the largest degree bound of
+    any of the polynomials in any one variable, exact up to p - 1 over
+    F_p and up to MAX_BUDGET over Q."""
     if not variables or len(set(variables)) != len(variables):
         raise InvalidInputError("variables must be a nonempty list of distinct names")
     if _POWER in variables:  # it would hide the power function
         raise InvalidInputError(f"{_POWER!r} is not a variable name")
     bodies = []
+    degree = 0
     for text in texts:
         try:
             parsed = ast.parse(text.replace("^", "**"), mode="eval")
         except SyntaxError as exc:
             raise InvalidInputError(f"cannot parse polynomial {text!r}: {exc}") from None
-        bodies.append(_polynomial_node(parsed.body, variables))
+        body, degrees = _polynomial_node(parsed.body, variables, p - 1 if p else MAX_BUDGET)
+        bodies.append(body)
+        degree = max(degree, *degrees)
     params = ast.arguments(
         posonlyargs=[ast.arg(arg=v) for v in variables],
         args=[],
@@ -148,7 +158,41 @@ def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int =
     tree = ast.fix_missing_locations(ast.Expression(body))
     code = compile(tree, f"<polynomials {list(texts)!r}>", "eval")
     power = (lambda base, k: pow(base, k, p)) if p else _bounded_power
-    return eval(code, {"__builtins__": {}, _POWER: power})  # noqa: S307 - AST whitelisted
+    return eval(code, {"__builtins__": {}, _POWER: power}), degree  # noqa: S307 - AST whitelisted
+
+
+def compile_polynomials(texts: Sequence[str], variables: Sequence[str], p: int = 0):
+    """Compile polynomial expressions into one exact evaluator.
+
+    Returns a function taking one value per variable, in the order of
+    variables, and returning the tuple of the polynomials' values: one
+    compiled lambda, so a call runs no eval.  Ints give exact integers.
+    With a prime p the values must be ints; powers are then taken mod p,
+    and the results are right mod p.
+    """
+    return _compile(texts, variables, p)[0]
+
+
+def _horizon(field: Field, dims: int, degree: int) -> Optional[int]:
+    """How many leading stream points hold a product grid with more than
+    degree values in each of dims coordinates.  A polynomial of degree at
+    most degree in each variable that vanishes on such a grid is zero
+    (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), so the images
+    of these points have the rank of the polynomials.
+
+    Over Q one variable takes the spiral's first degree + 1 ints, and
+    several the max-norm shells through radius ceil(degree / 2).  Over
+    F_p, where x^p = x, the degree is at most p - 1 in each variable, and
+    the lexicographic prefix runs the first coordinate up to it.  Over Q
+    a degree of MAX_BUDGET or more puts the horizon past any budget a
+    run may give, and there is none."""
+    if isinstance(field, PrimeField):
+        return (min(degree, field.p - 1) + 1) * field.p ** (dims - 1)
+    if degree >= MAX_BUDGET:
+        return None
+    if dims == 1:
+        return degree + 1
+    return (2 * -(-degree // 2) + 1) ** dims
 
 
 def polynomial_instance(
@@ -162,7 +206,7 @@ def polynomial_instance(
     if len(polynomials) != d:
         raise InvalidInputError(f"need exactly d={d} polynomials, got {len(polynomials)}")
     p = field.p
-    evaluate_all = compile_polynomials(polynomials, variables, p)
+    evaluate_all, degree = _compile(polynomials, variables, p)
     dims = len(variables)
 
     def evaluate(point):
@@ -187,6 +231,7 @@ def polynomial_instance(
         evaluate=evaluate,
         stream=lambda: _integer_points(field, dims),
         spec=spec,
+        horizon=_horizon(field, dims, degree),
     )
 
 

@@ -78,7 +78,10 @@ class Instance:
     scan in the package is deterministic.  cover optionally records a
     known finite cover of the image by proper subspaces, checked when the
     instance is built; profile_points optionally names the canonical
-    sample used for shatter-function tables.
+    sample used for shatter-function tables.  horizon, when known, is a
+    number of leading stream points whose images have the rank of the
+    d functions, so no scan for that rank reads past it; a polynomial
+    instance has one from its degree bound, other instances None.
     """
 
     name: str
@@ -89,6 +92,7 @@ class Instance:
     cover: Optional["CoverCertificate"] = None
     profile_points: Optional[Callable[[int], list]] = None
     spec: Optional[dict] = None  # JSON-able recipe for rebuild (bundles)
+    horizon: Optional[int] = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -192,8 +196,9 @@ class IndependenceVerdict:
 
     kind "independent": the scan met d stream points with linearly
     independent images.  kind "dependent": witness_coeffs is a
-    nonzero vector annihilating every streamed image (a proof when the
-    stream was exhausted, budget-bounded evidence otherwise).
+    nonzero vector annihilating every streamed image.  stream_exhausted:
+    the scan read the whole stream or its horizon, so the verdict is a
+    proof; otherwise a dependent verdict is budget-bounded evidence.
     """
 
     kind: str
@@ -210,12 +215,14 @@ def linearly_independent(
 
     Success stops at the d-th such point.  If the scan ends with image
     rank r < d, the nullspace of the accumulated span gives the
-    annihilator.  A finite stream that ends before d points ends that
-    way too: its annihilator proves dependence (an empty stream gets
-    e_0).  Each image's int row is divided by the gcd of its entries,
-    which keeps its line (over F_p that gcd is a unit), and only the
-    distinct rows are boxed, added to the span and kept, so a stream of
-    multiples of a few lines builds few vectors.
+    annihilator.  The scan reads at most min(budget, horizon) points.
+    A finite stream that ends before d points, or a scan that reaches
+    the instance's horizon, ends that way too, and its annihilator
+    proves dependence (an empty stream gets e_0).  Each image's int row
+    is divided by the gcd of its entries, which keeps its line (over
+    F_p that gcd is a unit), and only the distinct rows are boxed, added
+    to the span and kept, so a stream of multiples of a few lines builds
+    few vectors.
 
     The annihilator is a kernel vector of a span that holds every kept
     row, so no evaluator can make it miss one.  It is still checked
@@ -231,7 +238,8 @@ def linearly_independent(
     rows: set = set()
     scanned = 0
     stream = inst.stream()
-    for point in islice(stream, budget):
+    horizon = inst.horizon
+    for point in islice(stream, budget if horizon is None else min(budget, horizon)):
         row = inst.row(point)
         scanned += 1
         g = gcd(*row)
@@ -251,7 +259,7 @@ def linearly_independent(
                     rank=inst.d,
                     stream_exhausted=False,
                 )
-    exhausted = next(stream, None) is None  # islice stopped: budget or end?
+    exhausted = scanned == horizon or next(stream, None) is None  # budget, horizon or end?
     kernel = nullspace_basis(field, inst.d, basis)
     witness = projective_normalize(kernel[0])
     if _rows_zero_mask(field.p, witness._ints, rows) != (1 << len(rows)) - 1:

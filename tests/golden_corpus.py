@@ -73,6 +73,8 @@ REQUESTS = [
     ("verify", "--checks", "json_round_trips,json_round_trips"),
     # x^2 - y, x*y, x^2 - y + 3*x*y over Q: a dependent triple
     ("analyze", "--instance", TESTS + "/quadrics.json"),
+    # a budget below its horizon of 9 points: the verdict stays evidence
+    ("analyze", "--instance", TESTS + "/quadrics.json", "--budget", "5"),
     # rho(0..12) of the 20-point d=3 family on -10..9, a search that was
     # exhaustive until each side of a split got its own ldim bound
     ("analyze", "--instance", TESTS + "/moment_curve_3.json", "--n-max", "12"),

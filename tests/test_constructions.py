@@ -213,6 +213,8 @@ def _counting_stream(inst):
 
 
 _SCALED_PAIR = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair")
+# the same pair without its horizon: an independence scan reads on to its budget
+_ENDLESS_PAIR = replace(_SCALED_PAIR, horizon=None)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +225,7 @@ _SCALED_PAIR = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"], name="scaled_pair
         (lambda i, b: independence_sequence(i, 3, budget=b), two_lines(), 40, 40),
         # these two read one point more, to tell a spent budget from an ended stream
         (lambda i, b: distinct_image_points(i, 8, budget=b), moment_curve(3), 3, 4),
-        (lambda i, b: linearly_independent(i, budget=b), _SCALED_PAIR, 40, 41),
+        (lambda i, b: linearly_independent(i, budget=b), _ENDLESS_PAIR, 40, 41),
         # every rescan reads the points kept so far before reading on
         (lambda i, b: dual_basis(i, budget=b), _SCALED_PAIR, 40, 40),
     ],
@@ -240,7 +242,7 @@ def test_scans_read_no_more_stream_points_than_their_budget(scan, inst, budget, 
 
 def test_scans_leave_the_images_they_only_test_unboxed(boxed):
     pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
-    verdict = linearly_independent(pair, budget=300)
+    verdict = linearly_independent(replace(pair, horizon=None), budget=300)
     assert (verdict.kind, verdict.scanned) == ("dependent", 300)
     assert boxed == []
     with pytest.raises(BudgetExhaustedError) as info:
@@ -366,11 +368,11 @@ def _built_rows(monkeypatch):
 
 
 def test_dependence_scan_builds_one_vector_per_distinct_row(monkeypatch):
-    # (x, 2x) streams 10,000 images on one line; divided by their gcds
-    # their rows are (0, 0), (1, 2) and (-1, -2), and only those three
-    # become vectors
+    # (x, 2x) without its horizon streams 10,000 images on one line;
+    # divided by their gcds their rows are (0, 0), (1, 2) and (-1, -2),
+    # and only those three become vectors
     built = _built_rows(monkeypatch)
-    verdict = linearly_independent(_SCALED_PAIR, budget=10_000)
+    verdict = linearly_independent(_ENDLESS_PAIR, budget=10_000)
     assert (verdict.kind, verdict.scanned) == ("dependent", 10_000)
     assert [row for row in built if row[1] == 2 * row[0]] == [(0, 0), (1, 2), (-1, -2)]
 

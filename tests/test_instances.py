@@ -1,5 +1,7 @@
 """Built-in instances, polynomial compiler, spec round trips."""
 
+import ast
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count, islice, product
@@ -10,6 +12,8 @@ from zerotrace.constructions import grid_point, grid_witness, index_growth
 from zerotrace.errors import InvalidInputError, ResourceLimitError
 from zerotrace.exactalg import QQ, PrimeField, Vector, basis_vector, rank
 from zerotrace.instances import (
+    _horizon,
+    _polynomial_node,
     builtin_help,
     builtin_names,
     compile_polynomials,
@@ -27,7 +31,7 @@ from zerotrace.instances import (
     two_lines,
 )
 from zerotrace.maximality import CoverCertificate
-from zerotrace.zerosets import distinct_image_points
+from zerotrace.zerosets import MAX_BUDGET, distinct_image_points, linearly_independent
 
 F3 = PrimeField(3)
 
@@ -94,6 +98,117 @@ def test_compile_polynomial_bounds_every_power():
         nested(2)
     # over F_5 both powers are taken mod 5: 2^1000003 = 3, 3^1000003 = 2
     assert compile_polynomials(["(x^1000003)^1000003"], ["x"], 5)(2) == (2,)
+
+
+def _degrees(text, variables=("x", "y"), cap=MAX_BUDGET):
+    parsed = ast.parse(text.replace("^", "**"), mode="eval")
+    return _polynomial_node(parsed.body, variables, cap)[1]
+
+
+def test_polynomial_node_bounds_the_degree_in_each_variable():
+    assert _degrees("x") == (1, 0)
+    assert _degrees("y") == (0, 1)
+    assert _degrees("7") == _degrees("-7") == _degrees("x^0") == (0, 0)
+    assert _degrees("x + y^2") == _degrees("x - y^2") == (1, 2)
+    assert _degrees("x*y*x") == (2, 1)
+    assert _degrees("-(x*y^2)") == _degrees("+(x*y^2)") == (1, 2)
+    assert _degrees("(x*y + 1)^3") == (3, 3)
+    assert _degrees("(x^2)^3 * y") == (6, 1)
+    assert _degrees("x - x") == (1, 0)  # a bound: the cancellation is not seen
+    assert _degrees("3*x^2 - (x + y)^2", ("y", "x")) == (2, 2)
+
+
+def test_polynomial_node_cuts_each_power_at_its_cap():
+    # over F_5 no degree past 4 matters; a power is cut before the next one
+    assert _degrees("(x^1000003)^1000003", cap=4) == (4, 0)
+    assert _degrees("(x^2)^2 * y^3", cap=4) == (4, 3)
+    # one term past MAX_BUDGET over Q gives no horizon
+    inst = polynomial_instance(QQ, 2, ["x^1000000", "x"], ["x"])
+    assert inst.horizon is None
+
+
+def test_horizon_holds_a_grid_past_the_degree_in_each_variable():
+    assert [_horizon(QQ, 1, degree) for degree in range(4)] == [1, 2, 3, 4]
+    # the shells through radius ceil(degree / 2) hold a (2r + 1)-cube
+    assert [_horizon(QQ, 2, degree) for degree in range(4)] == [1, 9, 9, 25]
+    assert _horizon(QQ, 3, 2) == 27
+    assert [_horizon(PrimeField(5), 1, degree) for degree in (0, 3, 4, 9)] == [1, 4, 5, 5]
+    assert [_horizon(PrimeField(5), 2, degree) for degree in (0, 1, 9)] == [5, 10, 25]
+    assert _horizon(QQ, 1, MAX_BUDGET) is None
+    pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    assert (pair.horizon, moment_curve(3).horizon, high_vcden(3).horizon) == (2, None, None)
+
+
+def _random_polynomial(rng, variables):
+    """Up to three terms of degree at most 2 in each variable, sometimes
+    squared."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        powers = "*".join(f"{v}^{rng.randint(0, 2)}" for v in variables)
+        terms.append(f"{rng.randint(-3, 3)}*{powers}")
+    text = " + ".join(terms)
+    return f"({text})^2" if rng.random() < 0.2 else text
+
+
+def _random_family(rng, p, variables):
+    """d polynomials, independent or (half the time) dependent: one
+    member an integer combination of the others, a Frobenius power, a
+    constant or a cancelled difference."""
+    d = rng.randint(1, 4)
+    texts = [_random_polynomial(rng, variables) for _ in range(d)]
+    if d > 1 and rng.random() < 0.5:
+        x = variables[0]
+        made = [
+            " + ".join(f"{rng.randint(-3, 3)}*({t})" for t in texts[:-1]),
+            f"({texts[0]})^{p}" if p else f"({texts[0]})^1",
+            str(rng.randint(-3, 3)),
+            f"{x} - {x}",
+        ]
+        texts[-1] = rng.choice(made)
+        rng.shuffle(texts)
+    return texts
+
+
+_FIXED_FAMILIES = [
+    ["1", "3"],
+    ["-2"],
+    ["x - x"],
+    ["x - x", "x"],
+    ["(x^2)^2", "x^4", "x"],
+    ["(x + 1)^3", "x^3 + 3*x^2 + 3*x + 1"],
+    ["1", "x", "x*x", "x*x*x"],  # independent only on 4 points
+]
+
+
+@pytest.mark.parametrize("p", [0, 5, 7])
+@pytest.mark.parametrize("variables", [["x"], ["x", "y"]])
+def test_horizon_verdict_matches_a_scan_past_it(p, variables):
+    """The verdict read off the horizon is the one a scan of 10,000
+    points over Q, or of the whole domain over F_p, reaches."""
+    field = PrimeField(p) if p else QQ
+    rng = random.Random(3600 + 10 * p + len(variables))
+    families = [_random_family(rng, p, variables) for _ in range(24)] + _FIXED_FAMILIES
+    if p:
+        families += [["x", f"x^{p}"], ["x", f"(x^{p})^{p}", "x^2"], ["x", f"x^{2 * p - 1}"]]
+        families.append(["1", "x", "x^2", "x^3", f"x^{p - 1}"])  # F_5: the whole domain
+    if len(variables) == 2:
+        families += [["(x + y)^2", "x^2 + 2*x*y + y^2"], ["x*y", "y*x", "y"], ["1", "y", "y*y"]]
+    kinds = set()
+    for texts in families:
+        inst = polynomial_instance(field, len(texts), texts, variables)
+        verdict = linearly_independent(inst, budget=10_000)
+        long = linearly_independent(replace(inst, horizon=None), budget=10_000)
+        if p and long.kind == "dependent":
+            assert long.stream_exhausted, texts  # the whole domain: a proof
+        got = (verdict.kind, verdict.rank, verdict.witness_coeffs)
+        assert got == (long.kind, long.rank, long.witness_coeffs), texts
+        assert verdict.scanned <= inst.horizon, texts
+        if verdict.kind == "independent":
+            assert verdict.scanned == long.scanned, texts
+        else:
+            assert verdict.stream_exhausted, texts
+        kinds.add(verdict.kind)
+    assert kinds == {"independent", "dependent"}
 
 
 def test_polynomial_instance_guards():

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from zerotrace import _kernels, constructions, maximality, zerosets
+from zerotrace import _kernels, constructions, instances, maximality, zerosets
 from zerotrace.claims import run_checks
 
 
@@ -72,6 +72,12 @@ MUTANTS = {
         maximality, "minimal_spanning_reduction",
         "if span.add(vectors[i])]", "if span.add(vectors[i]) or True]",
     ),
+    # each polynomial instance's dependence scan stops one point short
+    # of the grid that fixes its rank
+    "horizon_one_short": (
+        instances, "polynomial_instance",
+        "horizon=_horizon(field, dims, degree)", "horizon=_horizon(field, dims, degree) - 1",
+    ),
 }
 
 SEEDS = (20240601, 7, 123)
@@ -102,3 +108,12 @@ def test_vcdim_mutant_fails_the_oracle_check_at_each_seed(monkeypatch):
     _install(monkeypatch, *MUTANTS["vcdim_read_at_one_short"])
     for seed in SEEDS:
         assert _failed(run_checks(["oracle_equivalences_random"], seed=seed)), seed
+
+
+def test_short_horizon_fails_both_independence_checks_at_each_seed(monkeypatch):
+    """One point short of its grid, const_linear_f3 reads as dependent
+    and the annihilator of (x, 2x) misses the point it did not read."""
+    _install(monkeypatch, *MUTANTS["horizon_one_short"])
+    checks = ["independence_three_way_positive", "independence_three_way_negative"]
+    for seed in SEEDS:
+        assert _failed(run_checks(checks, seed=seed)) == checks, seed

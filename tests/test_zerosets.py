@@ -514,7 +514,9 @@ def test_independence_verdicts():
     verdict = linearly_independent(scaled, budget=60)
     assert verdict.kind == "dependent"
     assert verdict.rank == 1
-    assert not verdict.stream_exhausted
+    # degree 1: the images of 0 and 1 have the rank of (x, 2x), a proof
+    assert verdict.scanned == 2
+    assert verdict.stream_exhausted
     w = verdict.witness_coeffs
     for x in (0, 1, -1, 5):
         assert dot(w, scaled.image(x)) == 0
@@ -544,12 +546,13 @@ def test_a_stream_ending_before_d_points_proves_dependence():
 
 
 def test_streamed_multiples_of_one_line_add_one_row_each(monkeypatch):
-    # (x, 2x) streams 300 distinct images on one line; deduplicating them
-    # by their primitive rows leaves (0, 0), (1, 2) and (-1, -2).
+    # (x, 2x) without its horizon streams 300 distinct images on one line;
+    # deduplicating them by their primitive rows leaves (0, 0), (1, 2) and
+    # (-1, -2).
     added = Counter()  # Span.add calls per span, in the order the spans are first used
     add = Span.add
     monkeypatch.setattr(Span, "add", lambda self, v: added.update([id(self)]) or add(self, v))
-    pair = polynomial_instance(QQ, 2, ["x", "2*x"], ["x"])
+    pair = replace(polynomial_instance(QQ, 2, ["x", "2*x"], ["x"]), horizon=None)
     verdict = linearly_independent(pair, budget=300)
     assert (verdict.kind, verdict.scanned, verdict.rank) == ("dependent", 300, 1)
     scan, kernel = added.values()  # the scan's span, then the kernel's span of its basis
