@@ -37,7 +37,17 @@ from .constructions import (
     shattering_witness,
 )
 from .errors import BudgetExhaustedError, InvalidInputError, ResourceLimitError
-from .exactalg import QQ, PrimeField, Span, Vector, basis_vector, dot, rank, zero_mask
+from .exactalg import (
+    QQ,
+    PrimeField,
+    Span,
+    Vector,
+    basis_vector,
+    dot,
+    entry_strings,
+    rank,
+    zero_mask,
+)
 from .instances import (
     conics,
     ellipse_carrier,
@@ -214,7 +224,7 @@ def check_independence_three_way_negative(ctx: CheckContext) -> dict:
     assert stalled_at == 1, f"construction stalled at step {stalled_at}, expected 1"
     return {
         "verdict": verdict.kind,
-        "witness": [str(x) for x in w.entries],
+        "witness": entry_strings(w),
         "image_rank": 1,
         "construction_stalled_at_step": stalled_at,
     }
@@ -228,7 +238,7 @@ def check_dependent_pair_f3(ctx: CheckContext) -> dict:
     w = verdict.witness_coeffs
     for p in inst.stream():
         assert dot(w, inst.image(p)) == 0
-    return {"verdict": verdict.kind, "witness": [str(x) for x in w.entries]}
+    return {"verdict": verdict.kind, "witness": entry_strings(w)}
 
 
 def check_littlestone_upper_bound(ctx: CheckContext) -> dict:
@@ -375,8 +385,8 @@ def check_grid_membership_pattern(ctx: CheckContext) -> dict:
                     checked += 1
     c00 = grid_point(QQ, d, 0, 0)
     b01 = grid_witness(QQ, d, (0, 1))
-    assert [str(x) for x in c00.entries] == ["1", "1", "0"]
-    assert [str(x) for x in b01.entries] == ["2", "-2", "-1"]
+    assert entry_strings(c00) == ["1", "1", "0"]
+    assert entry_strings(b01) == ["2", "-2", "-1"]
     assert dot(b01, c00) == 0
     return {"memberships_checked": checked, "c_0_0": "(1,1,0)", "b_0_1": "(2,-2,-1)"}
 
@@ -464,7 +474,7 @@ def check_cover_refutation(ctx: CheckContext) -> dict:
     return {
         "verdict": report.verdict,
         "escape_point": str(report.escape_point),
-        "escape_image": [str(x) for x in escaped.entries],
+        "escape_image": entry_strings(escaped),
     }
 
 

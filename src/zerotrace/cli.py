@@ -26,6 +26,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from math import comb
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,7 @@ from .errors import (
     StreamExhaustedError,
     ZerotraceError,
 )
-from .exactalg import scalar_to_str
+from .exactalg import entry_strings
 from .instances import (
     builtin_help,
     instance_from_spec,
@@ -233,7 +234,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple:
             "rank": verdict.rank,
             "stream_exhausted": verdict.stream_exhausted,
             "witness_coeffs": (
-                [scalar_to_str(x) for x in verdict.witness_coeffs.entries]
+                entry_strings(verdict.witness_coeffs)
                 if verdict.witness_coeffs is not None
                 else None
             ),
@@ -246,7 +247,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple:
             "method": zfam.method,
             "count": len(zfam.sets),
             "masks": [z.mask for z in zfam.sets],
-            "witnesses": [[scalar_to_str(x) for x in z.witness.entries] for z in zfam.sets],
+            "witnesses": [entry_strings(z.witness) for z in zfam.sets],
         },
         "vcdim": vc,
         "ldim": ld,
@@ -464,7 +465,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process.  argparse reads sys.stdout,
+    sys.stderr and the terminal width when it prints, not when it is
+    built, so one parser serves every call; it is not built at import,
+    which would slow every start."""
     epilog = "built-in instances:\n" + "\n".join(
         f"  {name}: {text}" for name, text in sorted(builtin_help().items())
     )

@@ -17,11 +17,12 @@ Each ``Vector`` is held as plain ints over one positive denominator:
 residues over F_p, integers over Q.  ``Span`` rows, ``dot`` sums,
 ``zero_mask`` tests, equality and hashing all read those ints, and a
 vector over Q boxes its entries into ``Fraction`` values only when
-``.entries`` is read, anew on each read.  The instance
-evaluators return int rows, and the stream scans in ``zerosets`` and
-``constructions`` test those rows directly, boxing a ``Vector``
-(``_vector_of_ints``) only for the rows they keep; their zero tests
-read the ints of kernel vectors (``Vector._ints``).
+``.entries`` is read, anew on each read; a vector prints from its ints
+(``entry_strings``), each entry as ``scalar_to_str`` prints it.  The
+instance evaluators return int rows, and the stream scans in
+``zerosets`` and ``constructions`` test those rows directly, boxing a
+``Vector`` (``_vector_of_ints``) only for the rows they keep; their
+zero tests read the ints of kernel vectors (``Vector._ints``).
 """
 
 from __future__ import annotations
@@ -144,15 +145,19 @@ def field_from_json(data) -> Field:
     raise InvalidInputError(f"unrecognized field descriptor: {data!r}")
 
 
+def _too_many_digits() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print"
+    )
+
+
 def scalar_to_str(x: Scalar) -> str:
     """str(x), "n" or "n/d" for a Fraction and "r" for a residue; an int
     past sys.get_int_max_str_digits() is a resource limit."""
     try:
         return str(x)
     except ValueError:
-        raise ResourceLimitError(
-            f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print"
-        ) from None
+        raise _too_many_digits() from None
 
 
 def scalar_from_str(field: Field, text: str) -> Scalar:
@@ -251,7 +256,25 @@ class Vector:
         return not any(self._ints)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(scalar_to_str(a) for a in self.entries) + ")"
+        return "(" + ", ".join(entry_strings(self)) + ")"
+
+
+def entry_strings(v: Vector) -> list:
+    """The entries of v as scalar_to_str prints them, read off the int
+    form with no Fraction built: "r" for a residue over F_p, and over Q
+    "n" or "n/q" for ints[i] / den in lowest terms.  An int past
+    sys.get_int_max_str_digits() is a resource limit, as there."""
+    den = v._den
+    try:
+        if den == 1:
+            return [str(x) for x in v._ints]
+        out = []
+        for x in v._ints:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def _vector_of_ints(field: Field, ints, den: int = 1) -> Vector:

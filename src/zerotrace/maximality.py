@@ -40,13 +40,13 @@ from .exactalg import (
     Field,
     Span,
     Vector,
+    entry_strings,
     field_from_json,
     field_to_json,
     in_span,
     rank,
     row_space_canonical,
     scalar_from_str,
-    scalar_to_str,
 )
 from .setsystem import SetFamily, as_mask, mask_to_indices
 from .zerosets import (
@@ -163,7 +163,7 @@ def cover_to_json(cert: CoverCertificate) -> dict:
         "field": field_to_json(cert.field),
         "d": cert.d,
         "subspaces": [
-            [[scalar_to_str(x) for x in v.entries] for v in spanning]
+            [entry_strings(v) for v in spanning]
             for spanning in cert.subspaces
         ],
     }

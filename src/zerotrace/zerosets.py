@@ -34,13 +34,13 @@ from .exactalg import (
     _rows_zero_mask,
     _unit_lead,
     _vector_of_ints,
+    entry_strings,
     in_span,
     integer_shells,
     nullspace_basis,
     projective_normalize,
     residue_tuples,
     scalar_from_str,
-    scalar_to_str,
     zero_mask,
 )
 from .setsystem import MAX_POINTS, MAX_SETS, GroundSet, SetFamily, mask_to_indices
@@ -400,8 +400,9 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     candidate is kept only if some coefficient vector orthogonal to W
     avoids all images outside T(W); over a finite field that search can
     fail, and the candidate is then correctly dropped.  Each closure's
-    witness is searched when the walk reaches it, so the walk stops as
-    soon as more than MAX_SETS traces are realized.
+    witness is found when the walk reaches it, so the walk stops as soon
+    as more than MAX_FLATS closures are visited or more than MAX_SETS
+    traces are realized.
 
     Each flat carries, over plain ints, its kernel K (d rows, one column
     per kernel vector) and its quotient rows M[i] = v_i . K for the images
@@ -412,6 +413,12 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     the canonical kernel of W + <v_j> times one constant, positive over
     Q and a unit over F_p, which neither the witness search, the line
     grouping of child closures nor the unit-lead witness can see.
+
+    A child of a flat with a two-column kernel is a hyperplane, and the
+    walk ends there: its one kernel column K.N is nonzero on every image
+    off it, so it is the witness the search would find, up to the sign
+    the unit lead removes.  A hyperplane gets no quotient rows, no search
+    and no children.
     """
     inst = sample.instance
     field = inst.field
@@ -419,33 +426,44 @@ def enumerate_family_flats(sample: Sample) -> ZeroSetFamily:
     if len(images) > MAX_POINTS:
         raise ResourceLimitError(f"sample of {len(images)} points exceeds the limit {MAX_POINTS}")
     p = field.p
-    mask = _closure(images)
-    kernel = list(zip(*_int_columns(nullspace_basis(field, inst.d, []))))
-    rows = {i: v._ints for i, v in enumerate(images) if not mask >> i & 1}
     found: dict = {}
     visited = 0
-    stack = [(-1, mask, kernel, rows)]  # (last added index, closure, K, M)
-    while stack:
-        last, mask, kernel, rows = stack.pop()
+
+    def keep(mask: int, column) -> None:
+        """Count the flat with closure mask as visited and keep its trace,
+        witnessed on the line of column, an int column of its kernel;
+        column None means no witness exists."""
+        nonlocal visited
         visited += 1
         if visited > MAX_FLATS:
             raise ResourceLimitError(f"flat lattice exceeded {MAX_FLATS} closures")
-        r = len(kernel[0])
-        coeffs = _search_coefficients(p, r, rows.values())
-        if coeffs is not None:
-            witness = [x for x, in _times(p, kernel, [coeffs])]
-            found[mask] = ZeroSet(mask, _unit_lead(field, witness))
+        if column is not None:
+            found[mask] = ZeroSet(mask, _unit_lead(field, column))
             if len(found) > MAX_SETS:
                 raise ResourceLimitError(f"family exceeds the soft limit of {MAX_SETS} sets")
+
+    mask = _closure(images)
+    kernel = list(zip(*_int_columns(nullspace_basis(field, inst.d, []))))
+    rows = {i: v._ints for i, v in enumerate(images) if not mask >> i & 1}
+    stack = [(-1, mask, kernel, rows)]  # (last added index, closure, K, M)
+    while stack:
+        last, mask, kernel, rows = stack.pop()
+        r = len(kernel[0])
+        coeffs = _search_coefficients(p, r, rows.values())
+        keep(mask, None if coeffs is None else [x for x, in _times(p, kernel, [coeffs])])
         if r == 1:
-            continue  # one more image would span the whole space
+            continue  # a hyperplane, the root when d = 1, has no children
         for j, child in _child_closures(mask, rows, p).items():
             below = (1 << j) - 1
             if j > last and child & below == mask & below:
                 step = _int_columns(nullspace_basis(field, r, [_vector_of_ints(field, rows[j])]))
+                child_kernel = _times(p, kernel, step)
+                if r == 2:
+                    keep(child, [x for x, in child_kernel])
+                    continue
                 off = [i for i in rows if not child >> i & 1]
                 moved = _times(p, [rows[i] for i in off], step)
-                stack.append((j, child, _times(p, kernel, step), dict(zip(off, moved))))
+                stack.append((j, child, child_kernel, dict(zip(off, moved))))
     sets = tuple(found[m] for m in sorted(found))
     return ZeroSetFamily(sample, sets, "flat_lattice")
 
@@ -561,7 +579,7 @@ def family_bundle(zfam: ZeroSetFamily) -> dict:
             {
                 "mask": z.mask,
                 "indices": mask_to_indices(z.mask),
-                "witness": [scalar_to_str(x) for x in z.witness.entries],
+                "witness": entry_strings(z.witness),
             }
             for z in zfam.sets
         ],

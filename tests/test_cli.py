@@ -53,6 +53,39 @@ def test_version_flag(capsys):
     assert "zerotrace" in capsys.readouterr().out
 
 
+def _outcome(capsys, argv):
+    """Exit code, stdout without timings, and stderr of one in-process run."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    out = captured.out
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["timings"]
+        out = json.dumps(report)
+    return code, out, captured.err
+
+
+def test_one_parser_serves_every_request_in_a_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    requests = [
+        ("analyze", "--bogus"),
+        ("--version",),
+        ("--help",),
+        ("analyze", "--instance", "moment_curve:3"),
+    ]
+    first = {}
+    for argv in requests:  # each on a parser of its own
+        cli.build_parser.cache_clear()
+        first[argv] = _outcome(capsys, argv)
+    assert [first[argv][0] for argv in requests] == [3, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    for argv in requests:  # all on one parser
+        assert _outcome(capsys, argv) == first[argv], argv
+
+
 def test_analyze_moment_curve(capsys):
     code, out, _ = run(capsys, "analyze", "--instance", "moment_curve:3", "--n-max", "4")
     assert code == 0
@@ -1228,6 +1261,12 @@ GOLDEN_CORPUS = json.loads(golden_corpus.MANIFEST.read_text())
 @pytest.mark.parametrize("argv", golden_corpus.REQUESTS, ids=golden_corpus.key)
 def test_request_matches_golden_corpus(tmp_path, argv):
     assert golden_corpus.outputs(argv, tmp_path / "out") == GOLDEN_CORPUS[golden_corpus.key(argv)]
+
+
+def test_golden_corpus_pins_exactly_its_requests():
+    # a stale entry, or a request without one, would go unnoticed otherwise
+    assert set(GOLDEN_CORPUS) == {golden_corpus.key(argv) for argv in golden_corpus.REQUESTS}
+    assert len(GOLDEN_CORPUS) == len(golden_corpus.REQUESTS)
 
 
 def _matches_corpus(tmp_path, argv):

@@ -1,6 +1,7 @@
 """Exact arithmetic and linear algebra unit tests."""
 
 import random
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import islice, product
@@ -15,6 +16,7 @@ from zerotrace.errors import (
     DimensionMismatchError,
     FieldMismatchError,
     InvalidInputError,
+    ResourceLimitError,
 )
 from zerotrace.exactalg import (
     QQ,
@@ -23,6 +25,7 @@ from zerotrace.exactalg import (
     Vector,
     basis_vector,
     dot,
+    entry_strings,
     field_from_json,
     field_to_json,
     in_span,
@@ -67,6 +70,32 @@ def test_scalar_str_round_trip_fp(v):
     assert scalar_to_str(v) == str(v)
     assert scalar_from_str(F5, scalar_to_str(v)) == v
     assert scalar_from_str(F5, str(v - 5)) == v
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F13], ids=str)
+def test_entry_strings_print_each_entry_as_scalar_to_str(field):
+    rng = random.Random(f"entry-strings:{field}")
+    for den in (1, 2, 6, 35):
+        for _ in range(20):
+            ints = [rng.choice((0, rng.randint(-70, 70))) for _ in range(rng.randint(1, 5))]
+            if field is QQ:
+                v = Vector(QQ, [Fraction(x, den) for x in ints])
+            else:
+                v = Vector(field, ints)
+            assert entry_strings(v) == [scalar_to_str(x) for x in v.entries]
+    half = Vector(QQ, (Fraction(-3, 2), 0, 4, Fraction(1, 6)))
+    assert entry_strings(half) == ["-3/2", "0", "4", "1/6"]
+    assert entry_strings(Vector(QQ, (0, -5))) == ["0", "-5"]
+
+
+def test_entry_strings_refuse_an_int_past_the_digit_limit_as_scalar_to_str_does():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    for x in (big, Fraction(big + 1, 3), Fraction(1, big)):
+        with pytest.raises(ResourceLimitError) as scalar:
+            scalar_to_str(x)
+        with pytest.raises(ResourceLimitError) as vector:
+            entry_strings(Vector(QQ, (1, x)))
+        assert str(vector.value) == str(scalar.value)
 
 
 def test_field_json_round_trip():

@@ -44,6 +44,12 @@ MUTANTS = {
         zerosets, "enumerate_family_flats",
         "_times(p, kernel, step)", "[row[:-1] for row in kernel]",
     ),
+    # each hyperplane's witness is its parent's first kernel column, which
+    # lies on the parent flat, not the hyperplane's own K.N
+    "flat_hyperplane_witness_from_parent": (
+        zerosets, "enumerate_family_flats",
+        "keep(child, [x for x, in child_kernel])", "keep(child, [row[0] for row in kernel])",
+    ),
     "rho_ground_shortcut_one_depth_early": (
         _kernels, "_rho_search", "d >= n_points)", "d >= n_points - 1)",
     ),
@@ -117,3 +123,25 @@ def test_short_horizon_fails_both_independence_checks_at_each_seed(monkeypatch):
     checks = ["independence_three_way_positive", "independence_three_way_negative"]
     for seed in SEEDS:
         assert _failed(run_checks(checks, seed=seed)) == checks, seed
+
+
+def test_hyperplane_witness_from_parent_fails_every_walk_check_at_each_seed(monkeypatch):
+    """A hyperplane witness off by one step of the walk vanishes on an
+    image off the hyperplane, which each check that re-verifies the
+    witnesses of a walk over Q or F_p sees."""
+    _install(monkeypatch, *MUTANTS["flat_hyperplane_witness_from_parent"])
+    for seed in SEEDS:
+        assert _failed(run_checks(seed=seed)) == [
+            "littlestone_upper_bound",
+            "shattered_set",
+            "dimensions_match",
+            "trace_count_on_d_points",
+            "line_cover_blocks",
+            "maximal_profile_counts",
+            "grid_trace_count",
+            "non_maximality_certificates",
+            "span_injectivity_suite",
+            "strict_bound_under_cover",
+            "json_round_trips",
+            "enumerator_equivalence",
+        ], seed

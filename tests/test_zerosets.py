@@ -322,6 +322,28 @@ def test_walk_pins_its_benchmark_counted_calls(monkeypatch, field):
         assert calls == ["in_span"] * n + ["nullspace_basis"] * len(closures)
 
 
+@pytest.mark.parametrize("field", [QQ, F3, F5, F13], ids=str)
+def test_walk_searches_witnesses_below_hyperplanes_only(monkeypatch, field):
+    """A flat spanned by k < d - 1 images gets one witness search over its
+    d - k kernel columns; a hyperplane (k = d - 1) gets none."""
+    widths = []
+    search = zerosets._search_coefficients
+
+    def recording(p, r, rows):
+        widths.append(r)
+        return search(p, r, rows)
+
+    monkeypatch.setattr(zerosets, "_search_coefficients", recording)
+    for sample in _walk_samples(field):
+        d = sample.instance.d
+        _, flats, _ = _reference_flats(sample)
+        widths.clear()
+        enumerate_family_flats(sample)
+        expected = Counter(d - len(basis) for basis in flats.values() if len(basis) < d - 1)
+        assert Counter(widths) == expected
+        assert len(flats) > len(widths) and min(widths) == 2
+
+
 def _explicit_sample(field, rows):
     """Sample whose i-th image is rows[i] times the least common
     denominator of its entries: the int row of Vector(field, rows[i]),
@@ -465,14 +487,14 @@ def test_flats_stop_at_the_family_cap(monkeypatch):
     sample = Sample.prefix(moment_curve(3), 6)
     assert len(enumerate_family_flats(sample)) > 5
     calls = []
-    search = zerosets._search_coefficients
+    unit_lead = zerosets._unit_lead
 
-    def counting(*args):
+    def counting(*args):  # one call per realized trace
         calls.append(args)
-        return search(*args)
+        return unit_lead(*args)
 
     monkeypatch.setattr(zerosets, "MAX_SETS", 5)
-    monkeypatch.setattr(zerosets, "_search_coefficients", counting)
+    monkeypatch.setattr(zerosets, "_unit_lead", counting)
     with pytest.raises(ResourceLimitError):
         enumerate_family_flats(sample)
     assert len(calls) == 6  # over Q every flat is a trace; the sixth overflows
